@@ -20,6 +20,10 @@ into a linear part, a "translation" part and a one-parameter part:
 The defect Im w - ||z||^2 transforms under H by the positive factor
 s^2 / |D|^2, which is what makes the boundary and the two sides of it
 invariant.
+
+In homogeneous coordinates (z, w, 1) every member is linear, given by its
+(d+2) x (d+2) projective matrix (:func:`matrix`), so the group law is matrix
+multiplication and inversion.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ class AutParams:
     @property
     def beta(self) -> complex:
         """The w-coefficient ``R - i ||a||^2`` of the denominator."""
-        return self.R - 1j * norm(self.a) ** 2
+        return self.R - 1j * np.vdot(self.a, self.a).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +144,15 @@ def param_distance(p: AutParams, q: AutParams) -> float:
     )
 
 
-def denominator(params: AutParams, p: SiegelPoint) -> complex:
-    """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w``."""
+def _check_point_dim(params: AutParams, p: SiegelPoint) -> None:
     if p.dim != params.dim:
         msg = f"point dimension {p.dim} does not match parameters ({params.dim})"
         raise ValueError(msg)
+
+
+def denominator(params: AutParams, p: SiegelPoint) -> complex:
+    """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w``."""
+    _check_point_dim(params, p)
     return 1.0 - 2j * inner(p.z, params.a) + params.beta * p.w
 
 
@@ -153,24 +161,20 @@ def apply(params: AutParams, p: SiegelPoint, eps: float = EPS_DENOM) -> SiegelPo
 
     Raises :class:`AutomorphismPoleError` when ``|D| <= eps``.
     """
-    D = denominator(params, p)
-    if abs(D) <= eps:
-        msg = f"pole of automorphism: |D| = {abs(D):.3e}"
-        raise AutomorphismPoleError(msg)
-    z = params.s * (params.U @ (p.z + p.w * params.a)) / D
-    w = params.s**2 * p.w / D
-    return SiegelPoint(z, w)
+    _check_point_dim(params, p)
+    f, g = _apply_batch(params, p.z[None, :], np.array([p.w]), eps)
+    return SiegelPoint(f[0], g[0])
 
 
 def _apply_batch(
     params: AutParams, zs: np.ndarray, ws: np.ndarray, eps: float = EPS_DENOM
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`apply` on stacked points (rows of zs, entries of ws)."""
+    """Evaluate the automorphism on stacked points (rows of zs, entries of ws)."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
-    D = 1.0 - 2j * (zs @ np.conj(params.a)) + params.beta * ws
+    D = 1.0 - 2j * (zs @ params.a.conj()) + params.beta * ws
     small = np.abs(D) <= eps
-    if np.any(small):
+    if small.any():
         msg = f"pole of automorphism: |D| = {np.abs(D)[small].min():.3e}"
         raise AutomorphismPoleError(msg)
     f = params.s * ((zs + ws[:, None] * params.a) @ params.U.T) / D[:, None]
@@ -252,96 +256,41 @@ def composition_radius(outer: AutParams, inner: AutParams) -> float:
     return _safe_radius(max(c_in, c_out))
 
 
-def compose(outer: AutParams, inner: AutParams) -> AutParams:
-    """Parameters of the composite ``outer o inner``.
+def matrix(params: AutParams) -> np.ndarray:
+    """The (d+2) x (d+2) projective matrix of the automorphism.
 
-    The composite is closed-form-free: the pointwise composition is wrapped
-    as a map germ, its second-order jet is extracted by Cauchy integrals and
-    the parameters are read off from the jet.  The jet route doubles as a
-    continuous self-test of the parameterisation.
+    In homogeneous coordinates (z, w, 1) the automorphism is the linear map
+    with rows ``[s U, s U a, 0]``, ``[0, s^2, 0]`` and
+    ``[-2i a^H, R - i ||a||^2, 1]``; its last row is the denominator D.
     """
-    from . import jets
+    d = params.dim
+    M = np.zeros((d + 2, d + 2), dtype=complex)
+    M[:d, :d] = params.s * params.U
+    M[:d, d] = params.s * (params.U @ params.a)
+    M[d, d] = params.s**2
+    M[d + 1, :d] = -2j * np.conj(params.a)
+    M[d + 1, d] = params.beta
+    M[d + 1, d + 1] = 1.0
+    return M
 
+
+def _from_matrix(M: np.ndarray) -> AutParams:
+    """Read the parameters back off a projective matrix (last column e_{d+2})."""
+    d = M.shape[0] - 2
+    s = float(np.sqrt(M[d, d].real))
+    U = M[:d, :d] / s
+    a = U.conj().T @ M[:d, d] / s
+    return AutParams(U, s, a, float(M[d + 1, d].real))
+
+
+def compose(outer: AutParams, inner: AutParams) -> AutParams:
+    """Parameters of the composite ``outer o inner``: the matrix product."""
     if outer.dim != inner.dim:
         msg = f"dimension mismatch: {outer.dim} vs {inner.dim}"
         raise ValueError(msg)
-    radius = composition_radius(outer, inner)
-
-    def chained_batch(zs, ws):
-        f, g = _apply_batch(inner, zs, ws)
-        return _apply_batch(outer, f, g)
-
-    composite = HoloMap(
-        evaluate=lambda p: apply(outer, apply(inner, p)),
-        dim=inner.dim,
-        domain_radius=radius,
-        evaluate_batch=chained_batch,
-    )
-    cfg = jets.DiffConfig(radius=min(0.1, 0.6 * radius))
-    return jets.recover_params(jets.extract_jet2(composite, cfg))
-
-
-def inverse_map(params: AutParams) -> HoloMap:
-    """The inverse automorphism as a pointwise linear-system solver.
-
-    Given an image point (z', w'), the source point and denominator satisfy
-    the linear system
-
-        s U z + (s U a) w - z' D = 0
-        s^2 w          - w' D = 0
-        2i conj(a).z - (R - i||a||^2) w + D = 1
-
-    in the unknowns (z, w, D); solving it evaluates the inverse map.  The
-    eliminated denominator of the inverse has z'-slope 2||a||/s and
-    |w'|-slope |R + i||a||^2|/s^2, which gives the advertised domain radius.
-    """
-    d = params.dim
-    s, U, a, beta = params.s, params.U, params.a, params.beta
-    A = np.zeros((d + 2, d + 2), dtype=complex)
-    A[:d, :d] = s * U
-    A[:d, d] = s * (U @ a)
-    A[d, d] = s**2
-    A[d + 1, :d] = 2j * np.conj(a)
-    A[d + 1, d] = -beta
-    A[d + 1, d + 1] = 1.0
-    b = np.zeros(d + 2, dtype=complex)
-    b[d + 1] = 1.0
-
-    def evaluate(p: SiegelPoint) -> SiegelPoint:
-        if p.dim != d:
-            msg = f"point dimension {p.dim} does not match parameters ({d})"
-            raise ValueError(msg)
-        M = A.copy()
-        M[:d, d + 1] = -p.z
-        M[d, d + 1] = -p.w
-        try:
-            x = np.linalg.solve(M, b)
-        except np.linalg.LinAlgError as exc:
-            msg = "pole of automorphism: inverse system is singular"
-            raise AutomorphismPoleError(msg) from exc
-        return SiegelPoint(x[:d], x[d])
-
-    def evaluate_batch(zs: np.ndarray, ws: np.ndarray):
-        n_pts = zs.shape[0]
-        M = np.broadcast_to(A, (n_pts, d + 2, d + 2)).copy()
-        M[:, :d, d + 1] = -zs
-        M[:, d, d + 1] = -ws
-        rhs = np.broadcast_to(b, (n_pts, d + 2))
-        try:
-            x = np.linalg.solve(M, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            msg = "pole of automorphism: inverse system is singular"
-            raise AutomorphismPoleError(msg) from exc
-        return x[:, :d], x[:, d]
-
-    slope = 2.0 * norm(a) / s + abs(np.conj(beta)) / s**2
-    return HoloMap(evaluate, d, _safe_radius(slope), evaluate_batch)
+    return _from_matrix(matrix(outer) @ matrix(inner))
 
 
 def invert(params: AutParams) -> AutParams:
-    """Parameters of the inverse automorphism, read off its jet."""
-    from . import jets
-
-    inv = inverse_map(params)
-    cfg = jets.DiffConfig(radius=min(0.1, 0.6 * inv.domain_radius))
-    return jets.recover_params(jets.extract_jet2(inv, cfg))
+    """Parameters of the inverse automorphism: the matrix inverse."""
+    return _from_matrix(np.linalg.inv(matrix(params)))

@@ -83,10 +83,6 @@ class MultiIndexTable:
     def size(self) -> int:
         return len(self.indices)
 
-    def position(self, alpha: tuple[int, ...]) -> int:
-        """Slot of a multi-index in the enumeration."""
-        return self.indices.index(tuple(alpha))
-
     def is_complete(self) -> bool:
         """True when every index of length 1..degree_cap appears."""
         expected = sum(self.n**k for k in range(1, self.degree_cap + 1))
@@ -258,7 +254,7 @@ def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple[float, float]:
         rhs = geom * (r2 - t)
     else:
         p = int(spec.p)
-        geom = (1.0 - t**p) / (1.0 - t) if t != 1.0 else float(p)
+        geom = (1.0 - t**p) / (1.0 - t)
         rhs = geom * (r2 - t) + t**p
     return lhs, float(rhs)
 

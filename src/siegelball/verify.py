@@ -126,7 +126,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a single named check."""
+    """Outcome of a single named check.
+
+    ``ms`` is the wall time of the check group that produced it; a group
+    reporting several checks puts its time on the first and 0 on the rest.
+    """
 
     name: str
     status: str
@@ -705,6 +709,7 @@ def run(config: RunConfig) -> list[CheckResult]:
                     CheckResult(name, status, float(residual), float(tol),
                                 int(used), ms)
                 )
+                ms = 0.0  # the group's time goes on its first check only
     return results
 
 

@@ -1,5 +1,7 @@
 """The linear-fractional automorphism family and its group structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from siegelball.autgroup import (
     AutomorphismPoleError,
     AutParams,
+    HoloMap,
     apply,
     as_holo_map,
     ball_automorphism,
@@ -16,8 +19,8 @@ from siegelball.autgroup import (
     factor_apply,
     h_R_apply,
     identity_params,
-    inverse_map,
     invert,
+    matrix,
     omega_apply,
     param_distance,
     phi_a_apply,
@@ -32,6 +35,11 @@ from siegelball.geometry import (
     siegel_defect,
 )
 from siegelball.hilbert import haar_unitary, norm
+from siegelball.jets import DiffConfig, extract_jet2, recover_params
+
+#: The wide parameter range, where jet recovery with default settings fails
+#: but the matrix group law must still hold.
+WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
 
 
 def _origin(d):
@@ -292,21 +300,42 @@ def test_compose_with_identity():
 
 
 def test_compose_pointwise_agreement():
-    outer = random_params(3, seed=6)
-    inner = random_params(3, seed=7)
-    combined = compose(outer, inner)
-    radius = composition_radius(outer, inner)
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z *= 0.25 * radius / np.linalg.norm(z)
-        w = complex(rng.standard_normal(), rng.standard_normal())
-        w *= 0.25 * radius / abs(w)
-        p = SiegelPoint(z, w)
-        direct = apply(combined, p)
-        chained = apply(outer, apply(inner, p))
-        assert_allclose(direct.z, chained.z, atol=1e-10)
-        assert abs(direct.w - chained.w) < 1e-10
+    for seed, ranges in [(6, {}), (16, WIDE), (26, WIDE), (36, WIDE)]:
+        outer = random_params(3, seed, **ranges)
+        inner = random_params(3, seed + 1, **ranges)
+        combined = compose(outer, inner)
+        radius = composition_radius(outer, inner)
+        rng = np.random.default_rng(seed + 6)
+        for _ in range(30):
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            z *= 0.25 * radius / np.linalg.norm(z)
+            w = complex(rng.standard_normal(), rng.standard_normal())
+            w *= 0.25 * radius / abs(w)
+            p = SiegelPoint(z, w)
+            direct = apply(combined, p)
+            chained = apply(outer, apply(inner, p))
+            assert_allclose(direct.z, chained.z, atol=1e-10)
+            assert abs(direct.w - chained.w) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_compose_matches_jet_of_chained_map(d):
+    """Reference: the parameters read off the 2-jet of the pointwise
+    composite agree with the matrix product."""
+    for seed in range(4):
+        outer = random_params(d, seed)
+        inner = random_params(d, seed + 10)
+        radius = composition_radius(outer, inner)
+        f_in = as_holo_map(inner).evaluate_batch
+        f_out = as_holo_map(outer).evaluate_batch
+        chained = HoloMap(
+            evaluate=lambda p: apply(outer, apply(inner, p)),
+            dim=d,
+            domain_radius=radius,
+            evaluate_batch=lambda zs, ws: f_out(*f_in(zs, ws)),
+        )
+        jet = extract_jet2(chained, DiffConfig(radius=min(0.1, 0.6 * radius)))
+        assert param_distance(recover_params(jet), compose(outer, inner)) < 1e-8
 
 
 def test_compose_associative():
@@ -336,10 +365,10 @@ def test_invert_linear_member():
 
 
 def test_invert_matches_closed_form():
-    """The jet-recovered inverse agrees with the algebraic inverse
+    """The matrix inverse agrees with the algebraic inverse
     (U^H, 1/s, -U a / s, -R / s^2)."""
-    for seed in range(5):
-        params = random_params(3, seed)
+    for d, seed, ranges in itertools.product([1, 3, 7], range(5), [{}, WIDE]):
+        params = random_params(d, seed, **ranges)
         expected = AutParams(
             params.U.conj().T,
             1.0 / params.s,
@@ -358,33 +387,48 @@ def test_invert_two_sided():
         assert param_distance(compose(inverse, params), ident) < 1e-8
 
 
-def test_inverse_map_solves_pointwise():
-    params = random_params(3, seed=14)
-    inv = inverse_map(params)
+def test_invert_roundtrip_pointwise():
     rng = np.random.default_rng(15)
-    radius = as_holo_map(params).domain_radius
-    for _ in range(25):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z *= 0.3 * radius / np.linalg.norm(z)
-        w = complex(rng.standard_normal(), rng.standard_normal())
-        w *= 0.3 * radius / abs(w)
-        p = SiegelPoint(z, w)
-        back = inv.evaluate(apply(params, p))
-        assert_allclose(back.z, p.z, atol=1e-11)
-        assert abs(back.w - p.w) < 1e-11
+    for params in (random_params(3, seed=14), random_params(3, 14, **WIDE)):
+        inverse = invert(params)
+        radius = as_holo_map(params).domain_radius
+        for _ in range(25):
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            z *= 0.3 * radius / np.linalg.norm(z)
+            w = complex(rng.standard_normal(), rng.standard_normal())
+            w *= 0.3 * radius / abs(w)
+            p = SiegelPoint(z, w)
+            back = apply(inverse, apply(params, p))
+            assert_allclose(back.z, p.z, atol=1e-11)
+            assert abs(back.w - p.w) < 1e-11
 
 
-def test_inverse_map_batch_matches_pointwise():
-    params = random_params(2, seed=21)
-    inv = inverse_map(params)
-    rng = np.random.default_rng(22)
-    zs = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) * 0.05
-    ws = (rng.standard_normal(15) + 1j * rng.standard_normal(15)) * 0.05
-    fz, fw = inv.evaluate_batch(zs, ws)
-    for i in range(15):
-        q = inv.evaluate(SiegelPoint(zs[i], ws[i]))
-        assert_allclose(fz[i], q.z, atol=1e-13)
-        assert abs(fw[i] - q.w) < 1e-13
+def _hermitian_form(d):
+    """J with x^H J x = ||z||^2 - Im(w conj(t)) for x = (z, w, t)."""
+    J = np.zeros((d + 2, d + 2), dtype=complex)
+    J[:d, :d] = np.eye(d)
+    J[d + 1, d] = 0.5j
+    J[d, d + 1] = -0.5j
+    return J
+
+
+def test_matrix_preserves_hermitian_form():
+    """M^H J M = s^2 J: the whole group preserves the boundary form."""
+    for d, seed, ranges in itertools.product([1, 3, 7], range(10), [{}, WIDE]):
+        J = _hermitian_form(d)
+        params = random_params(d, seed, **ranges)
+        M = matrix(params)
+        scale = np.linalg.norm(M, 2) ** 2
+        assert_allclose(M.conj().T @ J @ M, params.s**2 * J, atol=1e-14 * scale)
+
+
+def test_matrix_acts_on_homogeneous_coordinates():
+    params = random_params(3, seed=27)
+    p = SiegelPoint([0.1, -0.2j, 0.05], 0.1 + 0.2j)
+    x = matrix(params) @ np.append(p.z, [p.w, 1.0])
+    q = apply(params, p)
+    assert x[-1] == pytest.approx(denominator(params, p))
+    assert_allclose(x[:-1] / x[-1], np.append(q.z, q.w), atol=1e-15)
 
 
 def test_ball_automorphism_identity_and_distinguished_point():

@@ -40,13 +40,6 @@ def test_graded_lex_size_formula():
     assert table.is_complete()
 
 
-def test_position_is_a_bijection():
-    table = MultiIndexTable.graded_lex(3, 3)
-    seen = {table.position(alpha) for alpha in table.indices}
-    assert seen == set(range(table.size))
-    assert table.position((1, 2, 3)) == table.indices.index((1, 2, 3))
-
-
 def test_table_validation():
     with pytest.raises(ValueError, match="duplicate"):
         MultiIndexTable(n=2, degree_cap=1, indices=((1,), (1,)))

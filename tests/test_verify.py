@@ -1,11 +1,13 @@
 """The verification runner, its report format, and the CLI wrapper."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from siegelball import cli
+from siegelball import cli, verify
 from siegelball.autgroup import AutParams, as_holo_map
 from siegelball.verify import (
     DEFAULT_TOLS,
@@ -117,6 +119,18 @@ def test_report_is_line_delimited_json():
     assert summary["name"] == "summary"
     assert summary["checks"] == len(results)
     assert summary["failures"] == 0
+
+
+def test_summary_time_counts_each_group_once(monkeypatch):
+    """Each group's time enters the summary once, however many checks it
+    reports (``jets.recovery`` reports three)."""
+    ticks = itertools.count()
+    clock = SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    monkeypatch.setattr(verify, "time", clock)  # every group takes 1 s
+    results = run(RunConfig(dim=2, seed=1, samples=20, suites=("jets",)))
+    groups = len(verify.GROUPS["jets"])
+    assert len(results) > groups
+    assert summarize(results)["ms"] == 1000.0 * groups
 
 
 def test_report_of_no_results_is_summary_only():
