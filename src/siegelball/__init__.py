@@ -31,8 +31,6 @@ from .geometry import (
     DefectReport,
     SiegelPoint,
     ball_defect,
-    ball_parts,
-    ball_point,
     cayley,
     inverse_cayley,
     sample_ball,
@@ -99,8 +97,6 @@ __all__ = [
     "as_holo_map",
     "ball_automorphism",
     "ball_defect",
-    "ball_parts",
-    "ball_point",
     "cauchy_derivative",
     "cayley",
     "check_levi",

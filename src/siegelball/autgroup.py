@@ -29,14 +29,20 @@ multiplication and inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from . import hilbert
-from .geometry import EPS_DENOM, SiegelPoint, cayley, inverse_cayley
-from .hilbert import as_vector, haar_unitary, inner, norm, unitarity_defect
+from .geometry import (
+    EPS_DENOM,
+    _check_pole,
+    _siegel_like,
+    cayley,
+    inverse_cayley,
+    siegel_rows,
+)
+from .hilbert import as_points, haar_unitary, norm, sq_norm, unitarity_defect
 
 #: Cap on the advertised domain radius of an automorphism seen as a map germ.
 DOMAIN_RADIUS_CAP = 2.0
@@ -46,66 +52,82 @@ class AutomorphismPoleError(ValueError):
     """Raised when a point sits on the pole of an automorphism (D = 0)."""
 
 
+def _real_in(x: np.ndarray, shape: tuple, low: float) -> bool:
+    """Real (not complex) values in (low, inf), one per member."""
+    if x.dtype.kind not in "fiu" or x.shape != shape:
+        return False
+    ok = (low < x) & (x < np.inf)
+    return bool(ok if ok.ndim == 0 else ok.all())  # one member: no reduction
+
+
 @dataclass(frozen=True, eq=False)
 class AutParams:
-    """Parameters (U, s, a, R) of an origin-fixing boundary automorphism."""
+    """Parameters (U, s, a, R) of an origin-fixing boundary automorphism.
+
+    A stack of B members carries a leading batch axis on every field:
+    U (B, d, d), s (B,), a (B, d), R (B,).  A stack acts row by row on
+    stacked points (member i on row i); ``params[i]`` is member i.
+    """
 
     U: np.ndarray
-    s: float
+    s: float | np.ndarray
     a: np.ndarray
-    R: float
+    R: float | np.ndarray
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=complex)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            msg = f"U must be square, got shape {U.shape}"
+        if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2]:
+            msg = f"U must be square (or a stack of squares), got shape {U.shape}"
             raise ValueError(msg)
         defect = unitarity_defect(U)
         if defect > hilbert.UNITARY_TOL:
             msg = f"U is not unitary (defect {defect:.3e})"
             raise ValueError(msg)
-        if not isinstance(self.s, Real) or not np.isfinite(self.s) or self.s <= 0:
-            msg = f"s must be a positive real number, got {self.s!r}"
+        batch = U.shape[:-2]
+        s, R = np.asarray(self.s), np.asarray(self.R)
+        if not _real_in(s, batch, 0.0):
+            msg = f"s must be a positive real number per member, got {self.s!r}"
             raise ValueError(msg)
-        if not isinstance(self.R, Real) or not np.isfinite(self.R):
-            msg = f"R must be a real number, got {self.R!r}"
+        if not _real_in(R, batch, -np.inf):
+            msg = f"R must be a real number per member, got {self.R!r}"
             raise ValueError(msg)
-        a = as_vector(self.a)
-        if a.shape[0] != U.shape[0]:
-            msg = f"a has dimension {a.shape[0]}, expected {U.shape[0]}"
+        a = np.asarray(self.a, dtype=complex)
+        if a.shape != U.shape[:-1] or not np.isfinite(a).all():
+            msg = f"a must be finite of dimension {U.shape[:-1]}, got shape {a.shape}"
             raise ValueError(msg)
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", s.astype(float) if batch else float(s))
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "R", float(self.R))
+        object.__setattr__(self, "R", R.astype(float) if batch else float(R))
+
+    def __getitem__(self, index) -> AutParams:
+        """Member ``index`` of a stack, or the sub-stack a slice or mask selects."""
+        return AutParams(self.U[index], self.s[index], self.a[index], self.R[index])
 
     @property
     def dim(self) -> int:
         """Dimension of the z-part the automorphism acts on."""
-        return self.U.shape[0]
+        return self.U.shape[-1]
 
     @property
-    def beta(self) -> complex:
+    def beta(self):
         """The w-coefficient ``R - i ||a||^2`` of the denominator."""
-        return self.R - 1j * np.vdot(self.a, self.a).real
+        return self.R - 1j * sq_norm(self.a)
 
 
 @dataclass(frozen=True, eq=False)
 class HoloMap:
-    """A holomorphic map germ given by a point evaluator.
+    """A holomorphic map germ given by a batched evaluator.
 
-    ``evaluate`` must be defined (at least) on the polydisc
-    ``max(||z||, |w|) < domain_radius`` around the origin.  An optional
-    ``evaluate_batch`` accepts stacked inputs (zs of shape (B, dim), ws of
-    shape (B,)) and returns the stacked images; it must agree with
-    ``evaluate`` and only exists to speed up jet extraction.
+    ``evaluate(zs, ws)`` takes stacked points (zs of shape (B, dim), ws of
+    shape (B,)) and returns their stacked images ``(F, G)``.  It must be
+    defined (at least) on the polydisc ``max(||z||, |w|) < domain_radius``
+    around the origin.
     """
 
-    evaluate: Callable[[SiegelPoint], SiegelPoint]
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     dim: int
     domain_radius: float
-    evaluate_batch: Callable[[np.ndarray, np.ndarray],
-                             tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def identity_params(dim: int) -> AutParams:
@@ -120,14 +142,20 @@ def random_params(
     r_max: float = 2.0,
     s_min: float = 0.5,
     s_max: float = 2.0,
+    count: int | None = None,
 ) -> AutParams:
-    """Draw bounded random parameters: Haar U, ||a|| <= a_max, |R| <= r_max."""
+    """Draw bounded random parameters: Haar U, ||a|| <= a_max, |R| <= r_max.
+
+    With ``count`` the result is a stack of that many independent members.
+    """
     rng = np.random.default_rng(seed)
-    U = haar_unitary(dim, rng)
-    s = float(rng.uniform(s_min, s_max))
-    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    a = g / np.linalg.norm(g) * (a_max * rng.uniform())
-    R = float(rng.uniform(-r_max, r_max))
+    batch = () if count is None else (count,)
+    U = haar_unitary(dim, rng, count)
+    s = rng.uniform(s_min, s_max, count)
+    g = rng.standard_normal(batch + (dim,)) + 1j * rng.standard_normal(batch + (dim,))
+    radius = a_max * rng.uniform(size=batch + (1,))
+    a = g / np.linalg.norm(g, axis=-1, keepdims=True) * radius
+    R = rng.uniform(-r_max, r_max, count)
     return AutParams(U, s, a, R)
 
 
@@ -144,26 +172,43 @@ def param_distance(p: AutParams, q: AutParams) -> float:
     )
 
 
-def _check_point_dim(params: AutParams, p: SiegelPoint) -> None:
-    if p.dim != params.dim:
-        msg = f"point dimension {p.dim} does not match parameters ({params.dim})"
+def _rowwise(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M x`` for each row x: one matrix (d, d) for all rows, or one per row."""
+    if M.ndim == 2:
+        return x @ M.T
+    return np.einsum("...ij,...j->...i", M, x)
+
+
+def _split(p, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (z, w) parts of a SiegelPoint or of rows; ``dim`` checks the z-part."""
+    rows = siegel_rows(p)
+    if dim is not None and rows.shape[-1] != dim + 1:
+        msg = f"point dimension {rows.shape[-1] - 1} does not match parameters ({dim})"
         raise ValueError(msg)
+    return rows[..., :-1], rows[..., -1]
 
 
-def denominator(params: AutParams, p: SiegelPoint) -> complex:
+def _inner_a(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``<z, a>`` for each row z, against one ``a`` or one per row."""
+    return _rowwise(a.conj()[..., None, :], zs)[..., 0]
+
+
+def _denominator(params: AutParams, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    return 1.0 - 2j * _inner_a(params.a, zs) + params.beta * ws
+
+
+def denominator(params: AutParams, p):
     """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w``."""
-    _check_point_dim(params, p)
-    return 1.0 - 2j * inner(p.z, params.a) + params.beta * p.w
+    return _denominator(params, *_split(p, params.dim))
 
 
-def apply(params: AutParams, p: SiegelPoint, eps: float = EPS_DENOM) -> SiegelPoint:
-    """Evaluate the automorphism at ``p``.
+def apply(params: AutParams, p, eps: float = EPS_DENOM):
+    """Evaluate the automorphism at a SiegelPoint, or row by row on rows.
 
-    Raises :class:`AutomorphismPoleError` when ``|D| <= eps``.
+    Raises :class:`AutomorphismPoleError` when ``|D| <= eps`` at any point.
     """
-    _check_point_dim(params, p)
-    f, g = _apply_batch(params, p.z[None, :], np.array([p.w]), eps)
-    return SiegelPoint(f[0], g[0])
+    zs, ws = _split(p, params.dim)
+    return _siegel_like(p, *_apply_batch(params, zs, ws, eps))
 
 
 def _apply_batch(
@@ -172,42 +217,41 @@ def _apply_batch(
     """Evaluate the automorphism on stacked points (rows of zs, entries of ws)."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
-    D = 1.0 - 2j * (zs @ params.a.conj()) + params.beta * ws
-    small = np.abs(D) <= eps
-    if small.any():
-        msg = f"pole of automorphism: |D| = {np.abs(D)[small].min():.3e}"
-        raise AutomorphismPoleError(msg)
-    f = params.s * ((zs + ws[:, None] * params.a) @ params.U.T) / D[:, None]
-    g = params.s**2 * ws / D
-    return f, g
+    D = _denominator(params, zs, ws)
+    _check_pole(D, eps, AutomorphismPoleError, "pole of automorphism: |D|")
+    x = ws[..., None] * params.a
+    x += zs
+    f = _rowwise(params.U, x)
+    f *= (params.s / D)[..., None]  # in place: jet grids have ~10^4 rows
+    return f, params.s**2 * ws / D
 
 
-def omega_apply(U, s: float, p: SiegelPoint) -> SiegelPoint:
+def omega_apply(U, s, p):
     """The linear automorphism ``(z, w) -> (s U z, s^2 w)``."""
-    U = np.asarray(U, dtype=complex)
-    return SiegelPoint(s * (U @ p.z), s**2 * p.w)
+    z, w = _split(p)
+    s = np.asarray(s)
+    return _siegel_like(p, _rowwise(np.asarray(U, dtype=complex), z) * s[..., None],
+                        s**2 * w)
 
 
-def phi_a_apply(a, p: SiegelPoint, eps: float = EPS_DENOM) -> SiegelPoint:
+def phi_a_apply(a, p, eps: float = EPS_DENOM):
     """The translation-like automorphism with parameter vector ``a``."""
-    a = as_vector(a)
-    d = 1.0 - 2j * inner(p.z, a) - 1j * p.w * norm(a) ** 2
-    if abs(d) <= eps:
-        msg = f"pole of automorphism: |d| = {abs(d):.3e}"
-        raise AutomorphismPoleError(msg)
-    return SiegelPoint((p.z + p.w * a) / d, p.w / d)
+    a = as_points(a)
+    z, w = _split(p)
+    d = 1.0 - 2j * _inner_a(a, z) - 1j * w * sq_norm(a)
+    _check_pole(d, eps, AutomorphismPoleError, "pole of automorphism: |d|")
+    return _siegel_like(p, (z + w[..., None] * a) / d[..., None], w / d)
 
 
-def h_R_apply(R: float, p: SiegelPoint, eps: float = EPS_DENOM) -> SiegelPoint:
+def h_R_apply(R, p, eps: float = EPS_DENOM):
     """The one-parameter automorphism ``(z, w) -> (z, w) / (1 + R w)``."""
-    d = 1.0 + R * p.w
-    if abs(d) <= eps:
-        msg = f"pole of automorphism: |1 + R w| = {abs(d):.3e}"
-        raise AutomorphismPoleError(msg)
-    return SiegelPoint(p.z / d, p.w / d)
+    z, w = _split(p)
+    d = 1.0 + R * w
+    _check_pole(d, eps, AutomorphismPoleError, "pole of automorphism: |1 + R w|")
+    return _siegel_like(p, z / d[..., None], w / d)
 
 
-def factor_apply(params: AutParams, p: SiegelPoint) -> SiegelPoint:
+def factor_apply(params: AutParams, p):
     """Evaluate via the factorisation omega_{U,s} o phi_a o h_R."""
     return omega_apply(
         params.U, params.s, phi_a_apply(params.a, h_R_apply(params.R, p))
@@ -234,12 +278,7 @@ def _safe_radius(slope: float) -> float:
 def as_holo_map(params: AutParams) -> HoloMap:
     """Wrap the automorphism as a map germ with a guaranteed domain radius."""
     radius = _safe_radius(_denominator_slope(params))
-    return HoloMap(
-        evaluate=lambda p: apply(params, p),
-        dim=params.dim,
-        domain_radius=radius,
-        evaluate_batch=lambda zs, ws: _apply_batch(params, zs, ws),
-    )
+    return HoloMap(lambda zs, ws: _apply_batch(params, zs, ws), params.dim, radius)
 
 
 def composition_radius(outer: AutParams, inner: AutParams) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_vector, norm
+from .hilbert import as_points, as_vector, sq_norm
 
 #: Guard threshold for denominators near a pole.
 EPS_DENOM = 1e-12
@@ -34,7 +34,12 @@ class CayleyPoleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
-    """A point (z, w) of C^(n-1) x C in Siegel coordinates."""
+    """A point (z, w) of C^(n-1) x C in Siegel coordinates.
+
+    Stacked points are plain arrays of Siegel rows ``(z_1, ..., z_d, w)`` of
+    shape (B, n); every function taking a SiegelPoint also takes rows, and
+    answers in the same form.
+    """
 
     z: np.ndarray
     w: complex
@@ -53,89 +58,101 @@ class SiegelPoint:
         return self.z.shape[0]
 
 
+def siegel_rows(p) -> np.ndarray:
+    """Siegel rows ``(z, w)``: the row (n,) of a SiegelPoint, or checked rows."""
+    if isinstance(p, SiegelPoint):
+        return np.append(p.z, p.w)
+    return as_points(p)
+
+
+def _siegel_like(p, z, w):
+    """``(z, w)`` in the form of the input ``p``: a SiegelPoint or rows."""
+    if isinstance(p, SiegelPoint):
+        return SiegelPoint(z, w)
+    return np.concatenate([z, w[..., None]], axis=-1)
+
+
 @dataclass(frozen=True)
 class DefectReport:
     """Signed distance-like defect of a point plus its classification.
 
     ``classification`` is one of ``"interior"``, ``"boundary"``,
-    ``"exterior"``, decided at tolerance ``tol``.
+    ``"exterior"``, decided at tolerance ``tol``.  For stacked points both
+    fields are arrays with one entry per point.
     """
 
-    value: float
-    classification: str
+    value: float | np.ndarray
+    classification: str | np.ndarray
     tol: float
 
 
-def ball_point(zeta, eta) -> np.ndarray:
-    """Assemble a ball point from its (zeta, eta) decomposition."""
-    zeta = as_vector(zeta)
-    return np.append(zeta, complex(eta))
-
-
-def ball_parts(Z) -> tuple[np.ndarray, complex]:
-    """Split a ball point into (zeta, eta) with eta the last coordinate."""
-    Z = as_vector(Z)
-    if Z.shape[0] < 1:
-        msg = "ball point must have at least one coordinate"
-        raise ValueError(msg)
-    return Z[:-1], complex(Z[-1])
-
-
-def cayley(Z, eps: float = EPS_DENOM) -> SiegelPoint:
-    """Cayley transform of a ball point into Siegel coordinates.
-
-    Raises :class:`CayleyPoleError` when ``|1 + eta| <= eps`` (the pole at
-    the antipode -P of the distinguished boundary point).
-    """
-    zeta, eta = ball_parts(Z)
-    den = 1.0 + eta
-    if abs(den) <= eps:
-        msg = f"Cayley pole: |1 + eta| = {abs(den):.3e}"
-        raise CayleyPoleError(msg)
-    return SiegelPoint(zeta / den, 1j * (1.0 - eta) / den)
-
-
-def inverse_cayley(p: SiegelPoint, eps: float = EPS_DENOM) -> np.ndarray:
-    """Inverse Cayley transform of a Siegel point back onto the ball.
-
-    Raises :class:`CayleyPoleError` when ``|i + w| <= eps``.
-    """
-    den = 1j + p.w
-    if abs(den) <= eps:
-        msg = f"Cayley pole: |i + w| = {abs(den):.3e}"
-        raise CayleyPoleError(msg)
-    zeta = 2j * p.z / den
-    eta = (1j - p.w) / den
-    return np.append(zeta, eta)
-
-
-def siegel_defect(p: SiegelPoint, tol: float = DEFECT_TOL) -> DefectReport:
-    """Defect ``Im w - ||z||^2`` of a Siegel point (positive = interior)."""
-    value = float(p.w.imag - norm(p.z) ** 2)
-    if abs(value) <= tol:
-        cls = "boundary"
-    elif value > 0:
-        cls = "interior"
-    else:
-        cls = "exterior"
+def _classify(value, inside, tol: float) -> DefectReport:
+    cls = np.where(np.abs(value) <= tol, "boundary",
+                   np.where(inside, "interior", "exterior"))
+    if np.ndim(value) == 0:
+        return DefectReport(float(value), str(cls), tol)
     return DefectReport(value, cls, tol)
+
+
+def _check_pole(den, eps: float, error: type, what: str) -> None:
+    """Raise ``error`` when any ``|den| <= eps``; ``what`` names the quantity."""
+    closest = np.abs(den).min(initial=np.inf)
+    if closest <= eps:
+        msg = f"{what} = {closest:.3e}"
+        raise error(msg)
+
+
+def cayley(Z, eps: float = EPS_DENOM):
+    """Cayley transform of ball points into Siegel coordinates.
+
+    One point Z (n,) gives a :class:`SiegelPoint`; stacked points (B, n)
+    give Siegel rows (B, n).  Raises :class:`CayleyPoleError` when
+    ``|1 + eta| <= eps`` for any point (the pole at the antipode -P of the
+    distinguished boundary point).
+    """
+    Z = as_points(Z)
+    eta = Z[..., -1:]
+    den = 1.0 + eta
+    _check_pole(den, eps, CayleyPoleError, "Cayley pole: |1 + eta|")
+    rows = np.concatenate([Z[..., :-1], 1j * (1.0 - eta)], axis=-1) / den
+    return SiegelPoint(rows[:-1], rows[-1]) if Z.ndim == 1 else rows
+
+
+def inverse_cayley(p, eps: float = EPS_DENOM) -> np.ndarray:
+    """Inverse Cayley transform of a Siegel point, or of rows, onto the ball.
+
+    Raises :class:`CayleyPoleError` when ``|i + w| <= eps`` for any point.
+    """
+    rows = siegel_rows(p)
+    w = rows[..., -1:]
+    den = 1j + w
+    _check_pole(den, eps, CayleyPoleError, "Cayley pole: |i + w|")
+    return np.concatenate([2j * rows[..., :-1], 1j - w], axis=-1) / den
+
+
+def siegel_defect(p, tol: float = DEFECT_TOL) -> DefectReport:
+    """Defect ``Im w - ||z||^2`` of Siegel points (positive = interior)."""
+    rows = siegel_rows(p)
+    value = rows[..., -1].imag - sq_norm(rows[..., :-1])
+    return _classify(value, value > 0, tol)
 
 
 def ball_defect(Z, tol: float = DEFECT_TOL) -> DefectReport:
-    """Defect ``||Z||^2 - 1`` of a ball point (negative = interior)."""
-    value = float(norm(Z) ** 2 - 1.0)
-    if abs(value) <= tol:
-        cls = "boundary"
-    elif value < 0:
-        cls = "interior"
-    else:
-        cls = "exterior"
-    return DefectReport(value, cls, tol)
+    """Defect ``||Z||^2 - 1`` of ball points (negative = interior)."""
+    value = sq_norm(as_points(Z)) - 1.0
+    return _classify(value, value < 0, tol)
 
 
-def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return g / np.linalg.norm(g)
+def _unit_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` uniform unit vectors of C^n, as rows."""
+    g = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _radial_rows(rng: np.random.Generator, count: int, n: int,
+                 scale: float) -> np.ndarray:
+    """Unit rows scaled by ``scale * uniform[0, 1)``: norms at most scale."""
+    return _unit_rows(rng, count, n) * (scale * rng.uniform(size=(count, 1)))
 
 
 def sample_siegel_boundary(
@@ -144,22 +161,20 @@ def sample_siegel_boundary(
     count: int,
     rho_max: float = 1.0,
     t_max: float = 1.0,
-) -> list[SiegelPoint]:
+) -> np.ndarray:
     """Deterministic samples on the boundary hypersurface ``Im w = ||z||^2``.
 
-    ``n`` is the ball dimension (so z has n - 1 coordinates); z is drawn with
-    ``||z|| <= rho_max`` and ``w = t + i ||z||^2`` with ``|t| <= t_max``.
+    ``n`` is the ball dimension; the result is ``count`` Siegel rows (z, w)
+    of shape (count, n), with ``||z|| <= rho_max`` and ``w = t + i ||z||^2``,
+    ``|t| <= t_max``.
     """
     if n < 2:
         msg = f"ball dimension must be >= 2, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        z = _unit_vector(rng, n - 1) * (rho_max * rng.uniform())
-        t = rng.uniform(-t_max, t_max)
-        points.append(SiegelPoint(z, t + 1j * float(np.vdot(z, z).real)))
-    return points
+    z = _radial_rows(rng, count, n - 1, rho_max)
+    t = rng.uniform(-t_max, t_max, count)
+    return np.concatenate([z, (t + 1j * sq_norm(z))[:, None]], axis=1)
 
 
 def sample_sphere(
@@ -167,32 +182,28 @@ def sample_sphere(
     seed,
     count: int,
     min_pole_dist: float = 0.0,
-) -> list[np.ndarray]:
-    """Uniform samples on the unit sphere of C^n.
+) -> np.ndarray:
+    """Uniform samples on the unit sphere of C^n, as rows (count, n).
 
-    With ``min_pole_dist > 0`` samples are redrawn until
-    ``|1 + eta| > min_pole_dist``, keeping them away from the Cayley pole.
+    With ``min_pole_dist > 0`` rejected samples are redrawn until every row
+    has ``|1 + eta| > min_pole_dist``, keeping them away from the Cayley pole.
     """
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    points = []
+    points = np.empty((0, n), dtype=complex)
     while len(points) < count:
-        Z = _unit_vector(rng, n)
-        if abs(1.0 + Z[-1]) > min_pole_dist:
-            points.append(Z)
+        Z = _unit_rows(rng, count - len(points), n)
+        points = np.concatenate([points, Z[np.abs(1.0 + Z[:, -1]) > min_pole_dist]])
     return points
 
 
-def sample_ball(n: int, seed, count: int, radius: float = 0.9) -> list[np.ndarray]:
-    """Uniform samples in the closed ball of the given radius in C^n."""
+def sample_ball(n: int, seed, count: int, radius: float = 0.9) -> np.ndarray:
+    """Uniform samples in the closed ball of the given radius, as rows (count, n)."""
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        r = radius * rng.uniform() ** (1.0 / (2 * n))
-        points.append(_unit_vector(rng, n) * r)
-    return points
+    r = radius * rng.uniform(size=(count, 1)) ** (1.0 / (2 * n))
+    return _unit_rows(rng, count, n) * r

@@ -24,16 +24,36 @@ class SingularMatrixError(ValueError):
     """Raised when a linear system is singular or too ill-conditioned."""
 
 
+def as_points(u, dim: int | None = None) -> np.ndarray:
+    """Coerce ``u`` to finite complex points along the last axis.
+
+    One point has shape (n,), stacked points (..., n); with ``dim`` given the
+    last axis must have that length.
+    """
+    arr = np.asarray(u, dtype=complex)
+    if arr.ndim < 1 or (dim is not None and arr.shape[-1] != dim):
+        msg = f"expected points of dimension {dim or 'n'}, got shape {arr.shape}"
+        raise ValueError(msg)
+    if not np.isfinite(arr).all():
+        msg = "point coordinates must be finite"
+        raise ValueError(msg)
+    return arr
+
+
 def as_vector(u) -> np.ndarray:
     """Coerce ``u`` to a finite one-dimensional complex array."""
-    arr = np.asarray(u, dtype=complex)
+    arr = as_points(u)
     if arr.ndim != 1:
         msg = f"expected a one-dimensional vector, got shape {arr.shape}"
         raise ValueError(msg)
-    if not np.all(np.isfinite(arr)):
-        msg = "vector entries must be finite"
-        raise ValueError(msg)
     return arr
+
+
+def sq_norm(u: np.ndarray):
+    """Squared Euclidean norm along the last axis."""
+    if u.ndim == 1:
+        return np.vdot(u, u).real
+    return np.sum(u.real**2 + u.imag**2, axis=-1)
 
 
 def inner(u, v) -> complex:
@@ -52,33 +72,36 @@ def norm(u) -> float:
     return float(np.linalg.norm(as_vector(u)))
 
 
-def haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed ``n x n`` unitary matrix.
+def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
+    """Haar-distributed ``n x n`` unitary matrix, or a stack of ``count``.
 
     Deterministic for a fixed integer seed; also accepts a
-    ``numpy.random.Generator``.  Uses the QR decomposition of a complex
-    Ginibre matrix with the phases of R's diagonal absorbed into Q, which
-    makes the distribution exactly Haar rather than merely unitary.
+    ``numpy.random.Generator``.  Uses the (stacked) QR decomposition of
+    complex Ginibre matrices with the phases of R's diagonal absorbed into
+    Q, which makes the distribution exactly Haar rather than merely unitary.
     """
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    shape = (n, n) if count is None else (count, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(g / np.sqrt(2.0))
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def unitarity_defect(U) -> float:
-    """Largest entry of ``|U^H U - I|`` (0 for an exactly unitary matrix)."""
+    """Largest entry of ``|U^H U - I|`` over a matrix or a stack (..., n, n).
+
+    0 for exactly unitary matrices (and for an empty stack).
+    """
     U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         msg = f"expected a square matrix, got shape {U.shape}"
         raise ValueError(msg)
-    eye = np.eye(U.shape[0])
-    return float(np.max(np.abs(U.conj().T @ U - eye)))
+    eye = np.eye(U.shape[-1])
+    return float(np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max(initial=0.0))
 
 
 def is_unitary(U, tol: float = UNITARY_TOL) -> bool:

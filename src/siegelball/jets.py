@@ -26,9 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autgroup import AutomorphismPoleError, AutParams, HoloMap
-from .geometry import SiegelPoint
-from .hilbert import COND_MAX, SingularMatrixError, inner, norm, solve, unitarity_defect
+from .autgroup import AutParams, HoloMap
+from .hilbert import (
+    COND_MAX,
+    UNITARY_TOL,
+    SingularMatrixError,
+    norm,
+    solve,
+    unitarity_defect,
+)
 
 #: Default tolerance for the validity checks in :func:`recover_params`.
 RECOVERY_TOL = 1e-8
@@ -110,20 +116,6 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     return _deriv_from_samples(samples, order, cfg)
 
 
-def _eval_grid(H: HoloMap, zs: np.ndarray, ws: np.ndarray):
-    """Evaluate ``H`` at a flat list of points, batched when the map allows."""
-    if H.evaluate_batch is not None:
-        f, g = H.evaluate_batch(zs, ws)
-        return np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    f = np.empty(zs.shape, dtype=complex)
-    g = np.empty(ws.shape, dtype=complex)
-    for i in range(ws.shape[0]):
-        q = H.evaluate(SiegelPoint(zs[i], ws[i]))
-        f[i] = q.z
-        g[i] = q.w
-    return f, g
-
-
 def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     """Second-order jet of an origin-fixing map germ by Cauchy integrals.
 
@@ -141,17 +133,14 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
         raise ValueError(msg)
     d = H.dim
     nodes = _nodes(cfg)
-    origin = SiegelPoint(np.zeros(d), 0.0)
-    at0 = H.evaluate(origin)
-    if max(norm(at0.z), abs(at0.w)) > ORIGIN_TOL:
-        msg = (
-            f"not origin-fixing: |H(0,0)| = "
-            f"{max(norm(at0.z), abs(at0.w)):.3e}"
-        )
+    f0, g0 = H.evaluate(np.zeros((1, d), dtype=complex), np.zeros(1, dtype=complex))
+    offset = max(norm(f0[0]), abs(g0[0]))
+    if offset > ORIGIN_TOL:
+        msg = f"not origin-fixing: |H(0,0)| = {offset:.3e}"
         raise NotOriginFixingError(msg)
 
     M = cfg.nodes
-    F, G = _eval_grid(H, np.zeros((M, d), dtype=complex), nodes)
+    F, G = H.evaluate(np.zeros((M, d), dtype=complex), nodes)
     f_w = _deriv_from_samples(F, 1, cfg)
     f_w2 = _deriv_from_samples(F, 2, cfg)
     g_w = complex(_deriv_from_samples(G, 1, cfg))
@@ -159,7 +148,7 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
 
     # Circle in each z_j direction at w = 0: axial[j, m] = nodes[m] e_j.
     axial = nodes[None, :, None] * np.eye(d, dtype=complex)[:, None, :]
-    Fz, Gz = _eval_grid(H, axial.reshape(-1, d), np.zeros(d * M, dtype=complex))
+    Fz, Gz = H.evaluate(axial.reshape(-1, d), np.zeros(d * M, dtype=complex))
     # Node axis first for the quadrature, then (direction, component) -> f_z.
     f_z = _deriv_from_samples(Fz.reshape(d, M, d).transpose(1, 0, 2), 1, cfg).T
     g_z = _deriv_from_samples(Gz.reshape(d, M).T, 1, cfg)
@@ -167,7 +156,7 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     # Mixed block: a w-circle (index l) around a z_j-circle (index m).
     z_mix = np.broadcast_to(axial[:, None, :, :], (d, M, M, d)).reshape(-1, d)
     w_mix = np.broadcast_to(nodes[None, :, None], (d, M, M)).reshape(-1)
-    Fm, _ = _eval_grid(H, z_mix, w_mix)
+    Fm, _ = H.evaluate(z_mix, w_mix)
     slope = _deriv_from_samples(
         Fm.reshape(d, M, M, d).transpose(2, 0, 1, 3), 1, cfg
     )  # (direction, w-node, component)
@@ -182,8 +171,9 @@ def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity: g_w must be real and positive; f_z must be
     invertible ("derivative not onto"); f_z normalised by sqrt(g_w) must be
-    unitary; and the recovered R must be real after adding the imaginary
-    correction i ||f_w||^2 / g_w.
+    unitary to ``tol`` (U is then replaced by its polar factor when it is
+    not unitary to ``hilbert.UNITARY_TOL``); and the recovered R must be
+    real after adding the imaginary correction i ||f_w||^2 / g_w.
     """
     g_w = complex(jet.g_w)
     if g_w.real <= 0 or abs(g_w.imag) > tol:
@@ -200,6 +190,11 @@ def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
     if defect > tol:
         msg = f"normalized f_z not unitary: defect {defect:.3e}"
         raise JetRecoveryError(msg)
+    if defect > UNITARY_TOL:
+        # Accepted at tol but not exactly unitary: use the nearest unitary,
+        # the polar factor, so that AutParams accepts it.
+        u, _, vh = np.linalg.svd(U)
+        U = u @ vh
     try:
         a = solve(f_z, jet.f_w)
     except SingularMatrixError as exc:
@@ -212,65 +207,58 @@ def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
     return AutParams(U=U, s=s, a=a, R=R.real)
 
 
-def check_levi(H: HoloMap, samples, cfg: DiffConfig = DiffConfig()) -> float:
+def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
     """Max residual of the first-order boundary compatibility identity.
 
     For an origin-fixing map (f, g) preserving the boundary hypersurface,
 
         conj(g_w(0)) <z, u> = <f(z, 0), f_z(0) u + 2i <u, z> f_w(0)>
 
-    holds for all z near 0 and all u.  ``samples`` is an iterable of (z, u)
-    pairs with ||z|| small enough to stay inside the domain of ``H``.
+    holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
+    samples (B, dim), with ||z|| small enough to stay inside the domain of
+    ``H``.
     """
+    zs = np.asarray(zs, dtype=complex)
+    us = np.asarray(us, dtype=complex)
     jet = extract_jet2(H, cfg)
-    gw_bar = np.conj(jet.g_w)
-    worst = 0.0
-    for z, u in samples:
-        image = H.evaluate(SiegelPoint(z, 0.0))
-        lhs = gw_bar * inner(z, u)
-        rhs = inner(image.z, jet.f_z @ np.asarray(u, dtype=complex)
-                    + 2j * inner(u, z) * jet.f_w)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    images, _ = H.evaluate(zs, np.zeros(len(zs), dtype=complex))
+    u_dot_z = np.sum(us * zs.conj(), axis=-1)
+    lhs = np.conj(jet.g_w) * np.sum(zs * us.conj(), axis=-1)
+    partner = us @ jet.f_z.T + 2j * u_dot_z[:, None] * jet.f_w
+    rhs = np.sum(images * partner.conj(), axis=-1)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-def check_polarization(H: HoloMap, samples) -> float:
+def check_polarization(H: HoloMap, zs, chis, taus) -> float:
     """Max residual of the polarized boundary identity on complex pairs.
 
-    For each sample (z, chi, tau) the partner coordinate is
+    For each stacked sample (z, chi, tau) the partner coordinate is
     ``w = conj(tau) + 2i <z, chi>``, and the identity
 
         g(z, w) - conj(g(chi, tau)) = 2i <f(z, w), f(chi, tau)>
 
     is evaluated two-sidedly.  Samples falling outside the domain of ``H``
-    (or on a pole) are skipped with a warning; if every sample is skipped a
-    ``ValueError`` is raised.
+    are skipped with one warning that counts them; if every sample is
+    skipped a ``ValueError`` is raised.  A pole inside the domain breaks
+    the map's own contract and propagates.
     """
-    worst = 0.0
-    used = 0
-    for z, chi, tau in samples:
-        z = np.asarray(z, dtype=complex)
-        chi = np.asarray(chi, dtype=complex)
-        tau = complex(tau)
-        w = np.conj(tau) + 2j * inner(z, chi)
-        if (
-            max(norm(z), abs(w)) >= H.domain_radius
-            or max(norm(chi), abs(tau)) >= H.domain_radius
-        ):
-            warnings.warn("polarization sample outside map domain; skipped",
-                          stacklevel=2)
-            continue
-        try:
-            left = H.evaluate(SiegelPoint(z, w))
-            right = H.evaluate(SiegelPoint(chi, tau))
-        except AutomorphismPoleError:
-            warnings.warn("polarization sample hit a pole; skipped",
-                          stacklevel=2)
-            continue
-        residual = abs(left.w - np.conj(right.w) - 2j * inner(left.z, right.z))
-        worst = max(worst, residual)
-        used += 1
-    if used == 0:
+    zs = np.asarray(zs, dtype=complex)
+    chis = np.asarray(chis, dtype=complex)
+    taus = np.asarray(taus, dtype=complex)
+    ws = np.conj(taus) + 2j * np.sum(zs * chis.conj(), axis=-1)
+    reach = np.maximum(np.linalg.norm(zs, axis=-1), np.abs(ws))
+    partner_reach = np.maximum(np.linalg.norm(chis, axis=-1), np.abs(taus))
+    inside = (reach < H.domain_radius) & (partner_reach < H.domain_radius)
+    if not inside.all():
+        warnings.warn(
+            f"{np.count_nonzero(~inside)} of {len(inside)} polarization samples "
+            "outside map domain; skipped",
+            stacklevel=2,
+        )
+    if not inside.any():
         msg = "all polarization samples fell outside the map domain"
         raise ValueError(msg)
-    return worst
+    f_left, g_left = H.evaluate(zs[inside], ws[inside])
+    f_right, g_right = H.evaluate(chis[inside], taus[inside])
+    cross = np.sum(f_left * f_right.conj(), axis=-1)
+    return float(np.max(np.abs(g_left - np.conj(g_right) - 2j * cross)))

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .hilbert import as_vector
+from .hilbert import as_points, sq_norm
 
 #: Marker for an infinite Whitney degree.
 INFINITY = math.inf
@@ -32,7 +32,10 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BallMap:
-    """A holomorphic coordinate map from C^n into C^N given pointwise."""
+    """A holomorphic coordinate map from C^n into C^N.
+
+    ``evaluate`` maps points (..., n) to images (..., N), one point or a stack.
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     input_dim: int
@@ -153,22 +156,23 @@ def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> BallMap:
         by_degree[k] = (np.array(slots, dtype=int), gather)
 
     def evaluate(Z) -> np.ndarray:
-        Z = as_vector(Z)
-        if Z.shape[0] != n:
-            msg = f"expected a point of C^{n}, got dimension {Z.shape[0]}"
-            raise ValueError(msg)
-        out = np.empty(table.size, dtype=complex)
+        Z = as_points(Z, n)
+        out = np.empty(Z.shape[:-1] + (table.size,), dtype=complex)
         for k, (slots, gather) in by_degree.items():
-            out[slots] = lam.values[k - 1] * Z[gather].prod(axis=1)
+            # One factor at a time: no (..., slots, k) gather is materialised.
+            prod = lam.values[k - 1] * Z[..., gather[:, 0]]
+            for column in gather[:, 1:].T:
+                prod *= Z[..., column]
+            out[..., slots] = prod
         return out
 
     return BallMap(evaluate, n, table.size)
 
 
-def homog_sum_norm_squared(lam: LambdaSeq, Z) -> float:
-    """Closed-form squared norm ``sum_k |lambda_k|^2 ||Z||^(2k)``."""
-    r2 = float(np.vdot(as_vector(Z), as_vector(Z)).real)
-    return float(sum(abs(v) ** 2 * r2**k for k, v in enumerate(lam.values, start=1)))
+def homog_sum_norm_squared(lam: LambdaSeq, Z):
+    """Closed-form squared norm ``sum_k |lambda_k|^2 ||Z||^(2k)``, per point."""
+    r2 = sq_norm(as_points(Z))
+    return sum(abs(v) ** 2 * r2**k for k, v in enumerate(lam.values, start=1))
 
 
 @dataclass(frozen=True)
@@ -211,24 +215,22 @@ def whitney_map(spec: WhitneySpec) -> BallMap:
     out_dim = spec.power_count * (n - 1) + (1 if finite else 0)
 
     def evaluate(Z) -> np.ndarray:
-        Z = as_vector(Z)
-        if Z.shape[0] != n:
-            msg = f"expected a point of C^{n}, got dimension {Z.shape[0]}"
-            raise ValueError(msg)
-        z1pow = Z[0] ** powers
-        mixed = np.outer(z1pow, Z[1:]).ravel()
+        Z = as_points(Z, n)
+        z1pow = Z[..., :1] ** powers
+        mixed = (z1pow[..., :, None] * Z[..., None, 1:]).reshape(Z.shape[:-1] + (-1,))
         if finite:
-            return np.append(mixed, Z[0] ** int(spec.p))
+            return np.concatenate([mixed, Z[..., :1] ** int(spec.p)], axis=-1)
         return mixed
 
     return BallMap(evaluate, n, out_dim)
 
 
-def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple[float, float]:
+def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple:
     """Both sides of the closed-form norm identity for the Whitney map.
 
-    Returns ``(lhs, rhs)`` where lhs is the brute-force squared norm of the
-    map output and rhs the geometric-sum expression: for finite p
+    Returns ``(lhs, rhs)``, per point of ``Z`` (..., n), where lhs is the
+    brute-force squared norm of the map output and rhs the geometric-sum
+    expression: for finite p
 
         (1 - |z1|^(2p)) / (1 - |z1|^2) * (||Z||^2 - |z1|^2) + |z1|^(2p)
 
@@ -236,19 +238,15 @@ def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple[float, float]:
 
         (1 - |z1|^(2Q+2)) / (1 - |z1|^2) * (||Z||^2 - |z1|^2).
 
-    Requires ``|z1| < 1``.
+    Requires ``|z1| < 1`` at every point.
     """
-    Z = as_vector(Z)
-    if Z.shape[0] != spec.n:
-        msg = f"expected a point of C^{spec.n}, got dimension {Z.shape[0]}"
+    Z = as_points(Z, spec.n)
+    t = sq_norm(Z[..., :1])
+    if np.max(t, initial=0.0) >= 1.0:
+        msg = f"|z_1| must be < 1, got {math.sqrt(np.max(t))}"
         raise ValueError(msg)
-    t = abs(Z[0]) ** 2
-    if t >= 1.0:
-        msg = f"|z_1| must be < 1, got {math.sqrt(t)}"
-        raise ValueError(msg)
-    out = whitney_map(spec).evaluate(Z)
-    lhs = float(np.vdot(out, out).real)
-    r2 = float(np.vdot(Z, Z).real)
+    lhs = sq_norm(whitney_map(spec).evaluate(Z))
+    r2 = sq_norm(Z)
     if spec.p == INFINITY:
         geom = (1.0 - t ** (spec.truncation + 1)) / (1.0 - t)
         rhs = geom * (r2 - t)
@@ -256,7 +254,7 @@ def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple[float, float]:
         p = int(spec.p)
         geom = (1.0 - t**p) / (1.0 - t)
         rhs = geom * (r2 - t) + t**p
-    return lhs, float(rhs)
+    return lhs, rhs
 
 
 def shift_map(n: int) -> BallMap:
@@ -266,10 +264,7 @@ def shift_map(n: int) -> BallMap:
         raise ValueError(msg)
 
     def evaluate(Z) -> np.ndarray:
-        Z = as_vector(Z)
-        if Z.shape[0] != n:
-            msg = f"expected a point of C^{n}, got dimension {Z.shape[0]}"
-            raise ValueError(msg)
-        return np.concatenate([[0.0 + 0.0j], Z])
+        Z = as_points(Z, n)
+        return np.concatenate([np.zeros_like(Z[..., :1]), Z], axis=-1)
 
     return BallMap(evaluate, n, n + 1)

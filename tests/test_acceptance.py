@@ -74,14 +74,18 @@ def test_acceptance_cayley_roundtrip_identity():
     """Both composition orders of the coordinate change are the identity."""
     rng = np.random.default_rng(101)
     worst = 0.0
-    ball_side = sample_sphere(BALL_DIM, rng, SAMPLES // 2, min_pole_dist=0.1)
-    ball_side += sample_ball(BALL_DIM, rng, SAMPLES - SAMPLES // 2)
+    ball_side = np.concatenate([
+        sample_sphere(BALL_DIM, rng, SAMPLES // 2, min_pole_dist=0.1),
+        sample_ball(BALL_DIM, rng, SAMPLES - SAMPLES // 2),
+    ])
     for Z in ball_side:
         back = inverse_cayley(cayley(Z))
         worst = max(worst, float(np.linalg.norm(back - Z)) / (1.0 + norm(Z)))
-    siegel_side = sample_siegel_boundary(BALL_DIM, rng, SAMPLES // 2)
-    for p in sample_siegel_boundary(BALL_DIM, rng, SAMPLES - SAMPLES // 2):
-        siegel_side.append(SiegelPoint(p.z, p.w + 1j * rng.uniform(0.05, 1.0)))
+    siegel_side = [SiegelPoint(row[:-1], row[-1])
+                   for row in sample_siegel_boundary(BALL_DIM, rng, SAMPLES // 2)]
+    for row in sample_siegel_boundary(BALL_DIM, rng, SAMPLES - SAMPLES // 2):
+        siegel_side.append(
+            SiegelPoint(row[:-1], row[-1] + 1j * rng.uniform(0.05, 1.0)))
     for p in siegel_side:
         back = cayley(inverse_cayley(p))
         gap = float(np.linalg.norm(_pvec(back) - _pvec(p)))
@@ -106,7 +110,8 @@ def test_acceptance_automorphism_boundary_invariance():
     used = 0
     while used < SAMPLES:
         params = random_params(BALL_DIM - 1, rng)
-        p = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
+        row = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
+        p = SiegelPoint(row[:-1], row[-1])
         if abs(denominator(params, p)) <= 0.1:
             continue
         image = apply(params, p)
@@ -123,7 +128,8 @@ def test_acceptance_factorization():
     used = 0
     while used < SAMPLES:
         params = random_params(BALL_DIM - 1, rng)
-        p = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
+        row = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
+        p = SiegelPoint(row[:-1], row[-1])
         if abs(denominator(params, p)) <= 0.1:
             continue
         if abs(1.0 + params.R * p.w) <= 0.1:
@@ -174,7 +180,8 @@ def test_acceptance_polarized_identity():
             chi *= 0.04 * rng.uniform() / np.linalg.norm(chi)
             tau = 0.04 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             triples.append((z, chi, tau))
-        worst = max(worst, check_polarization(H, triples))
+        zs, chis, taus = (np.array(column) for column in zip(*triples))
+        worst = max(worst, check_polarization(H, zs, chis, taus))
     _verdict("polarized boundary identity", worst, 1e-9)
 
 
@@ -192,7 +199,8 @@ def test_acceptance_levi_identity():
             z *= 0.05 * rng.uniform() / np.linalg.norm(z)
             u = rng.standard_normal(BALL_DIM - 1) + 1j * rng.standard_normal(BALL_DIM - 1)
             pairs.append((z, u / np.linalg.norm(u)))
-        worst = max(worst, check_levi(H, pairs))
+        zs, us = (np.array(column) for column in zip(*pairs))
+        worst = max(worst, check_levi(H, zs, us))
     _verdict("first-order boundary identity", worst, 1e-9)
 
 
@@ -260,7 +268,7 @@ def test_acceptance_degenerate_inputs_raise_named_errors():
     with pytest.raises(AutomorphismPoleError):
         h_R_apply(1.0, SiegelPoint(np.zeros(d), -1.0))
 
-    shifted = HoloMap(lambda p: SiegelPoint(p.z, p.w + 1.0), d, 1.0)
+    shifted = HoloMap(lambda zs, ws: (zs, ws + 1.0), d, 1.0)
     with pytest.raises(NotOriginFixingError):
         extract_jet2(shifted, DiffConfig(radius=0.1))
 

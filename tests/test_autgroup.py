@@ -212,8 +212,9 @@ def test_h_r_defect_scaling():
 
 
 def test_boundary_invariance():
-    for seed, p in enumerate(sample_siegel_boundary(4, seed=2, count=100)):
+    for seed, row in enumerate(sample_siegel_boundary(4, seed=2, count=100)):
         params = random_params(3, seed)
+        p = SiegelPoint(row[:-1], row[-1])
         if abs(denominator(params, p)) < 0.1:
             continue
         image = apply(params, p)
@@ -249,6 +250,49 @@ def test_params_validation():
         AutParams(np.eye(2), 1.0, np.zeros(3), 0.0)
 
 
+@pytest.mark.parametrize("ranges", [{}, WIDE])
+def test_stacked_apply_matches_single_members(ranges):
+    """A stack of B members on B rows equals B single-member calls."""
+    stack = random_params(3, seed=40, count=50, **ranges)
+    assert stack.U.shape == (50, 3, 3) and stack.s.shape == (50,)
+    assert stack.a.shape == (50, 3) and stack.R.shape == (50,)
+    rows = sample_siegel_boundary(4, seed=41, count=50, rho_max=0.05, t_max=0.05)
+    images = apply(stack, rows)
+    factored = factor_apply(stack, rows)
+    D = denominator(stack, rows)
+    for i, row in enumerate(rows):
+        member = stack[i]
+        p = SiegelPoint(row[:-1], row[-1])
+        q = apply(member, p)
+        assert_allclose(images[i], np.append(q.z, q.w), rtol=1e-14, atol=1e-15)
+        f = factor_apply(member, p)
+        assert_allclose(factored[i], np.append(f.z, f.w), rtol=1e-14, atol=1e-15)
+        assert D[i] == pytest.approx(denominator(member, p), abs=1e-15)
+    assert_allclose(factored, images, atol=1e-12)
+
+
+def test_stacked_params_validation():
+    stack = random_params(2, seed=42, count=4)
+    bad_U = stack.U.copy()
+    bad_U[2] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        AutParams(bad_U, stack.s, stack.a, stack.R)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        s = stack.s.copy()
+        s[1] = bad
+        with pytest.raises(ValueError, match="positive real"):
+            AutParams(stack.U, s, stack.a, stack.R)
+    with pytest.raises(ValueError, match="positive real"):
+        AutParams(stack.U, stack.s[:3], stack.a, stack.R)
+    with pytest.raises(ValueError, match="real number"):
+        AutParams(stack.U, stack.s, stack.a, stack.R + 0j)
+    with pytest.raises(ValueError, match="dimension"):
+        AutParams(stack.U, stack.s, stack.a[:, :1], stack.R)
+    assert stack[1:3].s.shape == (2,)
+    assert param_distance(stack[3], AutParams(stack.U[3], stack.s[3], stack.a[3],
+                                              stack.R[3])) == 0.0
+
+
 def test_random_params_bounds_and_determinism():
     for seed in range(10):
         params = random_params(4, seed, a_max=0.7, r_max=1.5)
@@ -274,9 +318,9 @@ def test_as_holo_map_matches_apply():
     rng = np.random.default_rng(0)
     zs = (rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))) * 0.1
     ws = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * 0.1
-    fz, fw = H.evaluate_batch(zs, ws)
+    fz, fw = H.evaluate(zs, ws)
     for i in range(20):
-        q = H.evaluate(SiegelPoint(zs[i], ws[i]))
+        q = apply(params, SiegelPoint(zs[i], ws[i]))
         assert_allclose(fz[i], q.z, atol=1e-14)
         assert abs(fw[i] - q.w) < 1e-14
 
@@ -326,14 +370,9 @@ def test_compose_matches_jet_of_chained_map(d):
         outer = random_params(d, seed)
         inner = random_params(d, seed + 10)
         radius = composition_radius(outer, inner)
-        f_in = as_holo_map(inner).evaluate_batch
-        f_out = as_holo_map(outer).evaluate_batch
-        chained = HoloMap(
-            evaluate=lambda p: apply(outer, apply(inner, p)),
-            dim=d,
-            domain_radius=radius,
-            evaluate_batch=lambda zs, ws: f_out(*f_in(zs, ws)),
-        )
+        f_in = as_holo_map(inner).evaluate
+        f_out = as_holo_map(outer).evaluate
+        chained = HoloMap(lambda zs, ws: f_out(*f_in(zs, ws)), d, radius)
         jet = extract_jet2(chained, DiffConfig(radius=min(0.1, 0.6 * radius)))
         assert param_distance(recover_params(jet), compose(outer, inner)) < 1e-8
 

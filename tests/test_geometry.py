@@ -8,8 +8,6 @@ from siegelball.geometry import (
     CayleyPoleError,
     SiegelPoint,
     ball_defect,
-    ball_parts,
-    ball_point,
     cayley,
     inverse_cayley,
     sample_ball,
@@ -32,16 +30,6 @@ def test_siegel_point_basics():
     assert p.w == 3.0 + 1j
     with pytest.raises(ValueError):
         SiegelPoint([1.0], complex(np.nan))
-
-
-def test_ball_point_parts_roundtrip():
-    Z = ball_point([1j, 2.0], 0.5)
-    assert_allclose(Z, [1j, 2.0, 0.5])
-    zeta, eta = ball_parts(Z)
-    assert_allclose(zeta, [1j, 2.0])
-    assert eta == 0.5
-    with pytest.raises(ValueError):
-        ball_parts([])
 
 
 def test_cayley_distinguished_point_to_origin():
@@ -90,9 +78,40 @@ def test_cayley_roundtrip_random():
 
 
 def test_inverse_cayley_roundtrip_on_boundary():
-    for p in sample_siegel_boundary(4, seed=11, count=100):
-        back = cayley(inverse_cayley(p))
-        assert_allclose(_pvec(back), _pvec(p), atol=1e-12)
+    rows = sample_siegel_boundary(4, seed=11, count=100)
+    assert_allclose(cayley(inverse_cayley(rows)), rows, atol=1e-12)
+    for row in rows[:10]:
+        p = SiegelPoint(row[:-1], row[-1])
+        assert_allclose(_pvec(cayley(inverse_cayley(p))), row, atol=1e-12)
+
+
+def test_stacked_points_match_single_points():
+    """Every geometry function on stacked rows equals the loop over rows."""
+    Z = sample_sphere(4, seed=12, count=30, min_pole_dist=0.1)
+    Z[::3] *= 0.5  # some interior points
+    Z[1::3] *= 1.2  # some exterior points
+    rows = cayley(Z)
+    assert rows.shape == (30, 4)
+    assert_allclose(inverse_cayley(rows), Z, atol=1e-13)
+    siegel = siegel_defect(rows)
+    ball = ball_defect(Z)
+    for i, Zi in enumerate(Z):
+        p = cayley(Zi)
+        assert_allclose(rows[i], _pvec(p), atol=1e-15)
+        assert_allclose(inverse_cayley(rows[i]), inverse_cayley(p), atol=1e-15)
+        assert siegel.value[i] == pytest.approx(siegel_defect(p).value, abs=1e-15)
+        assert siegel.classification[i] == siegel_defect(p).classification
+        assert ball.value[i] == pytest.approx(ball_defect(Zi).value, abs=1e-15)
+        assert ball.classification[i] == ball_defect(Zi).classification
+    assert set(siegel.classification) == {"interior", "boundary", "exterior"}
+
+
+def test_stacked_pole_raises():
+    Z = np.array([[0.0, 0.5], [0.0, -1.0]])
+    with pytest.raises(CayleyPoleError, match="Cayley pole"):
+        cayley(Z)
+    with pytest.raises(CayleyPoleError, match="Cayley pole"):
+        inverse_cayley(np.array([[0.0, 1j], [0.0, -1j]]))
 
 
 def test_siegel_defect_classification():
@@ -137,12 +156,27 @@ def test_interior_exterior_correspondence():
 def test_sample_siegel_boundary_on_hypersurface():
     points = sample_siegel_boundary(4, seed=5, count=50)
     assert len(points) == 50
-    for p in points:
-        assert p.dim == 3
+    assert points.shape == (50, 4)  # rows (z_1, z_2, z_3, w)
+    for row in points:
         # one rounding ulp of slack: norm squares a square root
-        assert p.w.imag == pytest.approx(norm(p.z) ** 2, abs=5e-16)
+        assert row[-1].imag == pytest.approx(norm(row[:-1]) ** 2, abs=5e-16)
     with pytest.raises(ValueError):
         sample_siegel_boundary(1, seed=0, count=1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_sampler_arrays_shapes_and_pole_distance(count):
+    sphere = sample_sphere(5, seed=14, count=count, min_pole_dist=0.6)
+    assert sphere.shape == (count, 5)
+    assert np.all(np.abs(1.0 + sphere[:, -1]) > 0.6)
+    assert_allclose(np.linalg.norm(sphere, axis=1), 1.0, atol=1e-14)
+    ball = sample_ball(5, seed=15, count=count, radius=0.7)
+    assert ball.shape == (count, 5)
+    assert np.all(np.linalg.norm(ball, axis=1) <= 0.7 + 1e-15)
+    boundary = sample_siegel_boundary(5, seed=16, count=count, rho_max=0.5)
+    assert boundary.shape == (count, 5)
+    assert np.all(np.linalg.norm(boundary[:, :-1], axis=1) <= 0.5 + 1e-15)
+    assert np.all(np.abs(boundary[:, -1].real) <= 1.0)
 
 
 def test_sample_sphere_unit_norm_and_pole_distance():

@@ -129,6 +129,24 @@ def test_haar_unitary_entry_moment():
     assert abs(acc / draws - 0.5) < 0.025
 
 
+def test_haar_unitary_stack():
+    """A stack of count draws: each member unitary, Haar in the first
+    moment, and a stack of one is the single draw of the same stream."""
+    stack = haar_unitary(2, seed=11, count=4000)
+    assert stack.shape == (4000, 2, 2)
+    assert unitarity_defect(stack) < 1e-13
+    assert abs(np.mean(np.abs(stack[:, 0, 0]) ** 2) - 0.5) < 0.025
+    assert_allclose(haar_unitary(3, seed=7, count=1)[0], haar_unitary(3, seed=7),
+                    atol=1e-15)
+
+
+def test_unitarity_defect_of_a_stack_is_its_worst_member():
+    stack = haar_unitary(3, seed=12, count=5)
+    stack[3] *= 1.0 + 1e-6
+    assert unitarity_defect(stack) == pytest.approx(unitarity_defect(stack[3]))
+    assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
+
+
 def test_haar_unitary_rejects_bad_dimension():
     with pytest.raises(ValueError):
         haar_unitary(0, seed=1)

@@ -17,8 +17,7 @@ from siegelball.autgroup import (
     param_distance,
     random_params,
 )
-from siegelball.geometry import SiegelPoint
-from siegelball.hilbert import haar_unitary, norm
+from siegelball.hilbert import haar_unitary, is_unitary, norm, unitarity_defect
 from siegelball.jets import (
     DiffConfig,
     Jet2,
@@ -143,18 +142,35 @@ def test_jet_matches_finite_differences():
         assert gap < 1e-4, f"{name}: finite-difference gap {gap:.3e}"
 
 
-def test_batched_and_pointwise_extraction_agree():
-    params = random_params(3, seed=13)
-    batched = as_holo_map(params)
-    pointwise = HoloMap(batched.evaluate, batched.dim, batched.domain_radius)
-    assert pointwise.evaluate_batch is None
-    cfg = DiffConfig(radius=min(0.1, 0.5 * batched.domain_radius))
-    jb = extract_jet2(batched, cfg)
-    jp = extract_jet2(pointwise, cfg)
-    for name in ("f_z", "f_w", "g_z", "g_w", "g_w2", "f_zw", "f_w2"):
-        gap = np.max(np.abs(np.atleast_1d(getattr(jb, name))
-                            - np.atleast_1d(getattr(jp, name))))
-        assert gap < 1e-13, f"{name}: batch/pointwise gap {gap:.3e}"
+def _closed_form_jet(params) -> Jet2:
+    """The 2-jet of H = (sU(z + aw), s^2 w) / D, D = 1 - 2i<z,a> + beta w,
+    from the expansion 1/D = 1 + 2i<z,a> - beta w + (second order)."""
+    d = params.dim
+    sU = params.s * params.U
+    beta = params.beta
+    return Jet2(
+        f_z=sU,
+        f_w=sU @ params.a,
+        g_z=np.zeros(d, dtype=complex),
+        g_w=params.s**2 + 0j,
+        g_w2=-2.0 * beta * params.s**2,
+        f_zw=sU @ (-beta * np.eye(d) + 2j * np.outer(params.a, np.conj(params.a))),
+        f_w2=-2.0 * beta * (sU @ params.a),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_extracted_jet_matches_closed_form(dim):
+    """The jet read off the batched evaluator's circle grids equals the
+    closed-form 2-jet of the automorphism."""
+    for seed in range(5):
+        params = random_params(dim, seed)
+        jet = extract_jet2(as_holo_map(params))
+        expected = _closed_form_jet(params)
+        for name in ("f_z", "f_w", "g_z", "g_w", "g_w2", "f_zw", "f_w2"):
+            gap = np.max(np.abs(np.atleast_1d(getattr(jet, name))
+                                - np.atleast_1d(getattr(expected, name))))
+            assert gap < 1e-10, f"{name}: closed-form gap {gap:.3e}"
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
@@ -219,9 +235,7 @@ def test_recovery_accepts_compensated_imaginary_part():
 
 
 def test_extract_requires_origin_fixing():
-    shifted = HoloMap(
-        lambda p: SiegelPoint(p.z, p.w + 0.5), dim=2, domain_radius=1.0
-    )
+    shifted = HoloMap(lambda zs, ws: (zs, ws + 0.5), dim=2, domain_radius=1.0)
     with pytest.raises(NotOriginFixingError, match="not origin-fixing"):
         extract_jet2(shifted)
 
@@ -233,19 +247,17 @@ def test_extract_requires_radius_inside_domain():
 
 
 def _levi_pairs(rng, d=3, count=50, scale=0.04):
-    pairs = []
-    for _ in range(count):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z *= scale / np.linalg.norm(z)
-        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        pairs.append((z, u / np.linalg.norm(u)))
-    return pairs
+    """Stacked samples (zs, us): ||z|| = scale, ||u|| = 1."""
+    zs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    zs *= scale / np.linalg.norm(zs, axis=1, keepdims=True)
+    us = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    return zs, us / np.linalg.norm(us, axis=1, keepdims=True)
 
 
 def test_check_levi_on_automorphisms():
     rng = np.random.default_rng(4)
     H = as_holo_map(random_params(3, seed=9))
-    assert check_levi(H, _levi_pairs(rng)) < 1e-10
+    assert check_levi(H, *_levi_pairs(rng)) < 1e-10
 
 
 def test_check_levi_trivial_members():
@@ -254,30 +266,27 @@ def test_check_levi_trivial_members():
     rng = np.random.default_rng(8)
     pairs = _levi_pairs(rng)
     ident = as_holo_map(AutParams(np.eye(3), 1.0, np.zeros(3), 0.0))
-    assert check_levi(ident, pairs) < 1e-14
+    assert check_levi(ident, *pairs) < 1e-14
     omega = as_holo_map(AutParams(haar_unitary(3, seed=7), 1.9, np.zeros(3), 0.0))
-    assert check_levi(omega, pairs) < 1e-12
+    assert check_levi(omega, *pairs) < 1e-12
 
 
 def test_check_polarization_on_automorphisms():
     rng = np.random.default_rng(5)
     H = as_holo_map(random_params(3, seed=10))
-    triples = []
-    for _ in range(50):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        chi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z *= 0.03 / np.linalg.norm(z)
-        chi *= 0.03 / np.linalg.norm(chi)
-        tau = 0.03 * complex(rng.standard_normal(), rng.standard_normal())
-        triples.append((z, chi, tau))
-    assert check_polarization(H, triples) < 1e-10
+    zs = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    chis = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    zs *= 0.03 / np.linalg.norm(zs, axis=1, keepdims=True)
+    chis *= 0.03 / np.linalg.norm(chis, axis=1, keepdims=True)
+    taus = 0.03 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    assert check_polarization(H, zs, chis, taus) < 1e-10
 
 
 def test_polarization_reduces_to_vanishing_on_the_slice():
     """With the partner data zeroed out the identity says g(z, 0) = 0."""
     H = as_holo_map(random_params(2, seed=12))
-    z = np.array([0.02, 0.01j])
-    residual = check_polarization(H, [(z, np.zeros(2), 0.0)])
+    z = np.array([[0.02, 0.01j]])
+    residual = check_polarization(H, z, np.zeros((1, 2)), np.zeros(1))
     assert residual < 1e-15
 
 
@@ -286,8 +295,31 @@ def test_polarization_skips_out_of_domain_samples():
     big = np.array([5.0, 0.0], dtype=complex)
     small = np.array([0.01, 0.0], dtype=complex)
     with pytest.warns(UserWarning, match="outside map domain"):
-        residual = check_polarization(H, [(big, big, 0.0), (small, small, 0.01)])
+        residual = check_polarization(
+            H, np.array([big, small]), np.array([big, small]), np.array([0.0, 0.01]))
     assert residual < 1e-9
     with pytest.raises(ValueError, match="all polarization samples"):
         with pytest.warns(UserWarning):
-            check_polarization(H, [(big, big, 0.0)])
+            check_polarization(H, big[None], big[None], np.zeros(1))
+
+
+def test_polarization_warns_once_with_skipped_count():
+    H = as_holo_map(random_params(2, seed=1))
+    zs = np.array([[5.0, 0.0], [0.01, 0.0], [0.0, 7.0], [6.0, 6.0]])
+    with pytest.warns(UserWarning) as record:
+        check_polarization(H, zs, zs, np.full(4, 0.01))
+    assert len(record) == 1
+    assert "3 of 4 polarization samples outside map domain" in str(record[0].message)
+
+
+def test_recovery_projects_small_unitarity_gap():
+    """A jet accepted at the recovery tolerance but not unitary to
+    UNITARY_TOL recovers, with U replaced by its polar factor."""
+    U = haar_unitary(3, seed=5)
+    # U times a positive definite Hermitian factor: its polar factor is U.
+    f_z = 1.2 * U @ np.diag([1.0 + 5e-11, 1.0 - 5e-11, 1.0])
+    assert 5e-11 < unitarity_defect(f_z / 1.2) < 2e-10
+    recovered = recover_params(_jet(3, f_z=f_z, g_w=1.44 + 0j))
+    assert is_unitary(recovered.U)
+    assert np.linalg.norm(recovered.U - U, 2) < 1e-14
+    assert recovered.s == pytest.approx(1.2)

@@ -237,6 +237,28 @@ def test_whitney_norm_identity_trivial_slice():
         assert rhs == pytest.approx(0.09, abs=1e-15)
 
 
+def test_maps_evaluate_stacked_points_row_by_row():
+    lam = LambdaSeq((0.3 + 0.1j, -0.5, 0.2j))
+    maps = [
+        homog_sum_map(lam, MultiIndexTable.graded_lex(3, 3)),
+        whitney_map(WhitneySpec(3, 3)),
+        whitney_map(WhitneySpec(INFINITY, 3, truncation=6)),
+        shift_map(3),
+    ]
+    Z = sample_ball(3, seed=21, count=40, radius=0.9)
+    for H in maps:
+        out = H.evaluate(Z)
+        assert out.shape == (40, H.output_dim)
+        for row, Zi in zip(out, Z):
+            assert_allclose(row, H.evaluate(Zi), atol=1e-15)
+    norms = homog_sum_norm_squared(lam, Z)
+    lhs, rhs = whitney_norm_identity(WhitneySpec(3, 3), Z)
+    for i, Zi in enumerate(Z):
+        assert norms[i] == pytest.approx(homog_sum_norm_squared(lam, Zi), abs=1e-15)
+        assert (lhs[i], rhs[i]) == pytest.approx(
+            whitney_norm_identity(WhitneySpec(3, 3), Zi), abs=1e-15)
+
+
 def test_whitney_output_dimension():
     assert whitney_map(WhitneySpec(3, 4)).output_dim == 3 * 3 + 1
     assert whitney_map(WhitneySpec(INFINITY, 4, truncation=5)).output_dim == 6 * 3

@@ -48,6 +48,41 @@ def test_run_examples_suite_passes():
     assert "examples.whitney_sphere" in names
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_tiny_sample_counts_pass_and_count_rows(samples):
+    """Empty or one-row batches keep loop semantics: every check passes and
+    reports the rows it checked (fixed counts where nothing is filtered)."""
+    results = run(RunConfig(dim=2, samples=samples))
+    assert len(results) == len(DEFAULT_TOLS)
+    for r in results:
+        assert r.status == "pass", f"{r.name}: residual {r.residual:.3e}"
+        assert 0 <= r.samples
+    counts = {r.name: r.samples for r in results}
+    expected = {
+        "geometry.cayley_roundtrip": 2 * samples,
+        "geometry.boundary_correspondence": samples,
+        "geometry.cayley_slice_derivative": samples,
+        "autgroup.origin_fixed": samples,
+        "autgroup.compose_pointwise": 50,
+        "autgroup.invert_roundtrip": 50,
+        "jets.recovery_params": samples,
+        "jets.levi_identity": samples,
+        "jets.polarization_identity": samples,
+        "examples.homog_norm_law": samples,
+        "examples.homog_sphere_norm": samples,
+        "examples.whitney_norm_law": 5,
+        "examples.whitney_sphere": 4,
+        "examples.shift_isometry": samples,
+        "examples.enumeration_invariance": samples,
+    }
+    for name, count in expected.items():
+        assert counts[name] == count, name
+    for name in ("geometry.interior_correspondence", "autgroup.boundary_invariance",
+                 "autgroup.factorization", "autgroup.h_r_defect_scaling",
+                 "autgroup.ball_sphere_preserved"):
+        assert counts[name] <= samples, name
+
+
 def test_run_is_deterministic():
     config = RunConfig(dim=2, seed=9, samples=40, suites=("geometry", "examples"))
     first = run(config)
