@@ -222,7 +222,7 @@ def _apply_batch(
     x = ws[..., None] * params.a
     x += zs
     f = _rowwise(params.U, x)
-    f *= (params.s / D)[..., None]  # in place: jet grids have ~10^4 rows
+    f *= (params.s / D)[..., None]  # in place: a d = 7 jet grid has 1153 rows
     return f, params.s**2 * ws / D
 
 

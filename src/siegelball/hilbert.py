@@ -53,7 +53,9 @@ def sq_norm(u: np.ndarray):
     """Squared Euclidean norm along the last axis."""
     if u.ndim == 1:
         return np.vdot(u, u).real
-    return np.sum(u.real**2 + u.imag**2, axis=-1)
+    # Real and imaginary parts as one float axis: no complex-sized temporaries.
+    v = np.ascontiguousarray(u, dtype=complex).view(float)
+    return np.einsum("...i,...i->...", v, v)
 
 
 def inner(u, v) -> complex:

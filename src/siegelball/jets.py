@@ -6,10 +6,18 @@ larger than rho is recovered from M equispaced circle samples,
     f^(k)(0) = (k! / (M rho^k)) * sum_m f(rho e^(2 pi i m / M)) e^(-2 pi i k m / M),
 
 which is spectrally accurate (the first neglected term is the Taylor
-coefficient of order k + M).  Mixed z/w derivatives use two nested circle
-loops.  On top of the raw jet, :func:`recover_params` reads off the
-(U, s, a, R) parameters of an origin-fixing boundary automorphism from its
-second-order jet:
+coefficient of order k + M).  :func:`extract_jet2` samples a map on 3d + 1
+circles of radius rho, all in one evaluation: the w-circle, one circle
+t -> t e_j along each z_j-axis, and two diagonal circles t -> (t e_j, +-t)
+per direction.  Every point lies on the polydisc max(||z||, |w|) = rho.
+The mixed block comes from the diagonals by polarization: with
+psi_j^+-(t) = f(t e_j, +-t),
+
+    psi_j^+-''(0) = f_{z_j z_j}(0) +- 2 f_{z_j w}(0) + f_ww(0),
+
+so f_{z_j w}(0) = (psi_j^+''(0) - psi_j^-''(0)) / 4.  On top of the raw
+jet, :func:`recover_params` reads off the (U, s, a, R) parameters of an
+origin-fixing boundary automorphism from its second-order jet:
 
     s = sqrt(g_w(0)),  U = f_z(0)/s,  a = f_z(0)^(-1) f_w(0),
     R = (-g_ww(0)/2 + i ||f_w(0)||^2) / g_w(0),
@@ -86,17 +94,20 @@ class Jet2:
     f_w2: np.ndarray
 
 
-def _nodes(cfg: DiffConfig) -> np.ndarray:
-    m = np.arange(cfg.nodes)
-    return cfg.radius * np.exp(2j * np.pi * m / cfg.nodes)
+# Node multiple of the diagonal circles in :func:`extract_jet2`.  A germ
+# t -> f(t e_j, +-t) can have its pole nearer than the axial ones; at the base
+# node count its order-2 coefficient aliased f_zw by up to 3e-12.
+_DIAGONAL_OVERSAMPLE = 2
 
 
-def _deriv_from_samples(samples: np.ndarray, order: int, cfg: DiffConfig):
-    """Order-th derivative at 0 from circle samples (axis 0 = node index)."""
-    M = cfg.nodes
-    weights = np.exp(-2j * np.pi * order * np.arange(M) / M)
-    total = np.tensordot(weights, samples, axes=(0, 0))
-    return total * (math.factorial(order) / (M * cfg.radius**order))
+def _nodes(count: int, radius: float) -> np.ndarray:
+    return radius * np.exp(2j * np.pi * np.arange(count) / count)
+
+
+def _coefficients(count: int, orders) -> np.ndarray:
+    """Row k turns ``count`` circle samples of radius rho into the Taylor
+    coefficient of order orders[k] times rho**orders[k]."""
+    return np.exp(-2j * np.pi * np.outer(orders, np.arange(count)) / count) / count
 
 
 def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
@@ -112,15 +123,22 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     if order > cfg.nodes // 2:
         msg = f"order {order} exceeds nodes/2 = {cfg.nodes // 2}"
         raise ValueError(msg)
-    samples = np.asarray([phi(t) for t in _nodes(cfg)], dtype=complex)
-    return _deriv_from_samples(samples, order, cfg)
+    samples = np.asarray([phi(t) for t in _nodes(cfg.nodes, cfg.radius)], dtype=complex)
+    total = np.tensordot(_coefficients(cfg.nodes, [order])[0], samples, axes=(0, 0))
+    return total * (math.factorial(order) / cfg.radius**order)
 
 
 def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     """Second-order jet of an origin-fixing map germ by Cauchy integrals.
 
-    Differentiates along the w-axis, along each z_j-axis, and (for the mixed
-    block) a circle loop in w around a circle loop in z.  Raises
+    Evaluates ``H`` once, on the origin, the w-circle and the circle along
+    each z_j-axis (``cfg.nodes`` points each), and on the diagonal circles
+    t -> (t e_j, +-t) (twice as many points each), all of radius
+    ``cfg.radius``: 1 + M + 5dM rows for M nodes.  Every point has
+    max(||z||, |w|) = radius.  The w-circle gives ``f_w``, ``g_w``, ``f_w2``
+    and ``g_w2``, the axial circles ``f_z`` and ``g_z``, and the diagonals
+    the mixed block by polarization,
+    f_{z_j w} = (psi_j^+''(0) - psi_j^-''(0)) / 4.  Raises
     :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than 1e-12
     from the origin, and ``ValueError`` when the circle radius does not fit
     inside the advertised domain radius of ``H``.
@@ -131,38 +149,41 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
             f"map domain (radius {H.domain_radius})"
         )
         raise ValueError(msg)
-    d = H.dim
-    nodes = _nodes(cfg)
-    f0, g0 = H.evaluate(np.zeros((1, d), dtype=complex), np.zeros(1, dtype=complex))
-    offset = max(norm(f0[0]), abs(g0[0]))
+    d, M = H.dim, cfg.nodes
+    M2 = _DIAGONAL_OVERSAMPLE * M
+    axial, diagonal = 1 + M, 1 + M + d * M
+    t, t2 = _nodes(M, cfg.radius), _nodes(M2, cfg.radius)
+    eye = np.eye(d)
+    # Rows: origin | w-circle | z_j-circles | (t e_j, t) | (t e_j, -t), the
+    # circles of each block in direction order.
+    zs = np.zeros((diagonal + 2 * d * M2, d), dtype=complex)
+    ws = np.zeros(len(zs), dtype=complex)
+    ws[1:axial] = t
+    zs[axial:diagonal] = (eye[:, None, :] * t[None, :, None]).reshape(-1, d)
+    zs[diagonal:] = np.tile((eye[:, None, :] * t2[None, :, None]).reshape(-1, d), (2, 1))
+    ws[diagonal:] = np.outer([1.0, -1.0], np.tile(t2, d)).ravel()
+    F, G = H.evaluate(zs, ws)
+
+    offset = max(norm(F[0]), abs(G[0]))
     if offset > ORIGIN_TOL:
         msg = f"not origin-fixing: |H(0,0)| = {offset:.3e}"
         raise NotOriginFixingError(msg)
 
-    M = cfg.nodes
-    F, G = H.evaluate(np.zeros((M, d), dtype=complex), nodes)
-    f_w = _deriv_from_samples(F, 1, cfg)
-    f_w2 = _deriv_from_samples(F, 2, cfg)
-    g_w = complex(_deriv_from_samples(G, 1, cfg))
-    g_w2 = complex(_deriv_from_samples(G, 2, cfg))
+    # Taylor coefficients times radius^k.  The axial and diagonal blocks are
+    # indexed (direction, component), transposed at the end into columns.
+    C = _coefficients(M, [1, 2])
+    f1, f2 = C @ F[1:axial]
+    g1, g2 = (C @ G[1:axial]).tolist()
+    z1 = C[0] @ F[axial:diagonal].reshape(d, M, d)
+    g_z1 = G[axial:diagonal].reshape(d, M) @ C[0]
+    psi = F[diagonal:].reshape(2, d, M2, d)
+    # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.
+    mixed = _coefficients(M2, [2])[0] @ (psi[0] - psi[1])
 
-    # Circle in each z_j direction at w = 0: axial[j, m] = nodes[m] e_j.
-    axial = nodes[None, :, None] * np.eye(d, dtype=complex)[:, None, :]
-    Fz, Gz = H.evaluate(axial.reshape(-1, d), np.zeros(d * M, dtype=complex))
-    # Node axis first for the quadrature, then (direction, component) -> f_z.
-    f_z = _deriv_from_samples(Fz.reshape(d, M, d).transpose(1, 0, 2), 1, cfg).T
-    g_z = _deriv_from_samples(Gz.reshape(d, M).T, 1, cfg)
-
-    # Mixed block: a w-circle (index l) around a z_j-circle (index m).
-    z_mix = np.broadcast_to(axial[:, None, :, :], (d, M, M, d)).reshape(-1, d)
-    w_mix = np.broadcast_to(nodes[None, :, None], (d, M, M)).reshape(-1)
-    Fm, _ = H.evaluate(z_mix, w_mix)
-    slope = _deriv_from_samples(
-        Fm.reshape(d, M, M, d).transpose(2, 0, 1, 3), 1, cfg
-    )  # (direction, w-node, component)
-    f_zw = _deriv_from_samples(slope.transpose(1, 0, 2), 1, cfg).T
-
-    return Jet2(f_z=f_z, f_w=f_w, g_z=g_z, g_w=g_w, g_w2=g_w2, f_zw=f_zw, f_w2=f_w2)
+    r = cfg.radius
+    return Jet2(f_z=z1.T / r, f_w=f1 / r, g_z=g_z1 / r, g_w=g1 / r,
+                g_w2=2.0 * g2 / r**2, f_zw=mixed.T / (2.0 * r**2),
+                f_w2=2.0 * f2 / r**2)
 
 
 def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:

@@ -145,28 +145,38 @@ def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> BallMap:
     if not table.is_complete():
         msg = "table does not cover all multi-indices up to its degree cap"
         raise ValueError(msg)
-    n = table.n
-    # Group slots by degree so each evaluation is a few vectorised gathers.
-    by_degree: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in range(1, table.degree_cap + 1):
-        slots = [i for i, alpha in enumerate(table.indices) if len(alpha) == k]
-        gather = np.array(
-            [[j - 1 for j in table.indices[i]] for i in slots], dtype=int
-        )
-        by_degree[k] = (np.array(slots, dtype=int), gather)
+    n, cap = table.n, table.degree_cap
+    # Products are built in graded-lex order, where the degree-k block is the
+    # outer product of Z with the degree-(k-1) block (the first index varies
+    # slowest, and the long axis stays innermost); ``offsets[k - 1]`` starts
+    # block k.
+    offsets = np.cumsum([0] + [n**k for k in range(1, cap + 1)])
+    coef = np.repeat(lam.values, np.diff(offsets))
+    order = np.array([_graded_lex_position(alpha, n, offsets) for alpha in table.indices])
+    if np.array_equal(order, np.arange(table.size)):
+        order = None
 
     def evaluate(Z) -> np.ndarray:
         Z = as_points(Z, n)
-        out = np.empty(Z.shape[:-1] + (table.size,), dtype=complex)
-        for k, (slots, gather) in by_degree.items():
-            # One factor at a time: no (..., slots, k) gather is materialised.
-            prod = lam.values[k - 1] * Z[..., gather[:, 0]]
-            for column in gather[:, 1:].T:
-                prod *= Z[..., column]
-            out[..., slots] = prod
-        return out
+        lead = Z.shape[:-1]
+        out = np.empty(lead + (table.size,), dtype=complex)
+        out[..., :n] = Z
+        for k in range(2, cap + 1):
+            prev = out[..., offsets[k - 2]:offsets[k - 1]]
+            block = out[..., offsets[k - 1]:offsets[k]].reshape(lead + (n, n ** (k - 1)))
+            np.multiply(Z[..., :, None], prev[..., None, :], out=block)
+        out *= coef
+        return out if order is None else out[..., order]
 
     return BallMap(evaluate, n, table.size)
+
+
+def _graded_lex_position(alpha, n: int, offsets) -> int:
+    """Slot of the multi-index ``alpha`` in the graded-lex enumeration."""
+    rank = 0
+    for j in alpha:
+        rank = rank * n + (j - 1)
+    return int(offsets[len(alpha) - 1]) + rank
 
 
 def homog_sum_norm_squared(lam: LambdaSeq, Z):

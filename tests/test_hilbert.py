@@ -13,6 +13,7 @@ from siegelball.hilbert import (
     is_unitary,
     norm,
     solve,
+    sq_norm,
     unitarity_defect,
 )
 
@@ -155,6 +156,27 @@ def test_haar_unitary_rejects_bad_dimension():
 def test_unitarity_defect_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         unitarity_defect(np.ones((2, 3)))
+
+
+def test_sq_norm_matches_sum_of_squared_moduli():
+    rng = np.random.default_rng(3)
+    Z = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+
+    def reference(u):
+        return np.sum(np.abs(u) ** 2, axis=-1)
+
+    cases = [
+        Z[0, 0],              # one point
+        Z,                    # stacked
+        Z[..., :1],           # non-contiguous last axis
+        Z.transpose(2, 1, 0),  # transposed
+        Z.real,               # real input
+        np.empty((0, 3), dtype=complex),
+    ]
+    for u in cases:
+        value = sq_norm(u)
+        assert np.shape(value) == u.shape[:-1]
+        assert_allclose(value, reference(u), rtol=1e-15, atol=0.0)
 
 
 def test_solve_small_system():

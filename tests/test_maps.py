@@ -165,6 +165,28 @@ def test_enumeration_permutation_invariance():
         )
 
 
+def test_homog_sum_shuffled_table_matches_per_index_products():
+    """Every output slot of a shuffled table is lambda_|alpha| times the
+    product of its coordinates, entry by entry."""
+    rng = np.random.default_rng(11)
+    lam = LambdaSeq((0.5, -1j, 0.25 + 0.5j, 0.7))
+    table = MultiIndexTable.graded_lex(3, 4)
+    order = rng.permutation(table.size)
+    shuffled = MultiIndexTable(
+        n=3, degree_cap=4, indices=tuple(table.indices[i] for i in order)
+    )
+    Z = sample_ball(3, seed=12, count=25, radius=0.95)
+    for tab in (table, shuffled):
+        out = homog_sum_map(lam, tab).evaluate(Z)
+        assert out.shape == (25, tab.size)
+        for slot, alpha in enumerate(tab.indices):
+            expected = lam.values[len(alpha) - 1] * np.prod(
+                Z[:, [j - 1 for j in alpha]], axis=1)
+            assert_allclose(out[:, slot], expected, rtol=1e-14, atol=1e-16)
+        point = homog_sum_map(lam, tab).evaluate(Z[0])
+        assert_allclose(point, out[0], rtol=0.0, atol=0.0)
+
+
 def test_homog_sum_derivative_count():
     # K >= 2 maps into a strictly larger space: nowhere-onto derivative.
     H = homog_sum_map(LambdaSeq((1.0, 1.0)), MultiIndexTable.graded_lex(3, 2))
