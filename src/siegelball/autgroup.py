@@ -23,7 +23,7 @@ invariant.
 
 In homogeneous coordinates (z, w, 1) every member is linear, given by its
 (d+2) x (d+2) projective matrix (:func:`matrix`), so the group law is matrix
-multiplication and inversion.
+multiplication and inversion, member by member on :class:`AutParams` stacks.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ import numpy as np
 
 from . import hilbert
 from .geometry import (
-    EPS_DENOM,
     _check_pole,
     _siegel_like,
     cayley,
     inverse_cayley,
     siegel_rows,
 )
-from .hilbert import as_points, haar_unitary, norm, sq_norm, unitarity_defect
+from .hilbert import as_points, haar_unitary, sq_norm, unitarity_defect
 
 #: Cap on the advertised domain radius of an automorphism seen as a map germ.
 DOMAIN_RADIUS_CAP = 2.0
@@ -159,16 +158,14 @@ def random_params(
     return AutParams(U, s, a, R)
 
 
-def param_distance(p: AutParams, q: AutParams) -> float:
-    """max of operator-norm distance on U and absolute gaps on s, a, R."""
+def param_distance(p: AutParams, q: AutParams):
+    """Per member: max of operator-norm gap on U and absolute gaps on s, a, R."""
     if p.dim != q.dim:
         msg = f"dimension mismatch: {p.dim} vs {q.dim}"
         raise ValueError(msg)
-    return max(
-        float(np.linalg.norm(p.U - q.U, 2)),
-        abs(p.s - q.s),
-        norm(p.a - q.a),
-        abs(p.R - q.R),
+    return np.maximum(
+        np.maximum(np.linalg.norm(p.U - q.U, 2, axis=(-2, -1)), np.abs(p.s - q.s)),
+        np.maximum(np.linalg.norm(p.a - q.a, axis=-1), np.abs(p.R - q.R)),
     )
 
 
@@ -202,23 +199,23 @@ def denominator(params: AutParams, p):
     return _denominator(params, *_split(p, params.dim))
 
 
-def apply(params: AutParams, p, eps: float = EPS_DENOM):
+def apply(params: AutParams, p):
     """Evaluate the automorphism at a SiegelPoint, or row by row on rows.
 
-    Raises :class:`AutomorphismPoleError` when ``|D| <= eps`` at any point.
+    Raises :class:`AutomorphismPoleError` when ``|D| <= EPS_DENOM`` at any point.
     """
     zs, ws = _split(p, params.dim)
-    return _siegel_like(p, *_apply_batch(params, zs, ws, eps))
+    return _siegel_like(p, *_apply_batch(params, zs, ws))
 
 
 def _apply_batch(
-    params: AutParams, zs: np.ndarray, ws: np.ndarray, eps: float = EPS_DENOM
+    params: AutParams, zs: np.ndarray, ws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the automorphism on stacked points (rows of zs, entries of ws)."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
     D = _denominator(params, zs, ws)
-    _check_pole(D, eps, AutomorphismPoleError, "pole of automorphism: |D|")
+    _check_pole(D, AutomorphismPoleError, "pole of automorphism: |D|")
     x = ws[..., None] * params.a
     x += zs
     f = _rowwise(params.U, x)
@@ -234,20 +231,20 @@ def omega_apply(U, s, p):
                         s**2 * w)
 
 
-def phi_a_apply(a, p, eps: float = EPS_DENOM):
+def phi_a_apply(a, p):
     """The translation-like automorphism with parameter vector ``a``."""
     a = as_points(a)
     z, w = _split(p)
     d = 1.0 - 2j * _inner_a(a, z) - 1j * w * sq_norm(a)
-    _check_pole(d, eps, AutomorphismPoleError, "pole of automorphism: |d|")
+    _check_pole(d, AutomorphismPoleError, "pole of automorphism: |d|")
     return _siegel_like(p, (z + w[..., None] * a) / d[..., None], w / d)
 
 
-def h_R_apply(R, p, eps: float = EPS_DENOM):
+def h_R_apply(R, p):
     """The one-parameter automorphism ``(z, w) -> (z, w) / (1 + R w)``."""
     z, w = _split(p)
     d = 1.0 + R * w
-    _check_pole(d, eps, AutomorphismPoleError, "pole of automorphism: |1 + R w|")
+    _check_pole(d, AutomorphismPoleError, "pole of automorphism: |1 + R w|")
     return _siegel_like(p, z / d[..., None], w / d)
 
 
@@ -263,67 +260,62 @@ def ball_automorphism(params: AutParams, Z) -> np.ndarray:
     return inverse_cayley(apply(params, cayley(Z)))
 
 
-def _denominator_slope(params: AutParams) -> float:
-    """Bound on |D - 1| per unit of max(||z||, |w|)."""
-    return 2.0 * norm(params.a) + abs(params.beta)
+def domain_radius(params: AutParams):
+    """Radius r of the polydisc ``max(||z||, |w|) <= r`` where ``|D - 1| <= 1/2``.
 
-
-def _safe_radius(slope: float) -> float:
-    """Radius on which |D| >= 0.5 is guaranteed for the given slope."""
-    if slope <= 0.0:
-        return DOMAIN_RADIUS_CAP
-    return min(DOMAIN_RADIUS_CAP, 0.5 / slope)
+    There ``|D - 1| <= (2 ||a|| + |R - i ||a||^2|) r``, so ``|D|`` lies in
+    [1/2, 3/2].  Capped at :data:`DOMAIN_RADIUS_CAP`; one radius per member.
+    """
+    slope = 2.0 * np.linalg.norm(params.a, axis=-1) + np.abs(params.beta)
+    return 0.5 / np.maximum(slope, 0.5 / DOMAIN_RADIUS_CAP)
 
 
 def as_holo_map(params: AutParams) -> HoloMap:
     """Wrap the automorphism as a map germ with a guaranteed domain radius."""
-    radius = _safe_radius(_denominator_slope(params))
-    return HoloMap(lambda zs, ws: _apply_batch(params, zs, ws), params.dim, radius)
+    return HoloMap(lambda zs, ws: _apply_batch(params, zs, ws), params.dim,
+                   float(domain_radius(params)))
 
 
-def composition_radius(outer: AutParams, inner: AutParams) -> float:
-    """Radius on which ``outer o inner`` is guaranteed pole-free.
+def composition_radius(outer: AutParams, inner: AutParams):
+    """Radius on which ``outer o inner`` is guaranteed pole-free, per member.
 
-    Chains the two denominator bounds: on ``max(||z||, |w|) <= r`` the inner
-    map keeps |D| >= 0.5 provided its slope stays below 0.5/r, and its image
-    then fits in a polydisc on which the outer denominator is likewise
-    controlled.
+    The denominators multiply, ``D_{o o i}(x) = D_i(x) D_o(H_i(x))`` (the last
+    row of the matrix product).  Inside both domain radii ``|D_i| >= 1/2`` and
+    ``|D_{o o i}| <= 3/2``, so ``|D_o| >= 1/3`` at the inner image.
     """
-    c_in = _denominator_slope(inner)
-    growth = 2.0 * max(inner.s * (1.0 + norm(inner.a)), inner.s**2)
-    c_out = _denominator_slope(outer) * growth
-    return _safe_radius(max(c_in, c_out))
+    return np.minimum(domain_radius(inner), domain_radius(compose(outer, inner)))
 
 
 def matrix(params: AutParams) -> np.ndarray:
-    """The (d+2) x (d+2) projective matrix of the automorphism.
+    """The (d+2) x (d+2) projective matrix of the automorphism (B for B members).
 
     In homogeneous coordinates (z, w, 1) the automorphism is the linear map
     with rows ``[s U, s U a, 0]``, ``[0, s^2, 0]`` and
     ``[-2i a^H, R - i ||a||^2, 1]``; its last row is the denominator D.
     """
     d = params.dim
-    M = np.zeros((d + 2, d + 2), dtype=complex)
-    M[:d, :d] = params.s * params.U
-    M[:d, d] = params.s * (params.U @ params.a)
-    M[d, d] = params.s**2
-    M[d + 1, :d] = -2j * np.conj(params.a)
-    M[d + 1, d] = params.beta
-    M[d + 1, d + 1] = 1.0
+    sU = (params.U.T * params.s).T  # the transpose puts the member axis last
+    M = np.zeros(sU.shape[:-2] + (d + 2, d + 2), dtype=complex)
+    M[..., :d, :d] = sU
+    M[..., :d, d:d + 1] = sU @ params.a[..., None]
+    M[..., d, d] = params.s**2
+    M[..., d + 1, :d] = -2j * params.a.conj()
+    M[..., d + 1, d] = params.beta
+    M[..., d + 1, d + 1] = 1.0
     return M
 
 
 def _from_matrix(M: np.ndarray) -> AutParams:
-    """Read the parameters back off a projective matrix (last column e_{d+2})."""
-    d = M.shape[0] - 2
-    s = float(np.sqrt(M[d, d].real))
-    U = M[:d, :d] / s
-    a = U.conj().T @ M[:d, d] / s
-    return AutParams(U, s, a, float(M[d + 1, d].real))
+    """Read the parameters back off projective matrices (last column e_{d+2})."""
+    d = M.shape[-1] - 2
+    s = np.sqrt(M[..., d, d].real)
+    U = M[..., :d, :d] / s[..., None, None]
+    # a from the last row [-2i a^H, R - i ||a||^2, 1]: no product with U^H.
+    return AutParams(U, s, -0.5j * M[..., d + 1, :d].conj(), M[..., d + 1, d].real)
 
 
 def compose(outer: AutParams, inner: AutParams) -> AutParams:
-    """Parameters of the composite ``outer o inner``: the matrix product."""
+    """Parameters of ``outer o inner`` (member by member): the matrix product."""
     if outer.dim != inner.dim:
         msg = f"dimension mismatch: {outer.dim} vs {inner.dim}"
         raise ValueError(msg)
@@ -331,5 +323,5 @@ def compose(outer: AutParams, inner: AutParams) -> AutParams:
 
 
 def invert(params: AutParams) -> AutParams:
-    """Parameters of the inverse automorphism: the matrix inverse."""
+    """Parameters of the inverse automorphism (per member): the matrix inverse."""
     return _from_matrix(np.linalg.inv(matrix(params)))

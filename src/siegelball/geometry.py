@@ -24,7 +24,7 @@ from .hilbert import as_points, as_vector, sq_norm
 #: Guard threshold for denominators near a pole.
 EPS_DENOM = 1e-12
 
-#: Default tolerance for classifying a point as on-boundary.
+#: Tolerance for classifying a point as on-boundary.
 DEFECT_TOL = 1e-9
 
 
@@ -77,8 +77,8 @@ class DefectReport:
     """Signed distance-like defect of a point plus its classification.
 
     ``classification`` is one of ``"interior"``, ``"boundary"``,
-    ``"exterior"``, decided at tolerance ``tol``.  For stacked points both
-    fields are arrays with one entry per point.
+    ``"exterior"``, decided at tolerance ``tol`` (always :data:`DEFECT_TOL`).
+    For stacked points both fields are arrays with one entry per point.
     """
 
     value: float | np.ndarray
@@ -86,61 +86,61 @@ class DefectReport:
     tol: float
 
 
-def _classify(value, inside, tol: float) -> DefectReport:
-    cls = np.where(np.abs(value) <= tol, "boundary",
+def _classify(value, inside) -> DefectReport:
+    cls = np.where(np.abs(value) <= DEFECT_TOL, "boundary",
                    np.where(inside, "interior", "exterior"))
     if np.ndim(value) == 0:
-        return DefectReport(float(value), str(cls), tol)
-    return DefectReport(value, cls, tol)
+        return DefectReport(float(value), str(cls), DEFECT_TOL)
+    return DefectReport(value, cls, DEFECT_TOL)
 
 
-def _check_pole(den, eps: float, error: type, what: str) -> None:
-    """Raise ``error`` when any ``|den| <= eps``; ``what`` names the quantity."""
+def _check_pole(den, error: type, what: str) -> None:
+    """Raise ``error`` when any ``|den| <= EPS_DENOM``; ``what`` names the quantity."""
     closest = np.abs(den).min(initial=np.inf)
-    if closest <= eps:
+    if closest <= EPS_DENOM:
         msg = f"{what} = {closest:.3e}"
         raise error(msg)
 
 
-def cayley(Z, eps: float = EPS_DENOM):
+def cayley(Z):
     """Cayley transform of ball points into Siegel coordinates.
 
     One point Z (n,) gives a :class:`SiegelPoint`; stacked points (B, n)
     give Siegel rows (B, n).  Raises :class:`CayleyPoleError` when
-    ``|1 + eta| <= eps`` for any point (the pole at the antipode -P of the
-    distinguished boundary point).
+    ``|1 + eta| <= EPS_DENOM`` for any point (the pole at the antipode -P of
+    the distinguished boundary point).
     """
     Z = as_points(Z)
     eta = Z[..., -1:]
     den = 1.0 + eta
-    _check_pole(den, eps, CayleyPoleError, "Cayley pole: |1 + eta|")
+    _check_pole(den, CayleyPoleError, "Cayley pole: |1 + eta|")
     rows = np.concatenate([Z[..., :-1], 1j * (1.0 - eta)], axis=-1) / den
     return SiegelPoint(rows[:-1], rows[-1]) if Z.ndim == 1 else rows
 
 
-def inverse_cayley(p, eps: float = EPS_DENOM) -> np.ndarray:
+def inverse_cayley(p) -> np.ndarray:
     """Inverse Cayley transform of a Siegel point, or of rows, onto the ball.
 
-    Raises :class:`CayleyPoleError` when ``|i + w| <= eps`` for any point.
+    Raises :class:`CayleyPoleError` when ``|i + w| <= EPS_DENOM`` for any point.
     """
     rows = siegel_rows(p)
     w = rows[..., -1:]
     den = 1j + w
-    _check_pole(den, eps, CayleyPoleError, "Cayley pole: |i + w|")
+    _check_pole(den, CayleyPoleError, "Cayley pole: |i + w|")
     return np.concatenate([2j * rows[..., :-1], 1j - w], axis=-1) / den
 
 
-def siegel_defect(p, tol: float = DEFECT_TOL) -> DefectReport:
+def siegel_defect(p) -> DefectReport:
     """Defect ``Im w - ||z||^2`` of Siegel points (positive = interior)."""
     rows = siegel_rows(p)
     value = rows[..., -1].imag - sq_norm(rows[..., :-1])
-    return _classify(value, value > 0, tol)
+    return _classify(value, value > 0)
 
 
-def ball_defect(Z, tol: float = DEFECT_TOL) -> DefectReport:
+def ball_defect(Z) -> DefectReport:
     """Defect ``||Z||^2 - 1`` of ball points (negative = interior)."""
     value = sq_norm(as_points(Z)) - 1.0
-    return _classify(value, value < 0, tol)
+    return _classify(value, value < 0)
 
 
 def _unit_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -106,16 +106,16 @@ def unitarity_defect(U) -> float:
     return float(np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max(initial=0.0))
 
 
-def is_unitary(U, tol: float = UNITARY_TOL) -> bool:
-    """True when every entry of ``U^H U - I`` is at most ``tol`` in modulus."""
-    return unitarity_defect(U) <= tol
+def is_unitary(U) -> bool:
+    """True when every entry of ``U^H U - I`` is at most ``UNITARY_TOL`` in modulus."""
+    return unitarity_defect(U) <= UNITARY_TOL
 
 
-def solve(A, b, cond_max: float = COND_MAX) -> np.ndarray:
+def solve(A, b) -> np.ndarray:
     """Solve ``A x = b`` for a small well-conditioned square system.
 
     Raises :class:`SingularMatrixError` when the condition number exceeds
-    ``cond_max`` or the computed solution fails the residual bound
+    ``COND_MAX`` or the computed solution fails the residual bound
     ``norm(A x - b) <= 1e-10 * norm(b)``.
     """
     A = np.asarray(A, dtype=complex)
@@ -130,7 +130,7 @@ def solve(A, b, cond_max: float = COND_MAX) -> np.ndarray:
         msg = "matrix entries must be finite"
         raise ValueError(msg)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > COND_MAX:
         msg = f"derivative not invertible (condition estimate {cond:.3e})"
         raise SingularMatrixError(msg)
     x = np.linalg.solve(A, b)

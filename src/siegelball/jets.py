@@ -44,7 +44,7 @@ from .hilbert import (
     unitarity_defect,
 )
 
-#: Default tolerance for the validity checks in :func:`recover_params`.
+#: Tolerance for the validity checks in :func:`recover_params`.
 RECOVERY_TOL = 1e-8
 
 #: How exactly a map must fix the origin before jet extraction.
@@ -186,18 +186,18 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
                 f_w2=2.0 * f2 / r**2)
 
 
-def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
+def recover_params(jet: Jet2) -> AutParams:
     """Read automorphism parameters off a second-order jet.
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity: g_w must be real and positive; f_z must be
     invertible ("derivative not onto"); f_z normalised by sqrt(g_w) must be
-    unitary to ``tol`` (U is then replaced by its polar factor when it is
-    not unitary to ``hilbert.UNITARY_TOL``); and the recovered R must be
-    real after adding the imaginary correction i ||f_w||^2 / g_w.
+    unitary to ``RECOVERY_TOL`` (U is then replaced by its polar factor when
+    it is not unitary to ``hilbert.UNITARY_TOL``); and the recovered R must
+    be real after adding the imaginary correction i ||f_w||^2 / g_w.
     """
     g_w = complex(jet.g_w)
-    if g_w.real <= 0 or abs(g_w.imag) > tol:
+    if g_w.real <= 0 or abs(g_w.imag) > RECOVERY_TOL:
         msg = f"g_w not positive real: {g_w}"
         raise JetRecoveryError(msg)
     s = math.sqrt(g_w.real)
@@ -208,12 +208,12 @@ def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
         raise JetRecoveryError(msg)
     U = f_z / s
     defect = unitarity_defect(U)
-    if defect > tol:
+    if defect > RECOVERY_TOL:
         msg = f"normalized f_z not unitary: defect {defect:.3e}"
         raise JetRecoveryError(msg)
     if defect > UNITARY_TOL:
-        # Accepted at tol but not exactly unitary: use the nearest unitary,
-        # the polar factor, so that AutParams accepts it.
+        # Accepted at RECOVERY_TOL but not exactly unitary: use the nearest
+        # unitary, the polar factor, so that AutParams accepts it.
         u, _, vh = np.linalg.svd(U)
         U = u @ vh
     try:
@@ -222,7 +222,7 @@ def recover_params(jet: Jet2, tol: float = RECOVERY_TOL) -> AutParams:
         msg = f"derivative not onto: {exc}"
         raise JetRecoveryError(msg) from exc
     R = (-0.5 * complex(jet.g_w2) + 1j * norm(jet.f_w) ** 2) / g_w
-    if abs(R.imag) > tol:
+    if abs(R.imag) > RECOVERY_TOL:
         msg = f"R not real: Im R = {R.imag:.3e}"
         raise JetRecoveryError(msg)
     return AutParams(U=U, s=s, a=a, R=R.real)

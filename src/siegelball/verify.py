@@ -31,6 +31,7 @@ from .autgroup import (
     compose,
     composition_radius,
     denominator,
+    domain_radius,
     factor_apply,
     h_R_apply,
     identity_params,
@@ -145,14 +146,15 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # small sampling and residual helpers
 
-def _cscalars(rng, count: int, scale: float) -> np.ndarray:
-    """Random complex numbers of modulus at most scale."""
+def _cscalars(rng, count: int, scale) -> np.ndarray:
+    """Random complex numbers of modulus at most scale (a number or one per row)."""
     return scale * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
 
 
-def _small_rows(rng, count: int, d: int, scale: float) -> np.ndarray:
-    """Siegel rows with ||z|| and |w| at most scale."""
-    return np.column_stack([_radial_rows(rng, count, d, scale),
+def _small_rows(rng, count: int, d: int, scale) -> np.ndarray:
+    """Siegel rows with ||z|| and |w| at most scale (one number, or one per row)."""
+    scale = np.asarray(scale)
+    return np.column_stack([_radial_rows(rng, count, d, scale[..., None]),
                             _cscalars(rng, count, scale)])
 
 
@@ -336,52 +338,44 @@ def _a_h_r_defect(config: RunConfig, rng):
 def _a_compose_pointwise(config: RunConfig, rng):
     d = config.dim - 1
     npairs = max(2, min(10, config.samples // 100))
-    worst = 0.0
-    for _ in range(npairs):
-        outer = random_params(d, rng)
-        inner = random_params(d, rng)
-        points = _small_rows(rng, 25, d, 0.3 * composition_radius(outer, inner))
-        direct = apply(compose(outer, inner), points)
-        worst = max(worst, _worst(_siegel_gap(direct, apply(outer, apply(inner, points)))))
-    return [("autgroup.compose_pointwise", worst, 25 * npairs)]
+    outer = random_params(d, rng, count=npairs)
+    inner = random_params(d, rng, count=npairs)
+    member = np.repeat(np.arange(npairs), 25)  # 25 points per pair
+    scale = 0.3 * composition_radius(outer, inner)[member]
+    points = _small_rows(rng, len(member), d, scale)
+    direct = apply(compose(outer, inner)[member], points)
+    chained = apply(outer[member], apply(inner[member], points))
+    return [("autgroup.compose_pointwise", _worst(_siegel_gap(direct, chained)),
+             len(member))]
 
 
 def _a_invert_roundtrip(config: RunConfig, rng):
     d = config.dim - 1
     draws = max(2, min(10, config.samples // 100))
-    worst = 0.0
-    for _ in range(draws):
-        params = random_params(d, rng)
-        inverse = invert(params)
-        points = _small_rows(rng, 25, d, 0.3 * as_holo_map(params).domain_radius)
-        worst = max(worst, _worst(_siegel_gap(apply(inverse, apply(params, points)), points)))
-    return [("autgroup.invert_roundtrip", worst, 25 * draws)]
+    params = random_params(d, rng, count=draws)
+    member = np.repeat(np.arange(draws), 25)  # 25 points per draw
+    points = _small_rows(rng, len(member), d, 0.3 * domain_radius(params)[member])
+    back = apply(invert(params)[member], apply(params[member], points))
+    return [("autgroup.invert_roundtrip", _worst(_siegel_gap(back, points)),
+             len(member))]
 
 
 def _a_compose_associative(config: RunConfig, rng):
     d = config.dim - 1
     triples = 3
-    worst = 0.0
-    for _ in range(triples):
-        a = random_params(d, rng)
-        b = random_params(d, rng)
-        c = random_params(d, rng)
-        left = compose(compose(a, b), c)
-        right = compose(a, compose(b, c))
-        worst = max(worst, param_distance(left, right))
-    return [("autgroup.compose_associative", worst, triples)]
+    a, b, c = (random_params(d, rng, count=triples) for _ in range(3))
+    gap = param_distance(compose(compose(a, b), c), compose(a, compose(b, c)))
+    return [("autgroup.compose_associative", _worst(gap), triples)]
 
 
 def _a_invert_two_sided(config: RunConfig, rng):
     d = config.dim - 1
     draws = 4
+    params = random_params(d, rng, count=draws)
+    inverse = invert(params)
     ident = identity_params(d)
-    worst = 0.0
-    for _ in range(draws):
-        params = random_params(d, rng)
-        inverse = invert(params)
-        worst = max(worst, param_distance(compose(params, inverse), ident))
-        worst = max(worst, param_distance(compose(inverse, params), ident))
+    worst = max(_worst(param_distance(compose(params, inverse), ident)),
+                _worst(param_distance(compose(inverse, params), ident)))
     return [("autgroup.invert_two_sided", worst, draws)]
 
 
@@ -469,6 +463,7 @@ def _j_recovery(config: RunConfig, rng):
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
+    """The jet of h_R against its closed form: f_w2 = 0, g_w2 = -2R, f_zw = -R I."""
     d = config.dim - 1
     draws = 10
     eye = np.eye(d, dtype=complex)
@@ -476,7 +471,8 @@ def _j_normalized_f_w2(config: RunConfig, rng):
     worst = 0.0
     for R in rng.uniform(-2, 2, draws):
         jet = extract_jet2(as_holo_map(AutParams(eye, 1.0, zero, R)))
-        worst = max(worst, norm(jet.f_w2))
+        worst = max(worst, norm(jet.f_w2), abs(jet.g_w2 + 2.0 * R),
+                    float(np.abs(jet.f_zw + R * eye).max()))
     return [("jets.normalized_f_w2", worst, draws)]
 
 

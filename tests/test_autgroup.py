@@ -16,6 +16,7 @@ from siegelball.autgroup import (
     compose,
     composition_radius,
     denominator,
+    domain_radius,
     factor_apply,
     h_R_apply,
     identity_params,
@@ -271,6 +272,35 @@ def test_stacked_apply_matches_single_members(ranges):
     assert_allclose(factored, images, atol=1e-12)
 
 
+@pytest.mark.parametrize("ranges", [{}, WIDE])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_stacked_group_law_matches_single_members(d, ranges):
+    """matrix, compose, invert, param_distance and the radii on stacks of 50
+    equal 50 single-member calls; single members keep float s, R, gaps."""
+    outer = random_params(d, seed=43, count=50, **ranges)
+    inner = random_params(d, seed=44, count=50, **ranges)
+    M = matrix(outer)
+    assert M.shape == (50, d + 2, d + 2)
+    composite, inverse = compose(outer, inner), invert(outer)
+    gaps = param_distance(outer, inner)
+    radii, inner_radii = composition_radius(outer, inner), domain_radius(inner)
+    assert gaps.shape == radii.shape == inner_radii.shape == (50,)
+    for i in range(50):
+        o, n = outer[i], inner[i]
+        assert_allclose(M[i], matrix(o), rtol=1e-15, atol=0.0)
+        single = compose(o, n)
+        assert type(single.s) is float and type(single.R) is float
+        assert param_distance(composite[i], single) < 1e-14 * (1.0 + abs(single.R))
+        assert param_distance(inverse[i], invert(o)) < 1e-14 * (1.0 + abs(o.R) / o.s**2)
+        gap = param_distance(o, n)
+        assert isinstance(gap, float) and gap == gaps[i]
+        assert isinstance(composition_radius(o, n), float)
+        assert composition_radius(o, n) == pytest.approx(radii[i], rel=1e-14)
+        assert inner_radii[i] == pytest.approx(as_holo_map(n).domain_radius, rel=1e-15)
+    assert_allclose(param_distance(compose(outer, identity_params(d)), outer), 0.0,
+                    atol=1e-13)
+
+
 def test_stacked_params_validation():
     stack = random_params(2, seed=42, count=4)
     bad_U = stack.U.copy()
@@ -305,6 +335,7 @@ def test_random_params_bounds_and_determinism():
 def test_param_distance_contract():
     p = random_params(3, 1)
     assert param_distance(p, p) == 0.0
+    assert isinstance(param_distance(p, p), float)
     q = random_params(3, 2)
     assert param_distance(p, q) == pytest.approx(param_distance(q, p))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -502,3 +533,21 @@ def test_composition_radius_positive():
     inner = random_params(3, seed=2)
     r = composition_radius(outer, inner)
     assert 0.0 < r <= 2.0
+    # Inside the radius the inner denominator stays >= 1/2 and the outer one,
+    # at the inner image, >= 1/3 (D_{outer o inner} = D_inner D_outer o H_inner).
+    rng = np.random.default_rng(45)
+    for d, ranges in itertools.product([1, 3, 7], [{}, WIDE]):
+        outer = random_params(d, seed=46, count=200, **ranges)
+        inner = random_params(d, seed=47, count=200, **ranges)
+        r = composition_radius(outer, inner)
+        assert np.all((0.0 < r) & (r <= 2.0))
+        z = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        w = np.exp(2j * np.pi * rng.uniform(size=200))
+        # Half the rows on the polydisc's edge, half inside it.
+        scale = r * np.where(np.arange(200) % 2 == 0, 1.0, rng.uniform(size=200))
+        rows = np.column_stack([z * scale[:, None], w * scale])
+        slack = 1.0 - 1e-12  # rounding at the edge, where the bounds are sharp
+        assert np.all(np.abs(denominator(inner, rows)) >= 0.5 * slack)
+        image = apply(inner, rows)
+        assert np.all(np.abs(denominator(outer, image)) >= slack / 3.0)

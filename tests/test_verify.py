@@ -1,14 +1,18 @@
 """The verification runner, its report format, and the CLI wrapper."""
 
+import dataclasses
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import siegelball
 from siegelball import cli, verify
-from siegelball.autgroup import AutParams, as_holo_map
+from siegelball.autgroup import AutParams, as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
     SUITE_NAMES,
@@ -194,6 +198,39 @@ def test_finite_difference_oracle_on_linear_member():
     assert np.max(np.abs(jet.f_z - 1.5 * U)) < 1e-6
     assert abs(jet.g_w - 2.25) < 1e-6
     assert np.max(np.abs(jet.f_w)) < 1e-6
+
+
+@pytest.mark.parametrize("field", ["g_w2", "f_zw"])
+def test_normalized_jet_check_sees_a_wrong_jet(monkeypatch, field):
+    """``jets.normalized_f_w2`` compares the whole h_R jet with its closed
+    form; f_w2 alone vanishes identically there, whatever the extraction."""
+    extract = verify.extract_jet2
+
+    def corrupted(H):
+        jet = extract(H)
+        return dataclasses.replace(jet, **{field: getattr(jet, field) + 1e-6})
+
+    monkeypatch.setattr(verify, "extract_jet2", corrupted)
+    results = {r.name: r for r in run(RunConfig(dim=3, samples=10, suites=("jets",)))}
+    assert results["jets.normalized_f_w2"].status == "fail"
+
+
+def test_benchmark_tracer_binds_package_names():
+    """perfbench's tracer binds ``extract_jet2``'s parameters by the names
+    ``H`` and ``cfg`` (reading ``cfg.nodes``) and wraps
+    ``autgroup._apply_batch`` by name: a rename crashes the traced run or
+    drops the span."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert "_apply_batch" in spans.PRIVATE_WORKERS["autgroup"]
+    tracer = spans.Tracer(keep=0)
+    with spans.instrument(siegelball, tracer):
+        siegelball.jets.extract_jet2(as_holo_map(random_params(2, seed=0)))
+    assert tracer.counters["jets.extract_jet2.grid_points"] > 0
+    assert tracer.stat("jets.extract_jet2")[0] == 1
+    assert tracer.stat("autgroup.apply_batch")[0] == 1
 
 
 # ---------------------------------------------------------------------------
