@@ -18,12 +18,10 @@ from .autgroup import (
     compose,
     denominator,
     factor_apply,
-    h_R_apply,
+    factors,
     identity_params,
     invert,
-    omega_apply,
     param_distance,
-    phi_a_apply,
     random_params,
 )
 from .geometry import (
@@ -105,7 +103,7 @@ __all__ = [
     "denominator",
     "extract_jet2",
     "factor_apply",
-    "h_R_apply",
+    "factors",
     "haar_unitary",
     "homog_sum_map",
     "homog_sum_norm_squared",
@@ -115,9 +113,7 @@ __all__ = [
     "invert",
     "is_unitary",
     "norm",
-    "omega_apply",
     "param_distance",
-    "phi_a_apply",
     "random_params",
     "recover_params",
     "report",

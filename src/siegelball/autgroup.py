@@ -7,40 +7,32 @@ The family treated here is the linear-fractional group
 
 parameterised by a unitary U, a scale s > 0, a vector a in C^(n-1) and a
 real R.  Every member fixes the origin, maps the boundary hypersurface
-{Im w = ||z||^2} to itself, and factors as
+{Im w = ||z||^2} to itself, and factors into members of the family,
 
-    H = omega_{U,s} o phi_a o h_R
+    H = omega_{U,s} o phi_a o h_R,
+    omega_{U,s} = (U, s, 0, 0),  phi_a = (I, 1, a, 0),  h_R = (I, 1, 0, R),
 
-into a linear part, a "translation" part and a one-parameter part:
-
-    omega_{U,s}(z, w) = (s U z, s^2 w)
-    phi_a(z, w)       = ((z + w a) / d, w / d),  d = 1 - 2 i <z, a> - i w ||a||^2
-    h_R(z, w)         = (z, w) / (1 + R w)
-
-The defect Im w - ||z||^2 transforms under H by the positive factor
-s^2 / |D|^2, which is what makes the boundary and the two sides of it
-invariant.
+a linear part, a "translation" part and a one-parameter part
+(:func:`factors`).  The defect Im w - ||z||^2 transforms under H by the
+positive factor s^2 / |D|^2, which is what makes the boundary and the two
+sides of it invariant.
 
 In homogeneous coordinates (z, w, 1) every member is linear, given by its
 (d+2) x (d+2) projective matrix (:func:`matrix`), so the group law is matrix
-multiplication and inversion, member by member on :class:`AutParams` stacks.
+multiplication and inversion, member by member on :class:`AutParams` stacks,
+and every evaluation, the ball automorphism C^-1 M C included, is the one
+pole-checked kernel ``geometry._projective`` on a matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import hilbert
-from .geometry import (
-    _check_pole,
-    _siegel_like,
-    cayley,
-    inverse_cayley,
-    siegel_rows,
-)
+from .geometry import _cayley_matrices, _projective, _siegel_like, siegel_rows
 from .hilbert import as_points, haar_unitary, sq_norm, unitarity_defect
 
 #: Cap on the advertised domain radius of an automorphism seen as a map germ.
@@ -129,9 +121,12 @@ class HoloMap:
     domain_radius: float
 
 
-def identity_params(dim: int) -> AutParams:
-    """The identity automorphism on C^dim x C."""
-    return AutParams(np.eye(dim, dtype=complex), 1.0, np.zeros(dim, dtype=complex), 0.0)
+def identity_params(dim: int, count: int | None = None) -> AutParams:
+    """The identity automorphism on C^dim x C, or a stack of ``count`` copies."""
+    batch = () if count is None else (count,)
+    U = np.broadcast_to(np.eye(dim, dtype=complex), batch + (dim, dim))
+    return AutParams(U, np.ones(batch), np.zeros(batch + (dim,), dtype=complex),
+                     np.zeros(batch))
 
 
 def random_params(
@@ -169,34 +164,21 @@ def param_distance(p: AutParams, q: AutParams):
     )
 
 
-def _rowwise(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M x`` for each row x: one matrix (d, d) for all rows, or one per row."""
-    if M.ndim == 2:
-        return x @ M.T
-    return np.einsum("...ij,...j->...i", M, x)
-
-
-def _split(p, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The (z, w) parts of a SiegelPoint or of rows; ``dim`` checks the z-part."""
-    rows = siegel_rows(p)
-    if dim is not None and rows.shape[-1] != dim + 1:
-        msg = f"point dimension {rows.shape[-1] - 1} does not match parameters ({dim})"
-        raise ValueError(msg)
-    return rows[..., :-1], rows[..., -1]
-
-
-def _inner_a(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """``<z, a>`` for each row z, against one ``a`` or one per row."""
-    return _rowwise(a.conj()[..., None, :], zs)[..., 0]
-
-
-def _denominator(params: AutParams, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    return 1.0 - 2j * _inner_a(params.a, zs) + params.beta * ws
+def _denominator_row(params: AutParams, out: np.ndarray) -> np.ndarray:
+    """Write ``[-2i a^H, R - i ||a||^2]``, the coefficients of (z, w) in D and
+    the last row of :func:`matrix` but its final 1, into ``out``."""
+    out[..., :-1] = -2j * params.a.conj()
+    out[..., -1] = params.beta
+    return out
 
 
 def denominator(params: AutParams, p):
     """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w``."""
-    return _denominator(params, *_split(p, params.dim))
+    row = np.empty(params.a.shape[:-1] + (params.dim + 1,), dtype=complex)
+    return 1.0 + (siegel_rows(p, params.dim) * _denominator_row(params, row)).sum(axis=-1)
+
+
+_POLE = "pole of automorphism: |D|"
 
 
 def apply(params: AutParams, p):
@@ -204,60 +186,40 @@ def apply(params: AutParams, p):
 
     Raises :class:`AutomorphismPoleError` when ``|D| <= EPS_DENOM`` at any point.
     """
-    zs, ws = _split(p, params.dim)
-    return _siegel_like(p, *_apply_batch(params, zs, ws))
+    rows = _projective(matrix(params), siegel_rows(p, params.dim),
+                       error=AutomorphismPoleError, what=_POLE)
+    return _siegel_like(p, rows)
 
 
-def _apply_batch(
-    params: AutParams, zs: np.ndarray, ws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the automorphism on stacked points (rows of zs, entries of ws)."""
-    zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    D = _denominator(params, zs, ws)
-    _check_pole(D, AutomorphismPoleError, "pole of automorphism: |D|")
-    x = ws[..., None] * params.a
-    x += zs
-    f = _rowwise(params.U, x)
-    f *= (params.s / D)[..., None]  # in place: a d = 7 jet grid has 1153 rows
-    return f, params.s**2 * ws / D
+def _apply_batch(M: np.ndarray, zs, ws) -> tuple[np.ndarray, np.ndarray]:
+    """Images ``(F, G)`` of stacked points (rows of zs, entries of ws) under
+    the member(s) with projective matrix ``M``."""
+    rows = _projective(M, zs, ws[..., None], error=AutomorphismPoleError, what=_POLE)
+    return rows[..., :-1], rows[..., -1]
 
 
-def omega_apply(U, s, p):
-    """The linear automorphism ``(z, w) -> (s U z, s^2 w)``."""
-    z, w = _split(p)
-    s = np.asarray(s)
-    return _siegel_like(p, _rowwise(np.asarray(U, dtype=complex), z) * s[..., None],
-                        s**2 * w)
-
-
-def phi_a_apply(a, p):
-    """The translation-like automorphism with parameter vector ``a``."""
-    a = as_points(a)
-    z, w = _split(p)
-    d = 1.0 - 2j * _inner_a(a, z) - 1j * w * sq_norm(a)
-    _check_pole(d, AutomorphismPoleError, "pole of automorphism: |d|")
-    return _siegel_like(p, (z + w[..., None] * a) / d[..., None], w / d)
-
-
-def h_R_apply(R, p):
-    """The one-parameter automorphism ``(z, w) -> (z, w) / (1 + R w)``."""
-    z, w = _split(p)
-    d = 1.0 + R * w
-    _check_pole(d, AutomorphismPoleError, "pole of automorphism: |1 + R w|")
-    return _siegel_like(p, z / d[..., None], w / d)
+def factors(params: AutParams) -> tuple[AutParams, AutParams, AutParams]:
+    """The members ``omega = (U, s, 0, 0)``, ``phi_a = (I, 1, a, 0)`` and
+    ``h_R = (I, 1, 0, R)`` with ``H = omega o phi_a o h_R`` (stacks for a stack)."""
+    ident = identity_params(params.dim, *params.U.shape[:-2])  # one per member
+    return (replace(params, a=ident.a, R=ident.R), replace(ident, a=params.a),
+            replace(ident, R=params.R))
 
 
 def factor_apply(params: AutParams, p):
-    """Evaluate via the factorisation omega_{U,s} o phi_a o h_R."""
-    return omega_apply(
-        params.U, params.s, phi_a_apply(params.a, h_R_apply(params.R, p))
-    )
+    """Evaluate via the factorisation omega_{U,s} o phi_a o h_R: three ``apply``."""
+    omega, phi_a, h_R = factors(params)
+    return apply(omega, apply(phi_a, apply(h_R, p)))
 
 
 def ball_automorphism(params: AutParams, Z) -> np.ndarray:
-    """Conjugate the automorphism by the Cayley transform to act on the ball."""
-    return inverse_cayley(apply(params, cayley(Z)))
+    """The automorphism conjugated by the Cayley transform: the one matrix
+    C^-1 M C on ball points.  Its pole (:class:`AutomorphismPoleError`) lies
+    outside the closed ball, so -P, the Cayley pole, is fine."""
+    n = params.dim + 1
+    C, C_inv = _cayley_matrices(n)
+    return _projective(C_inv @ matrix(params) @ C, as_points(Z, n),
+                       error=AutomorphismPoleError, what="pole of ball automorphism")
 
 
 def domain_radius(params: AutParams):
@@ -272,7 +234,8 @@ def domain_radius(params: AutParams):
 
 def as_holo_map(params: AutParams) -> HoloMap:
     """Wrap the automorphism as a map germ with a guaranteed domain radius."""
-    return HoloMap(lambda zs, ws: _apply_batch(params, zs, ws), params.dim,
+    M = matrix(params)
+    return HoloMap(lambda zs, ws: _apply_batch(M, zs, ws), params.dim,
                    float(domain_radius(params)))
 
 
@@ -299,8 +262,7 @@ def matrix(params: AutParams) -> np.ndarray:
     M[..., :d, :d] = sU
     M[..., :d, d:d + 1] = sU @ params.a[..., None]
     M[..., d, d] = params.s**2
-    M[..., d + 1, :d] = -2j * params.a.conj()
-    M[..., d + 1, d] = params.beta
+    _denominator_row(params, M[..., d + 1, :-1])
     M[..., d + 1, d + 1] = 1.0
     return M
 

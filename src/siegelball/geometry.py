@@ -11,10 +11,15 @@ carries the ball onto the half-space and the sphere minus {-P} onto the
 boundary hypersurface, sending P to the origin.  Its inverse is
 
     zeta = 2 i z / (i + w),   eta = (i - w) / (i + w).
+
+Both are linear-fractional, one (n+1) x (n+1) matrix each on homogeneous
+coordinates (x, 1).  The pole-checked kernel :func:`_projective` evaluates
+them and every other linear-fractional map of the package.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +63,18 @@ class SiegelPoint:
         return self.z.shape[0]
 
 
-def siegel_rows(p) -> np.ndarray:
-    """Siegel rows ``(z, w)``: the row (n,) of a SiegelPoint, or checked rows."""
-    if isinstance(p, SiegelPoint):
-        return np.append(p.z, p.w)
-    return as_points(p)
+def siegel_rows(p, dim: int | None = None) -> np.ndarray:
+    """Siegel rows ``(z, w)``: the row (n,) of a SiegelPoint, or checked rows;
+    with ``dim`` given, the z-part must have that dimension."""
+    rows = np.append(p.z, p.w) if isinstance(p, SiegelPoint) else p
+    return as_points(rows, None if dim is None else dim + 1)
 
 
-def _siegel_like(p, z, w):
-    """``(z, w)`` in the form of the input ``p``: a SiegelPoint or rows."""
+def _siegel_like(p, rows: np.ndarray):
+    """Siegel ``rows`` in the form of the input ``p``: a SiegelPoint or rows."""
     if isinstance(p, SiegelPoint):
-        return SiegelPoint(z, w)
-    return np.concatenate([z, w[..., None]], axis=-1)
+        return SiegelPoint(rows[:-1], rows[-1])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,32 @@ def _check_pole(den, error: type, what: str) -> None:
         raise error(msg)
 
 
+def _projective(M: np.ndarray, *blocks: np.ndarray, error: type, what: str):
+    """The linear-fractional map ``x -> (M x~)[:-1] / (M x~)[-1]``, x~ = (x, 1).
+
+    ``x`` is one point (m,) or rows (..., m), whole or as column blocks;
+    ``M`` is one (m+1) x (m+1) matrix for all rows or one per row.  Raises
+    ``error`` when any ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
+    """
+    x = np.concatenate([*blocks, np.ones(blocks[0].shape[:-1] + (1,))], axis=-1)
+    y = x @ M.T if M.ndim == 2 else (M @ x[..., None])[..., 0]
+    del x  # a row stack may be long: free it before the images are allocated
+    den = y[..., -1:]
+    _check_pole(den, error, what)
+    return y[..., :-1] * (1.0 / den)  # one complex division per row
+
+
+@functools.cache
+def _cayley_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta, eta, 1) -> (zeta, i - i eta, 1 + eta) and 2i times its inverse,
+    (z, w, 1) -> (2i z, i - w, i + w); read-only, as they are shared."""
+    C, C_inv = np.eye(n + 1, dtype=complex), 2j * np.eye(n + 1)
+    C[n - 1:, n - 1:] = [[-1j, 1j], [1, 1]]
+    C_inv[n - 1:, n - 1:] = [[-1, 1j], [1, 1j]]
+    C.flags.writeable = C_inv.flags.writeable = False
+    return C, C_inv
+
+
 def cayley(Z):
     """Cayley transform of ball points into Siegel coordinates.
 
@@ -111,10 +142,8 @@ def cayley(Z):
     the distinguished boundary point).
     """
     Z = as_points(Z)
-    eta = Z[..., -1:]
-    den = 1.0 + eta
-    _check_pole(den, CayleyPoleError, "Cayley pole: |1 + eta|")
-    rows = np.concatenate([Z[..., :-1], 1j * (1.0 - eta)], axis=-1) / den
+    rows = _projective(_cayley_matrices(Z.shape[-1])[0], Z, error=CayleyPoleError,
+                       what="Cayley pole: |1 + eta|")
     return SiegelPoint(rows[:-1], rows[-1]) if Z.ndim == 1 else rows
 
 
@@ -124,10 +153,8 @@ def inverse_cayley(p) -> np.ndarray:
     Raises :class:`CayleyPoleError` when ``|i + w| <= EPS_DENOM`` for any point.
     """
     rows = siegel_rows(p)
-    w = rows[..., -1:]
-    den = 1j + w
-    _check_pole(den, CayleyPoleError, "Cayley pole: |i + w|")
-    return np.concatenate([2j * rows[..., :-1], 1j - w], axis=-1) / den
+    return _projective(_cayley_matrices(rows.shape[-1])[1], rows,
+                       error=CayleyPoleError, what="Cayley pole: |i + w|")
 
 
 def siegel_defect(p) -> DefectReport:
@@ -186,10 +213,14 @@ def sample_sphere(
     """Uniform samples on the unit sphere of C^n, as rows (count, n).
 
     With ``min_pole_dist > 0`` rejected samples are redrawn until every row
-    has ``|1 + eta| > min_pole_dist``, keeping them away from the Cayley pole.
+    has ``|1 + eta| > min_pole_dist`` (below 2, the largest |1 + eta|), keeping
+    them away from the Cayley pole.
     """
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
+        raise ValueError(msg)
+    if not min_pole_dist < 2.0:  # also NaN: no row would ever pass
+        msg = f"min_pole_dist must be < 2 (|1 + eta| <= 2), got {min_pole_dist}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
     points = np.empty((0, n), dtype=complex)

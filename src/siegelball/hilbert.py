@@ -96,14 +96,20 @@ def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
 def unitarity_defect(U) -> float:
     """Largest entry of ``|U^H U - I|`` over a matrix or a stack (..., n, n).
 
-    0 for exactly unitary matrices (and for an empty stack).
+    0 for exactly unitary matrices (and for an empty stack).  A broadcast
+    stack repeats one matrix along its zero-stride axes: it is checked once.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         msg = f"expected a square matrix, got shape {U.shape}"
         raise ValueError(msg)
-    eye = np.eye(U.shape[-1])
-    return float(np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max(initial=0.0))
+    if U.ndim > 2:
+        U = U[tuple(0 if step == 0 and size else slice(None)
+                    for step, size in zip(U.strides[:-2], U.shape[:-2]))]
+    n = U.shape[-1]
+    gram = U.conj().swapaxes(-1, -2) @ U
+    gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1] -= 1.0  # G - I, in place
+    return float(np.abs(gram).max(initial=0.0))
 
 
 def is_unitary(U) -> bool:

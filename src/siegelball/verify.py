@@ -17,7 +17,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .autgroup import (
     denominator,
     domain_radius,
     factor_apply,
-    h_R_apply,
     identity_params,
     invert,
     param_distance,
@@ -163,14 +162,15 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _by_blocks(fn, points: np.ndarray) -> np.ndarray:
-    """``fn`` on consecutive blocks of at most 100 rows, concatenated.
+def _by_blocks(fn, *arrays, size: int = 100) -> np.ndarray:
+    """``fn`` on consecutive blocks of at most ``size`` rows of each array, joined.
 
-    Keeps wide intermediates (one output coordinate per multi-index) to a
-    block's worth of memory.
+    Keeps wide intermediates (one output coordinate per multi-index, or one
+    matrix per row) to a block's worth of memory.
     """
-    blocks = np.array_split(points, max(1, -(-len(points) // 100)))
-    return np.concatenate([fn(block) for block in blocks])
+    count = max(1, -(-len(arrays[0]) // size))
+    blocks = zip(*(np.array_split(array, count) for array in arrays))
+    return np.concatenate([fn(*block) for block in blocks])
 
 
 def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
@@ -274,14 +274,14 @@ def _a_origin_fixed(config: RunConfig, rng):
     return [("autgroup.origin_fixed", _worst(_siegel_gap(images, 0.0)), count)]
 
 
-def _pair_check(config: RunConfig, rng, sample, accept, residual):
+def _pair_check(config: RunConfig, rng, sample, residual, accept=None):
     """Worst residual over pairs of one fresh random automorphism and one point.
 
     Pairs are drawn in blocks of at most 250 (which bounds the memory of the
-    stacked U's) until
-    ``config.samples`` pass ``accept(params, points)`` (a mask over the rows)
-    or ``10 * config.samples`` were tried; ``residual(params, points)`` runs
-    on each block's accepted pairs.  Returns (worst residual, pairs used).
+    stacked U's) until ``config.samples`` pass ``accept(params, points)`` (a
+    mask over the rows; without it every pair passes) or
+    ``10 * config.samples`` were tried; ``residual(params, points)`` runs on
+    each block's accepted pairs.  Returns (worst residual, pairs used).
     """
     d, want = config.dim - 1, config.samples
     worst, used, tried = 0.0, 0, 0
@@ -289,9 +289,11 @@ def _pair_check(config: RunConfig, rng, sample, accept, residual):
         batch = min(want - used, 10 * want - tried, 250)
         params = random_params(d, rng, count=batch)
         points = sample(batch)
-        keep = accept(params, points)
-        worst = max(worst, _worst(residual(params[keep], points[keep])))
-        used += int(np.count_nonzero(keep))
+        if accept is not None:
+            keep = accept(params, points)
+            params, points = params[keep], points[keep]
+        worst = max(worst, _worst(residual(params, points)))
+        used += len(points)
         tried += batch
     return worst, used
 
@@ -304,8 +306,8 @@ def _a_boundary_invariance(config: RunConfig, rng):
     worst, used = _pair_check(
         config, rng,
         lambda count: sample_siegel_boundary(config.dim, rng, count),
-        lambda params, p: np.abs(denominator(params, p)) > 0.1,
         residual,
+        lambda params, p: np.abs(denominator(params, p)) > 0.1,
     )
     return [("autgroup.boundary_invariance", worst, used)]
 
@@ -318,20 +320,26 @@ def _a_factorization(config: RunConfig, rng):
     worst, used = _pair_check(
         config, rng,
         lambda count: sample_siegel_boundary(config.dim, rng, count),
-        accept,
         lambda params, p: _siegel_gap(apply(params, p), factor_apply(params, p)),
+        accept,
     )
     return [("autgroup.factorization", worst, used)]
 
 
 def _a_h_r_defect(config: RunConfig, rng):
-    points = _small_rows(rng, config.samples, config.dim - 1, 1.0)
+    d = config.dim - 1
+    points = _small_rows(rng, config.samples, d, 1.0)
     R = rng.uniform(-2.0, 2.0, config.samples)
     den = 1.0 + R * points[:, -1]
     keep = np.abs(den) > 0.3
-    points = points[keep]
-    lhs = siegel_defect(h_R_apply(R[keep], points)).value
-    rhs = siegel_defect(points).value / np.abs(den[keep]) ** 2
+    points, R, den = points[keep], R[keep], den[keep]
+
+    def image_defect(rows, r):  # h_R = (I, 1, 0, R), one member per row
+        return siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows)).value
+
+    # Blocks of at most 2^15 matrix entries keep the member matrices near 0.5 MB.
+    lhs = _by_blocks(image_defect, points, R, size=2**15 // (d + 2) ** 2)
+    rhs = siegel_defect(points).value / np.abs(den) ** 2
     return [("autgroup.h_r_defect_scaling", _worst(np.abs(lhs - rhs)), len(points))]
 
 
@@ -380,16 +388,10 @@ def _a_invert_two_sided(config: RunConfig, rng):
 
 
 def _a_ball_sphere(config: RunConfig, rng):
-    def accept(params, Z):
-        p = cayley(Z)
-        keep = np.abs(denominator(params, p)) > 0.1
-        keep[keep] = np.abs(1j + apply(params[keep], p[keep])[:, -1]) > 0.1
-        return keep
-
+    # C^-1 M C has no pole on the closed ball: every sphere point is used.
     worst, used = _pair_check(
         config, rng,
-        lambda count: sample_sphere(config.dim, rng, count, min_pole_dist=0.15),
-        accept,
+        lambda count: sample_sphere(config.dim, rng, count),
         lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z)).value),
     )
     return [("autgroup.ball_sphere_preserved", worst, used)]

@@ -31,14 +31,13 @@ from siegelball import (
     denominator,
     extract_jet2,
     factor_apply,
-    h_R_apply,
+    factors,
     homog_sum_map,
     homog_sum_norm_squared,
     inner,
     inverse_cayley,
     norm,
     param_distance,
-    phi_a_apply,
     random_params,
     recover_params,
     sample_ball,
@@ -263,10 +262,11 @@ def test_acceptance_degenerate_inputs_raise_named_errors():
     pole_params = AutParams(np.eye(d), 1.0, np.zeros(d), 1.0)
     with pytest.raises(AutomorphismPoleError):
         apply(pole_params, SiegelPoint(np.zeros(d), -1.0))
+    _, phi_a, h_R = factors(AutParams(np.eye(d), 1.0, np.append(1.0, np.zeros(d - 1)), 1.0))
     with pytest.raises(AutomorphismPoleError):
-        phi_a_apply(np.append(1.0, np.zeros(d - 1)), SiegelPoint(np.zeros(d), -1j))
+        apply(phi_a, SiegelPoint(np.zeros(d), -1j))
     with pytest.raises(AutomorphismPoleError):
-        h_R_apply(1.0, SiegelPoint(np.zeros(d), -1.0))
+        apply(h_R, SiegelPoint(np.zeros(d), -1.0))
 
     shifted = HoloMap(lambda zs, ws: (zs, ws + 1.0), d, 1.0)
     with pytest.raises(NotOriginFixingError):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import formulas
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,19 +19,16 @@ from siegelball.autgroup import (
     denominator,
     domain_radius,
     factor_apply,
-    h_R_apply,
+    factors,
     identity_params,
     invert,
     matrix,
-    omega_apply,
     param_distance,
-    phi_a_apply,
     random_params,
 )
 from siegelball.geometry import (
     SiegelPoint,
     ball_defect,
-    cayley,
     sample_siegel_boundary,
     sample_sphere,
     siegel_defect,
@@ -45,6 +43,25 @@ WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
 
 def _origin(d):
     return SiegelPoint(np.zeros(d), 0.0)
+
+
+def _factor(which, U=None, s=1.3, a=None, R=0.0, d=2):
+    """Factor ``which`` (0: omega, 1: phi_a, 2: h_R) of the member (U, s, a, R);
+    U defaults to a Haar unitary and a to a fixed vector, so that factors
+    drops the other parameters."""
+    U = haar_unitary(d, seed=50) if U is None else U
+    a = np.full(d, 0.3 - 0.1j) if a is None else a
+    return factors(AutParams(U, s, a, R))[which]
+
+
+def _formula_point(p):
+    """A SiegelPoint as (z, w) of Python complex numbers, for tests/formulas.py."""
+    return [complex(x) for x in p.z], complex(p.w)
+
+
+def _assert_matches(q, z, w, rel=1e-14):
+    assert_allclose(q.z, z, rtol=rel, atol=rel * np.linalg.norm(z))
+    assert abs(q.w - w) <= rel * abs(w)
 
 
 def test_denominator_hand_value():
@@ -91,56 +108,61 @@ def test_apply_pure_dilation():
 
 def test_h_r_is_scalar_rescaling():
     p = SiegelPoint([2.0], 1j)
-    q = h_R_apply(1.0, p)  # d = 1 + i
+    q = apply(_factor(2, R=1.0, d=1), p)  # d = 1 + i
     assert_allclose(q.z, [2.0 / (1 + 1j)])
     assert q.w == pytest.approx(1j / (1 + 1j))
+    _assert_matches(q, *formulas.h_R(1.0, *_formula_point(p)))
 
 
 def test_h_r_trivial_cases():
     p = SiegelPoint([0.4j, -0.1], 0.2 + 0.3j)
-    q = h_R_apply(0.0, p)
+    q = apply(_factor(2, R=0.0), p)
     assert_allclose(q.z, p.z)
     assert q.w == p.w
-    flat = h_R_apply(0.7, SiegelPoint([0.4j, -0.1], 0.0))
+    flat = apply(_factor(2, R=0.7), SiegelPoint([0.4j, -0.1], 0.0))
     assert_allclose(flat.z, [0.4j, -0.1])
     assert flat.w == 0.0
 
 
 def test_phi_a_trivial_cases():
     p = SiegelPoint([0.2, 0.1j], 0.3 - 0.2j)
-    q = phi_a_apply(np.zeros(2), p)
+    q = apply(_factor(1, a=np.zeros(2), R=0.9), p)
     assert_allclose(q.z, p.z)
     assert q.w == p.w
-    fixed = phi_a_apply([0.5, -0.25j], _origin(2))
+    member = _factor(1, a=np.array([0.5, -0.25j]), R=0.9)
+    fixed = apply(member, _origin(2))
     assert norm(fixed.z) == 0.0
     assert fixed.w == 0.0
+    _assert_matches(apply(member, p), *formulas.phi_a([0.5, -0.25j], *_formula_point(p)))
 
 
 def test_omega_scales_parabolic_weights():
     U = haar_unitary(2, seed=0)
     p = SiegelPoint([1.0, 1j], 2.0)
-    q = omega_apply(U, 3.0, p)
+    q = apply(_factor(0, U=U, s=3.0, R=1.5), p)
     assert_allclose(q.z, 3.0 * U @ p.z)
     assert q.w == pytest.approx(9.0 * 2.0)
+    _assert_matches(q, *formulas.omega(U, 3.0, *_formula_point(p)))
 
 
 def test_omega_defect_scaling_and_specialization():
-    """Im(s^2 w) - ||sUz||^2 = s^2 (Im w - ||z||^2), and apply with
-    a = 0, R = 0 is exactly the linear member."""
+    """Im(s^2 w) - ||sUz||^2 = s^2 (Im w - ||z||^2), and the omega factor
+    is exactly the linear map (s U z, s^2 w)."""
     U = haar_unitary(3, seed=16)
     s = 1.7
+    omega = _factor(0, U=U, s=s, R=-0.4, d=3)
     rng = np.random.default_rng(18)
     for _ in range(20):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         w = complex(rng.standard_normal(), rng.standard_normal())
         p = SiegelPoint(z, w)
-        q = omega_apply(U, s, p)
+        q = apply(omega, p)
         assert siegel_defect(q).value == pytest.approx(
             s**2 * siegel_defect(p).value, rel=1e-12
         )
-        direct = apply(AutParams(U, s, np.zeros(3), 0.0), p)
-        assert_allclose(direct.z, q.z, atol=1e-15 * s * np.linalg.norm(z))
-        assert abs(direct.w - q.w) < 1e-15 * abs(q.w)
+        direct_z, direct_w = formulas.omega(U, s, *_formula_point(p))
+        assert_allclose(direct_z, q.z, atol=1e-15 * s * np.linalg.norm(z))
+        assert abs(direct_w - q.w) < 1e-15 * abs(q.w)
 
 
 def test_factorization_matches_closed_form():
@@ -180,11 +202,14 @@ def test_phi_a_inverse_is_phi_minus_a():
     rng = np.random.default_rng(23)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a *= 0.8 / np.linalg.norm(a)
+    forward, backward = _factor(1, a=a), _factor(1, a=-a)
     for _ in range(50):
         z = rng.standard_normal(2) * 0.3 + 1j * rng.standard_normal(2) * 0.3
         w = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
         p = SiegelPoint(z, w)
-        back = phi_a_apply(-a, phi_a_apply(a, p))
+        image = apply(forward, p)
+        _assert_matches(image, *formulas.phi_a(list(a), *_formula_point(p)), rel=1e-13)
+        back = apply(backward, image)
         assert_allclose(back.z, p.z, atol=1e-12)
         assert abs(back.w - p.w) < 1e-12
 
@@ -207,9 +232,10 @@ def test_defect_transformation_law():
 
 def test_h_r_defect_scaling():
     p = SiegelPoint([0.3], 0.7 + 0.2j)
-    q = h_R_apply(0.5, p)
+    q = apply(_factor(2, R=0.5, d=1), p)
     den = abs(1.0 + 0.5 * p.w) ** 2
     assert siegel_defect(q).value == pytest.approx(siegel_defect(p).value / den)
+    _assert_matches(q, *formulas.h_R(0.5, *_formula_point(p)))
 
 
 def test_boundary_invariance():
@@ -230,10 +256,17 @@ def test_apply_pole_raises():
 
 
 def test_phi_a_and_h_r_poles_raise():
+    """The factors' poles are where the direct formulas divide by zero."""
+    on_phi_pole = SiegelPoint([0.0], -1j)
     with pytest.raises(AutomorphismPoleError):
-        phi_a_apply([1.0], SiegelPoint([0.0], -1j))
+        apply(_factor(1, a=np.array([1.0]), d=1), on_phi_pole)
+    with pytest.raises(ZeroDivisionError):
+        formulas.phi_a([1.0], *_formula_point(on_phi_pole))
+    on_h_pole = SiegelPoint([0.0], -1.0)
     with pytest.raises(AutomorphismPoleError):
-        h_R_apply(1.0, SiegelPoint([0.0], -1.0))
+        apply(_factor(2, R=1.0, d=1), on_h_pole)
+    with pytest.raises(ZeroDivisionError):
+        formulas.h_R(1.0, *_formula_point(on_h_pole))
 
 
 def test_params_validation():
@@ -501,6 +534,33 @@ def test_matrix_acts_on_homogeneous_coordinates():
     assert_allclose(x[:-1] / x[-1], np.append(q.z, q.w), atol=1e-15)
 
 
+@pytest.mark.parametrize("ranges", [{}, WIDE])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_matrix_is_the_product_of_the_factor_matrices(d, ranges):
+    """M = M_omega M_phi M_h member by member, and the factors are the
+    members (U, s, 0, 0), (I, 1, a, 0) and (I, 1, 0, R)."""
+    stack = random_params(d, seed=60, count=50, **ranges)
+    omega, phi_a, h_R = factors(stack)
+    M = matrix(stack)
+    product = matrix(omega) @ matrix(phi_a) @ matrix(h_R)
+    scale = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(product - M) <= 1e-15 * scale)
+    eye = np.broadcast_to(np.eye(d), stack.U.shape)
+    for member, (U, s, a, R) in [
+        (omega, (stack.U, stack.s, 0.0, 0.0)),
+        (phi_a, (eye, 1.0, stack.a, 0.0)),
+        (h_R, (eye, 1.0, 0.0, stack.R)),
+    ]:
+        assert member.U.shape == stack.U.shape and member.a.shape == stack.a.shape
+        assert np.array_equal(member.U, U)
+        assert np.array_equal(member.s, np.broadcast_to(s, (50,)))
+        assert np.array_equal(member.a, np.broadcast_to(a, stack.a.shape))
+        assert np.array_equal(member.R, np.broadcast_to(R, (50,)))
+    single = factors(stack[4])
+    assert all(type(f.s) is float and type(f.R) is float for f in single)
+    assert_allclose(matrix(single[2]), matrix(h_R[4]), rtol=0, atol=0)
+
+
 def test_ball_automorphism_identity_and_distinguished_point():
     ident = identity_params(2)
     for Z in sample_sphere(3, seed=25, count=20, min_pole_dist=0.2):
@@ -511,15 +571,32 @@ def test_ball_automorphism_identity_and_distinguished_point():
 
 
 def test_ball_automorphism_preserves_sphere():
-    for seed, Z in enumerate(sample_sphere(3, seed=19, count=60, min_pole_dist=0.2)):
-        params = random_params(2, seed)
-        p = cayley(Z)
-        if abs(denominator(params, p)) < 0.1:
-            continue
-        if abs(1j + apply(params, p).w) < 0.1:
-            continue
-        image = ball_automorphism(params, Z)
+    """C^-1 M C has no pole on the sphere: no point is filtered out."""
+    for seed, Z in enumerate(sample_sphere(3, seed=19, count=60)):
+        image = ball_automorphism(random_params(2, seed), Z)
         assert abs(ball_defect(image).value) < 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
+def test_ball_automorphism_at_the_cayley_pole(offset):
+    """At -P, and on the sphere within 1e-6 of it, where the Cayley
+    transform has its pole, the ball map still lands on the sphere and
+    agrees with the limit of the direct formula."""
+    direction = np.array([0.6, 0.8j]) * offset
+    Z = np.append(direction, -np.sqrt(1.0 - offset**2))
+    for seed in range(10):
+        params = random_params(2, seed)
+        image = ball_automorphism(params, Z)
+        assert abs(ball_defect(image).value) < 1e-12
+        stack = random_params(2, seed, count=3)
+        images = ball_automorphism(stack, np.tile(Z, (3, 1)))
+        assert np.abs(ball_defect(images).value).max() < 1e-12
+    # Away from -P by 1e-3 the direct formula is still well conditioned.
+    near = np.append([0.6e-3, 0.8e-3j], -np.sqrt(1.0 - 1e-6))
+    params = random_params(2, seed=3)
+    expected = formulas.ball_automorphism(params.U, params.s, list(params.a), params.R,
+                                          [complex(x) for x in near])
+    assert_allclose(ball_automorphism(params, near), expected, atol=1e-9)
 
 
 def test_ball_automorphism_preserves_interior():

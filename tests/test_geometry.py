@@ -186,6 +186,15 @@ def test_sample_sphere_unit_norm_and_pole_distance():
         assert abs(1.0 + Z[-1]) > 0.3
 
 
+@pytest.mark.parametrize("min_pole_dist", [2.0, 3.0, np.inf, np.nan])
+def test_sample_sphere_rejects_unreachable_pole_distance(min_pole_dist):
+    """|1 + eta| <= 2 on the sphere, so no row could ever pass: the sampler
+    raises at once instead of redrawing forever."""
+    with pytest.raises(ValueError, match="min_pole_dist"):
+        sample_sphere(3, 0, 2, min_pole_dist=min_pole_dist)
+    assert len(sample_sphere(3, 0, 2, min_pole_dist=1.9)) == 2
+
+
 def test_sample_ball_stays_inside_radius():
     for Z in sample_ball(3, seed=6, count=100, radius=0.7):
         assert norm(Z) <= 0.7 + 1e-15

@@ -148,6 +148,29 @@ def test_unitarity_defect_of_a_stack_is_its_worst_member():
     assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
 
 
+def test_unitarity_defect_matches_explicit_gram_difference():
+    """The in-place G - I gives the defect max |U^H U - I| exactly, on one
+    matrix, on stacks and on broadcast stacks (checked once)."""
+    rng = np.random.default_rng(13)
+
+    def explicit(U):
+        eye = np.eye(U.shape[-1])
+        return float(np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max(initial=0.0))
+
+    for n in (1, 3, 7):
+        U = haar_unitary(n, seed=n, count=6)
+        noise = rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape)
+        noisy = U + 1e-9 * noise
+        bad = np.diag(np.linspace(1.0, 2.0, n))
+        cases = [U[0], U, noisy, noisy[2], bad, np.broadcast_to(bad, (4, n, n)),
+                 np.broadcast_to(noisy[:, None], (6, 3, n, n)), np.eye(n), U.real]
+        for case in cases:
+            assert unitarity_defect(case) == explicit(np.asarray(case, dtype=complex))
+    assert unitarity_defect(np.broadcast_to(np.eye(2), (0, 2, 2))) == 0.0
+    with pytest.raises(ValueError, match="square"):
+        unitarity_defect(np.ones((4, 2, 3)))
+
+
 def test_haar_unitary_rejects_bad_dimension():
     with pytest.raises(ValueError):
         haar_unitary(0, seed=1)

@@ -246,6 +246,17 @@ def test_cli_pass_run(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS: 4 checks, 0 failures")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_default_sweep_passes(capsys):
+    """The default sweep (dims 2/4/8, 1000 samples, every suite) passes all
+    81 checks at the default tolerances."""
+    code = cli.main([])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert sum(line.startswith("PASS ") for line in lines) == 81
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_cli_failure_exit_code(capsys):
     code = cli.main([
         "--dim", "2", "--samples", "30", "--suite", "geometry",
