@@ -108,17 +108,17 @@ class AutParams:
 
 @dataclass(frozen=True, eq=False)
 class HoloMap:
-    """A holomorphic map germ given by a batched evaluator.
+    """A holomorphic map germ, or a stack of B germs, given by a batched evaluator.
 
-    ``evaluate(zs, ws)`` takes stacked points (zs of shape (B, dim), ws of
-    shape (B,)) and returns their stacked images ``(F, G)``.  It must be
-    defined (at least) on the polydisc ``max(||z||, |w|) < domain_radius``
-    around the origin.
+    ``evaluate(zs, ws)`` takes stacked points, zs (R, dim) and ws (R,), or
+    member-major rows (B, R, dim) and (B, R) for a stack, and returns their
+    images ``(F, G)``.  Each germ is defined (at least) on the polydisc
+    ``max(||z||, |w|) < domain_radius``, one radius per germ of a stack.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     dim: int
-    domain_radius: float
+    domain_radius: float | np.ndarray
 
 
 def identity_params(dim: int, count: int | None = None) -> AutParams:
@@ -233,10 +233,11 @@ def domain_radius(params: AutParams):
 
 
 def as_holo_map(params: AutParams) -> HoloMap:
-    """Wrap the automorphism as a map germ with a guaranteed domain radius."""
+    """Wrap the automorphism as a map germ with a guaranteed domain radius;
+    a stack of B members gives a stack of B germs (member-major rows)."""
     M = matrix(params)
     return HoloMap(lambda zs, ws: _apply_batch(M, zs, ws), params.dim,
-                   float(domain_radius(params)))
+                   domain_radius(params))
 
 
 def composition_radius(outer: AutParams, inner: AutParams):

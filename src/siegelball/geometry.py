@@ -111,11 +111,12 @@ def _projective(M: np.ndarray, *blocks: np.ndarray, error: type, what: str):
     """The linear-fractional map ``x -> (M x~)[:-1] / (M x~)[-1]``, x~ = (x, 1).
 
     ``x`` is one point (m,) or rows (..., m), whole or as column blocks;
-    ``M`` is one (m+1) x (m+1) matrix for all rows or one per row.  Raises
+    ``M`` is one (m+1) x (m+1) matrix for all rows, one per row, or one per
+    member for member-major rows (B, R, m) against (B, m+1, m+1).  Raises
     ``error`` when any ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
     """
     x = np.concatenate([*blocks, np.ones(blocks[0].shape[:-1] + (1,))], axis=-1)
-    y = x @ M.T if M.ndim == 2 else (M @ x[..., None])[..., 0]
+    y = x @ M.swapaxes(-1, -2) if x.ndim >= M.ndim else (M @ x[..., None])[..., 0]
     del x  # a row stack may be long: free it before the images are allocated
     den = y[..., -1:]
     _check_pole(den, error, what)

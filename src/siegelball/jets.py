@@ -24,10 +24,13 @@ origin-fixing boundary automorphism from its second-order jet:
 
 with the imaginary parts of g_w and R vanishing identically for maps that
 preserve the boundary hypersurface (checked numerically, not assumed).
+One code path serves a germ and a stack of germs (a leading member axis); a
+failed check on a stack names the first failing member.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,14 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import AutParams, HoloMap
-from .hilbert import (
-    COND_MAX,
-    UNITARY_TOL,
-    SingularMatrixError,
-    norm,
-    solve,
-    unitarity_defect,
-)
+from .hilbert import COND_MAX, UNITARY_TOL, sq_norm, unitarity_defect
 
 #: Tolerance for the validity checks in :func:`recover_params`.
 RECOVERY_TOL = 1e-8
@@ -82,14 +78,15 @@ class Jet2:
 
     ``f_z`` and ``f_zw`` are (n-1) x (n-1) matrices whose j-th columns
     differentiate in the z_j direction; ``f_w``, ``f_w2`` and ``g_z`` are
-    vectors; ``g_w`` and ``g_w2`` are scalars.
+    vectors; ``g_w`` and ``g_w2`` are scalars.  The jets of a stack of B
+    germs carry a leading member axis on every field, (B,) for the scalars.
     """
 
     f_z: np.ndarray
     f_w: np.ndarray
     g_z: np.ndarray
-    g_w: complex
-    g_w2: complex
+    g_w: complex | np.ndarray
+    g_w2: complex | np.ndarray
     f_zw: np.ndarray
     f_w2: np.ndarray
 
@@ -128,103 +125,113 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     return total * (math.factorial(order) / cfg.radius**order)
 
 
-def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
-    """Second-order jet of an origin-fixing map germ by Cauchy integrals.
+def _require(ok, error: type, describe) -> None:
+    """Raise ``error(describe(i))`` for the first member i where ``ok`` fails:
+    ``i = ()`` for one member, and a stack's message starts with its index."""
+    if not np.all(ok):
+        i = int(np.argmin(ok)) if np.ndim(ok) else ()
+        raise error(describe(i) if i == () else f"member {i}: {describe(i)}")
 
-    Evaluates ``H`` once, on the origin, the w-circle and the circle along
-    each z_j-axis (``cfg.nodes`` points each), and on the diagonal circles
-    t -> (t e_j, +-t) (twice as many points each), all of radius
-    ``cfg.radius``: 1 + M + 5dM rows for M nodes.  Every point has
-    max(||z||, |w|) = radius.  The w-circle gives ``f_w``, ``g_w``, ``f_w2``
-    and ``g_w2``, the axial circles ``f_z`` and ``g_z``, and the diagonals
-    the mixed block by polarization,
-    f_{z_j w} = (psi_j^+''(0) - psi_j^-''(0)) / 4.  Raises
+
+@functools.lru_cache(maxsize=8)
+def _circles(d: int, M: int):
+    """Rows (zs, ws) at radius 1 and quadrature rows of :func:`extract_jet2`;
+    cached (a few (d, M) pairs), as that is their only reader and never writes them."""
+    t, t2 = _nodes(M, 1.0), _nodes(_DIAGONAL_OVERSAMPLE * M, 1.0)
+    # Rows (z, w): origin | w-circle | z_j-circles | (t e_j, t) | (t e_j, -t),
+    # the circles of each block in direction order.
+    eye = np.eye(d + 1)
+    axes = eye[[d, *range(d)]]
+    diagonals = np.concatenate([eye[:d] + eye[d], eye[:d] - eye[d]])
+    rows = np.concatenate([np.zeros((1, d + 1)),
+                           (axes[:, None, :] * t[:, None]).reshape(-1, d + 1),
+                           (diagonals[:, None, :] * t2[:, None]).reshape(-1, d + 1)])
+    C2 = _coefficients(_DIAGONAL_OVERSAMPLE * M, [2])[0]
+    return rows[:, :-1], rows[:, -1], _coefficients(M, [1, 2]), C2
+
+
+def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
+    """Second-order jet of an origin-fixing map germ, or of a stack of germs.
+
+    Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
+    radius ``cfg.radius``: 1 + M + 5dM rows for M = ``cfg.nodes`` (the
+    diagonal circles take 2M points each).  A stack of B germs gets these
+    rows member-major, and every jet field a leading member axis.  Raises
     :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than 1e-12
     from the origin, and ``ValueError`` when the circle radius does not fit
     inside the advertised domain radius of ``H``.
     """
-    if cfg.radius >= H.domain_radius:
-        msg = (
-            f"differentiation radius {cfg.radius} does not fit inside the "
-            f"map domain (radius {H.domain_radius})"
-        )
-        raise ValueError(msg)
+    radius, r = np.asarray(H.domain_radius), cfg.radius
+    _require(r < radius, ValueError, lambda i: (
+        f"differentiation radius {r} does not fit inside the "
+        f"map domain (radius {radius[i]})"))
     d, M = H.dim, cfg.nodes
     M2 = _DIAGONAL_OVERSAMPLE * M
     axial, diagonal = 1 + M, 1 + M + d * M
-    t, t2 = _nodes(M, cfg.radius), _nodes(M2, cfg.radius)
-    eye = np.eye(d)
-    # Rows: origin | w-circle | z_j-circles | (t e_j, t) | (t e_j, -t), the
-    # circles of each block in direction order.
-    zs = np.zeros((diagonal + 2 * d * M2, d), dtype=complex)
-    ws = np.zeros(len(zs), dtype=complex)
-    ws[1:axial] = t
-    zs[axial:diagonal] = (eye[:, None, :] * t[None, :, None]).reshape(-1, d)
-    zs[diagonal:] = np.tile((eye[:, None, :] * t2[None, :, None]).reshape(-1, d), (2, 1))
-    ws[diagonal:] = np.outer([1.0, -1.0], np.tile(t2, d)).ravel()
-    F, G = H.evaluate(zs, ws)
+    zs, ws, C, C2 = _circles(d, M)
+    batch = radius.shape
+    F, G = H.evaluate(np.broadcast_to(r * zs, batch + zs.shape),
+                      np.broadcast_to(r * ws, batch + ws.shape))
 
-    offset = max(norm(F[0]), abs(G[0]))
-    if offset > ORIGIN_TOL:
-        msg = f"not origin-fixing: |H(0,0)| = {offset:.3e}"
-        raise NotOriginFixingError(msg)
+    offset = np.maximum(np.linalg.norm(F[..., 0, :], axis=-1), np.abs(G[..., 0]))
+    _require(offset <= ORIGIN_TOL, NotOriginFixingError,
+             lambda i: f"not origin-fixing: |H(0,0)| = {offset[i]:.3e}")
 
     # Taylor coefficients times radius^k.  The axial and diagonal blocks are
     # indexed (direction, component), transposed at the end into columns.
-    C = _coefficients(M, [1, 2])
-    f1, f2 = C @ F[1:axial]
-    g1, g2 = (C @ G[1:axial]).tolist()
-    z1 = C[0] @ F[axial:diagonal].reshape(d, M, d)
-    g_z1 = G[axial:diagonal].reshape(d, M) @ C[0]
-    psi = F[diagonal:].reshape(2, d, M2, d)
+    f12 = C @ F[..., 1:axial, :]
+    g12 = G[..., 1:axial] @ C.T
+    z1 = C[0] @ F[..., axial:diagonal, :].reshape(batch + (d, M, d))
+    g_z1 = G[..., axial:diagonal].reshape(batch + (d, M)) @ C[0]
+    psi = F[..., diagonal:, :].reshape(batch + (2, d, M2, d))
     # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.
-    mixed = _coefficients(M2, [2])[0] @ (psi[0] - psi[1])
+    mixed = C2 @ (psi[..., 0, :, :, :] - psi[..., 1, :, :, :])
+    return Jet2(f_z=z1.swapaxes(-1, -2) / r, f_w=f12[..., 0, :] / r,
+                g_z=g_z1 / r, g_w=g12[..., 0] / r, g_w2=2.0 * g12[..., 1] / r**2,
+                f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2),
+                f_w2=2.0 * f12[..., 1, :] / r**2)
 
-    r = cfg.radius
-    return Jet2(f_z=z1.T / r, f_w=f1 / r, g_z=g_z1 / r, g_w=g1 / r,
-                g_w2=2.0 * g2 / r**2, f_zw=mixed.T / (2.0 * r**2),
-                f_w2=2.0 * f2 / r**2)
+
+def recovery_terms(jet: Jet2):
+    """Per member with Re g_w > 0: s = sqrt(Re g_w), U = f_z / s and the complex
+    R = (-g_ww/2 + i ||f_w||^2) / g_w.  For a boundary automorphism's jet U is
+    unitary and R real, which :func:`recover_params` checks."""
+    g_w = np.asarray(jet.g_w)
+    s = np.sqrt(g_w.real)
+    U = np.asarray(jet.f_z, dtype=complex) / s[..., None, None]
+    R = (-0.5 * np.asarray(jet.g_w2) + 1j * sq_norm(np.asarray(jet.f_w))) / g_w
+    return s, U, R
 
 
 def recover_params(jet: Jet2) -> AutParams:
-    """Read automorphism parameters off a second-order jet.
+    """Read automorphism parameters off a second-order jet, or a stack of them.
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
-    the failed identity: g_w must be real and positive; f_z must be
-    invertible ("derivative not onto"); f_z normalised by sqrt(g_w) must be
-    unitary to ``RECOVERY_TOL`` (U is then replaced by its polar factor when
-    it is not unitary to ``hilbert.UNITARY_TOL``); and the recovered R must
-    be real after adding the imaginary correction i ||f_w||^2 / g_w.
+    the failed identity (and, on a stack, the first failing member): g_w
+    must be real and positive; f_z must be invertible ("derivative not
+    onto"); U = f_z / sqrt(g_w) must be unitary to ``RECOVERY_TOL`` (and is
+    replaced by its polar factor when not unitary to ``hilbert.UNITARY_TOL``);
+    and R must be real (:func:`recovery_terms` gives U and R).
     """
-    g_w = complex(jet.g_w)
-    if g_w.real <= 0 or abs(g_w.imag) > RECOVERY_TOL:
-        msg = f"g_w not positive real: {g_w}"
-        raise JetRecoveryError(msg)
-    s = math.sqrt(g_w.real)
-    f_z = np.asarray(jet.f_z, dtype=complex)
-    cond = np.linalg.cond(f_z)
-    if not np.isfinite(cond) or cond > COND_MAX:
-        msg = f"derivative not onto: cond(f_z) = {cond:.3e}"
-        raise JetRecoveryError(msg)
-    U = f_z / s
-    defect = unitarity_defect(U)
-    if defect > RECOVERY_TOL:
-        msg = f"normalized f_z not unitary: defect {defect:.3e}"
-        raise JetRecoveryError(msg)
-    if defect > UNITARY_TOL:
+    g_w = np.asarray(jet.g_w, dtype=complex)
+    _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
+             lambda i: f"g_w not positive real: {g_w[i]}")
+    cond = np.linalg.cond(jet.f_z)
+    _require(cond <= COND_MAX, JetRecoveryError,
+             lambda i: f"derivative not onto: cond(f_z) = {cond[i]:.3e}")
+    s, U, R = recovery_terms(jet)
+    if unitarity_defect(U) > UNITARY_TOL:  # rare: find the members at fault
+        each = np.vectorize(unitarity_defect, signature="(n,n)->()")(U)
+        _require(each <= RECOVERY_TOL, JetRecoveryError,
+                 lambda i: f"normalized f_z not unitary: defect {each[i]:.3e}")
         # Accepted at RECOVERY_TOL but not exactly unitary: use the nearest
         # unitary, the polar factor, so that AutParams accepts it.
         u, _, vh = np.linalg.svd(U)
-        U = u @ vh
-    try:
-        a = solve(f_z, jet.f_w)
-    except SingularMatrixError as exc:
-        msg = f"derivative not onto: {exc}"
-        raise JetRecoveryError(msg) from exc
-    R = (-0.5 * complex(jet.g_w2) + 1j * norm(jet.f_w) ** 2) / g_w
-    if abs(R.imag) > RECOVERY_TOL:
-        msg = f"R not real: Im R = {R.imag:.3e}"
-        raise JetRecoveryError(msg)
+        U = np.where((each > UNITARY_TOL)[..., None, None], u @ vh, U)
+    # f_z is s times a matrix unitary to RECOVERY_TOL: cond(f_z) is about 1.
+    a = np.linalg.solve(jet.f_z, np.asarray(jet.f_w)[..., None])[..., 0]
+    _require(np.abs(R.imag) <= RECOVERY_TOL, JetRecoveryError,
+             lambda i: f"R not real: Im R = {R.imag[i]:.3e}")
     return AutParams(U=U, s=s, a=a, R=R.real)
 
 
@@ -236,16 +243,17 @@ def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
         conj(g_w(0)) <z, u> = <f(z, 0), f_z(0) u + 2i <u, z> f_w(0)>
 
     holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
-    samples (B, dim), with ||z|| small enough to stay inside the domain of
-    ``H``.
+    samples (P, dim), or (B, P, dim) for a stack of B germs, with ||z|| small
+    enough to stay inside the domain of ``H``.
     """
     zs = np.asarray(zs, dtype=complex)
     us = np.asarray(us, dtype=complex)
     jet = extract_jet2(H, cfg)
-    images, _ = H.evaluate(zs, np.zeros(len(zs), dtype=complex))
+    images, _ = H.evaluate(zs, np.zeros(zs.shape[:-1], dtype=complex))
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
-    lhs = np.conj(jet.g_w) * np.sum(zs * us.conj(), axis=-1)
-    partner = us @ jet.f_z.T + 2j * u_dot_z[:, None] * jet.f_w
+    lhs = np.conj(jet.g_w)[..., None] * np.sum(zs * us.conj(), axis=-1)
+    partner = (us @ jet.f_z.swapaxes(-1, -2)
+               + 2j * u_dot_z[..., None] * jet.f_w[..., None, :])
     rhs = np.sum(images * partner.conj(), axis=-1)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -258,28 +266,32 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> float:
 
         g(z, w) - conj(g(chi, tau)) = 2i <f(z, w), f(chi, tau)>
 
-    is evaluated two-sidedly.  Samples falling outside the domain of ``H``
-    are skipped with one warning that counts them; if every sample is
-    skipped a ``ValueError`` is raised.  A pole inside the domain breaks
-    the map's own contract and propagates.
+    is evaluated two-sidedly.  Samples are rows (P, dim) and (P,), or
+    (B, P, dim) and (B, P) for a stack of B germs.  Samples falling outside
+    the domain of ``H`` are skipped with one warning that counts them; if
+    every sample is skipped a ``ValueError`` is raised.  A pole inside the
+    domain breaks the map's own contract and propagates.
     """
     zs = np.asarray(zs, dtype=complex)
     chis = np.asarray(chis, dtype=complex)
     taus = np.asarray(taus, dtype=complex)
     ws = np.conj(taus) + 2j * np.sum(zs * chis.conj(), axis=-1)
-    reach = np.maximum(np.linalg.norm(zs, axis=-1), np.abs(ws))
-    partner_reach = np.maximum(np.linalg.norm(chis, axis=-1), np.abs(taus))
-    inside = (reach < H.domain_radius) & (partner_reach < H.domain_radius)
+    reach = np.maximum.reduce([np.linalg.norm(zs, axis=-1), np.abs(ws),
+                               np.linalg.norm(chis, axis=-1), np.abs(taus)])
+    inside = reach < np.asarray(H.domain_radius)[..., None]
     if not inside.all():
         warnings.warn(
-            f"{np.count_nonzero(~inside)} of {len(inside)} polarization samples "
+            f"{np.count_nonzero(~inside)} of {inside.size} polarization samples "
             "outside map domain; skipped",
             stacklevel=2,
         )
     if not inside.any():
         msg = "all polarization samples fell outside the map domain"
         raise ValueError(msg)
-    f_left, g_left = H.evaluate(zs[inside], ws[inside])
-    f_right, g_right = H.evaluate(chis[inside], taus[inside])
+    # Skipped samples are evaluated at the origin: a stack keeps its rows.
+    f_left, g_left = H.evaluate(np.where(inside[..., None], zs, 0.0),
+                                np.where(inside, ws, 0.0))
+    f_right, g_right = H.evaluate(np.where(inside[..., None], chis, 0.0),
+                                  np.where(inside, taus, 0.0))
     cross = np.sum(f_left * f_right.conj(), axis=-1)
-    return float(np.max(np.abs(g_left - np.conj(g_right) - 2j * cross)))
+    return float(np.max(np.abs(g_left - np.conj(g_right) - 2j * cross)[inside]))

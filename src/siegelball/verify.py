@@ -17,7 +17,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .autgroup import (
     denominator,
     domain_radius,
     factor_apply,
+    factors,
     identity_params,
     invert,
     param_distance,
@@ -49,7 +50,7 @@ from .geometry import (
     sample_sphere,
     siegel_defect,
 )
-from .hilbert import norm, sq_norm, unitarity_defect
+from .hilbert import sq_norm, unitarity_defect
 from .jets import (
     DiffConfig,
     Jet2,
@@ -58,6 +59,7 @@ from .jets import (
     check_polarization,
     extract_jet2,
     recover_params,
+    recovery_terms,
 )
 
 SUITE_NAMES = ("geometry", "autgroup", "jets", "examples")
@@ -416,65 +418,49 @@ def _j_cauchy_monomials(config: RunConfig, rng):
 
 
 def _j_finite_difference(config: RunConfig, rng):
-    d = config.dim - 1
-    base = random_params(d, rng)
-    zero = np.zeros(d, dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    generators = [
-        AutParams(base.U, base.s, zero, 0.0),
-        AutParams(eye, 1.0, base.a, 0.0),
-        AutParams(eye, 1.0, zero, base.R),
-        base,
-    ]
-    worst = 0.0
-    used = 0
-    for params in generators:
+    base = random_params(config.dim - 1, rng)
+    gaps = []
+    for params in (*factors(base), base):  # omega, phi_a, h_R and their product
         H = as_holo_map(params)
-        exact = extract_jet2(H)
-        fd = finite_difference_jet2(H)
-        for name in ("f_z", "f_w", "g_z", "g_w", "g_w2", "f_zw", "f_w2"):
-            gap = np.max(np.abs(np.atleast_1d(getattr(exact, name))
-                                - np.atleast_1d(getattr(fd, name))))
-            worst = max(worst, float(gap))
-            used += int(np.atleast_1d(getattr(exact, name)).size)
-    return [("jets.jet_finite_difference", worst, used)]
+        exact, fd = astuple(extract_jet2(H)), astuple(finite_difference_jet2(H))
+        gaps += [np.abs(e - f).ravel() for e, f in zip(exact, fd)]
+    gaps = np.concatenate(gaps)
+    return [("jets.jet_finite_difference", _worst(gaps), gaps.size)]
+
+
+def _member_blocks(params: AutParams) -> list[slice]:
+    """Consecutive members of a stack, in blocks whose jet evaluations hold at
+    most 2^15 entries: 1 + M + 5dM rows of d + 2 coordinates per member."""
+    d, nodes = params.dim, DiffConfig().nodes
+    size = max(1, 2**15 // ((1 + nodes + 5 * d * nodes) * (d + 2)))
+    return [slice(i, i + size) for i in range(0, len(params.s), size)]
 
 
 def _j_recovery(config: RunConfig, rng):
-    d = config.dim - 1
-    draws = min(100, config.samples)
-    stack = random_params(d, rng, count=draws)
-    worst_dist = 0.0
-    worst_im_r = 0.0
-    worst_unitary = 0.0
-    for i in range(draws):
-        params = stack[i]
-        jet = extract_jet2(as_holo_map(params))
-        worst_dist = max(worst_dist, param_distance(recover_params(jet), params))
-        r_complex = (-0.5 * jet.g_w2 + 1j * norm(jet.f_w) ** 2) / jet.g_w
-        worst_im_r = max(worst_im_r, abs(r_complex.imag))
-        worst_unitary = max(
-            worst_unitary,
-            unitarity_defect(jet.f_z / np.sqrt(jet.g_w.real)),
-        )
-    return [
-        ("jets.recovery_params", worst_dist, draws),
-        ("jets.recovery_im_r", worst_im_r, draws),
-        ("jets.recovery_unitarity", worst_unitary, draws),
-    ]
+    stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
+    worst = np.zeros(3)
+    for block in _member_blocks(stack):
+        jet = extract_jet2(as_holo_map(stack[block]))
+        _, U, R = recovery_terms(jet)
+        dist = param_distance(recover_params(jet), stack[block])
+        worst = np.maximum(worst, [_worst(dist), _worst(np.abs(R.imag)),
+                                   unitarity_defect(U)])
+    names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
+    return [(name, residual, len(stack.s)) for name, residual in zip(names, worst)]
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
     """The jet of h_R against its closed form: f_w2 = 0, g_w2 = -2R, f_zw = -R I."""
     d = config.dim - 1
     draws = 10
-    eye = np.eye(d, dtype=complex)
-    zero = np.zeros(d, dtype=complex)
+    R = rng.uniform(-2, 2, draws)
+    h_R = replace(identity_params(d, draws), R=R)
     worst = 0.0
-    for R in rng.uniform(-2, 2, draws):
-        jet = extract_jet2(as_holo_map(AutParams(eye, 1.0, zero, R)))
-        worst = max(worst, norm(jet.f_w2), abs(jet.g_w2 + 2.0 * R),
-                    float(np.abs(jet.f_zw + R * eye).max()))
+    for block in _member_blocks(h_R):
+        jet = extract_jet2(as_holo_map(h_R[block]))
+        worst = max(worst, _worst(np.linalg.norm(jet.f_w2, axis=-1)),
+                    _worst(np.abs(jet.g_w2 + 2.0 * R[block])),
+                    _worst(np.abs(jet.f_zw + R[block, None, None] * np.eye(d))))
     return [("jets.normalized_f_w2", worst, draws)]
 
 
@@ -482,11 +468,11 @@ def _j_levi(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-    worst = 0.0
-    for _ in range(autos):
-        H = as_holo_map(random_params(d, rng))
-        zs = _radial_rows(rng, per_auto, d, 0.05)
-        worst = max(worst, check_levi(H, zs, _unit_rows(rng, per_auto, d)))
+    stack = random_params(d, rng, count=autos)
+    zs = _radial_rows(rng, autos * per_auto, d, 0.05).reshape(autos, per_auto, d)
+    us = _unit_rows(rng, autos * per_auto, d).reshape(autos, per_auto, d)
+    worst = max(check_levi(as_holo_map(stack[block]), zs[block], us[block])
+                for block in _member_blocks(stack))
     return [("jets.levi_identity", worst, autos * per_auto)]
 
 
@@ -494,13 +480,13 @@ def _j_polarization(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-    worst = 0.0
-    for _ in range(autos):
-        H = as_holo_map(random_params(d, rng))
-        zs = _radial_rows(rng, per_auto, d, 0.04)
-        chis = _radial_rows(rng, per_auto, d, 0.04)
-        taus = _cscalars(rng, per_auto, 0.04)
-        worst = max(worst, check_polarization(H, zs, chis, taus))
+    stack = random_params(d, rng, count=autos)
+    zs = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
+    chis = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
+    taus = _cscalars(rng, autos * per_auto, 0.04).reshape(autos, per_auto)
+    worst = max(check_polarization(as_holo_map(stack[block]), zs[block], chis[block],
+                                   taus[block])
+                for block in _member_blocks(stack))
     return [("jets.polarization_identity", worst, autos * per_auto)]
 
 

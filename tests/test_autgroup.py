@@ -389,6 +389,24 @@ def test_as_holo_map_matches_apply():
         assert abs(fw[i] - q.w) < 1e-14
 
 
+def test_stacked_holo_map_takes_member_major_rows():
+    """A stack's germ evaluates rows (B, R, d) member by member, as ``apply``
+    of each member does on its own rows; its radii are one per member."""
+    stack = random_params(3, 31, count=5)
+    H = as_holo_map(stack)
+    assert H.dim == 3
+    assert_allclose(H.domain_radius, domain_radius(stack), rtol=0)
+    rng = np.random.default_rng(32)
+    rows = 0.3 * (rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4)))
+    rows *= domain_radius(stack)[:, None, None] / np.abs(rows).max()
+    F, G = H.evaluate(rows[..., :-1], rows[..., -1])
+    assert F.shape == (5, 7, 3) and G.shape == (5, 7)
+    for i in range(5):
+        expected = apply(stack[i], rows[i])
+        assert_allclose(F[i], expected[:, :-1], rtol=1e-14, atol=1e-15)
+        assert_allclose(G[i], expected[:, -1], rtol=1e-14, atol=1e-15)
+
+
 def test_compose_two_linear_members():
     U = haar_unitary(2, seed=1)
     V = haar_unitary(2, seed=2)

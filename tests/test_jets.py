@@ -6,6 +6,8 @@ g_ww = -2R and a mixed block -R I, and the translation-like family carries
 all the second-order structure (2i||a||^2 terms).
 """
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from siegelball.autgroup import (
     AutParams,
     HoloMap,
     as_holo_map,
+    domain_radius,
     param_distance,
     random_params,
 )
@@ -362,3 +365,86 @@ def test_recovery_projects_small_unitarity_gap():
     assert is_unitary(recovered.U)
     assert np.linalg.norm(recovered.U - U, 2) < 1e-14
     assert recovered.s == pytest.approx(1.2)
+
+
+#: The wide parameter range, where the default circle radius does not fit.
+WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
+
+
+def _close(stacked, single, rel=1e-13):
+    """Agreement up to roundoff: a batched product may round differently."""
+    scale = max(1.0, float(np.max(np.abs(single))))
+    assert np.max(np.abs(np.asarray(stacked) - single)) <= rel * scale
+
+
+@pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_stacked_jets_match_single_members(dim, ranges):
+    """extract_jet2, recover_params, check_levi and check_polarization on a
+    20-member stack agree with member-by-member calls.  The circles shrink to
+    half the smallest domain radius: the default 0.1 does not fit the wide
+    range."""
+    stack = random_params(dim, 21, count=20, **ranges)
+    radius = 0.5 * float(domain_radius(stack).min())
+    cfg = DiffConfig(radius=radius)
+    rng = np.random.default_rng(22)
+
+    def rows(*shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return 0.5 * radius * z / np.abs(z).max()
+
+    zs, us, chis = (rows(20, 15, dim) for _ in range(3))
+    taus = rows(20, 15)
+    H = as_holo_map(stack)
+    jet = extract_jet2(H, cfg)
+    recovered = recover_params(jet)
+    assert param_distance(recovered, stack).max() < 1e-8
+    levi, polarization = [], []
+    for i in range(20):
+        H_i = as_holo_map(stack[i])
+        single = extract_jet2(H_i, cfg)
+        for field, value in zip(astuple(jet), astuple(single)):
+            _close(field[i], value)
+        for field, value in zip(astuple(recovered), astuple(recover_params(single))):
+            _close(field[i], value)
+        levi.append(check_levi(H_i, zs[i], us[i], cfg))
+        polarization.append(check_polarization(H_i, zs[i], chis[i], taus[i]))
+    # Both residuals sit at roundoff; pairing a member with another member's
+    # samples or jet would leave one of order |z|^2.
+    assert check_levi(H, zs, us, cfg) == pytest.approx(max(levi), abs=1e-15)
+    assert check_polarization(H, zs, chis, taus) == pytest.approx(max(polarization),
+                                                                  abs=1e-15)
+
+
+def test_stacked_recovery_names_failing_member():
+    """Each validity check of recover_params names the first failing member
+    of a stack; the message is otherwise the single-member one."""
+    jet = extract_jet2(as_holo_map(random_params(3, 23, count=6)))
+    g_w = jet.g_w.copy()
+    g_w[4] *= -1.0
+    with pytest.raises(JetRecoveryError, match=r"^member 4: g_w not positive real"):
+        recover_params(replace(jet, g_w=g_w))
+    f_z = jet.f_z.copy()
+    f_z[2] = 0.0
+    f_z[5] = 0.0
+    with pytest.raises(JetRecoveryError, match=r"^member 2: derivative not onto"):
+        recover_params(replace(jet, f_z=f_z))
+    f_z = jet.f_z.copy()
+    f_z[1] = f_z[1] @ np.diag([1.0, 1.5, 1.0])
+    with pytest.raises(JetRecoveryError, match=r"^member 1: normalized f_z not unitary"):
+        recover_params(replace(jet, f_z=f_z))
+    g_w2 = jet.g_w2.copy()
+    g_w2[3] += 1j
+    with pytest.raises(JetRecoveryError, match=r"^member 3: R not real"):
+        recover_params(replace(jet, g_w2=g_w2))
+
+
+def test_stacked_extraction_names_failing_member():
+    """The radius and origin checks of extract_jet2 name the failing member."""
+    radii = np.array([0.5, 0.05, 0.5])
+    shifted = HoloMap(lambda zs, ws: (zs, ws + np.array([0.0, 0.0, 0.5])[:, None]),
+                      dim=2, domain_radius=radii)
+    with pytest.raises(ValueError, match=r"^member 1: differentiation radius 0.1 does"):
+        extract_jet2(shifted)
+    with pytest.raises(NotOriginFixingError, match=r"^member 2: not origin-fixing"):
+        extract_jet2(replace(shifted, domain_radius=np.ones(3)))

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -213,6 +214,19 @@ def test_normalized_jet_check_sees_a_wrong_jet(monkeypatch, field):
     monkeypatch.setattr(verify, "extract_jet2", corrupted)
     results = {r.name: r for r in run(RunConfig(dim=3, samples=10, suites=("jets",)))}
     assert results["jets.normalized_f_w2"].status == "fail"
+
+
+def test_default_run_peak_memory():
+    """The jets groups evaluate in member blocks: the traced peak of a dim-8
+    run stays at most 2 MB (1.29 MB before the groups were stacked)."""
+    run(RunConfig(dim=8, samples=4))  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        run(RunConfig(dim=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_benchmark_tracer_binds_package_names():
