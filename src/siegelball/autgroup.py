@@ -110,10 +110,11 @@ class AutParams:
 class HoloMap:
     """A holomorphic map germ, or a stack of B germs, given by a batched evaluator.
 
-    ``evaluate(zs, ws)`` takes stacked points, zs (R, dim) and ws (R,), or
-    member-major rows (B, R, dim) and (B, R) for a stack, and returns their
-    images ``(F, G)``.  Each germ is defined (at least) on the polydisc
-    ``max(||z||, |w|) < domain_radius``, one radius per germ of a stack.
+    ``evaluate(zs, ws)`` takes stacked points, zs (R, dim) and ws (R,), or for
+    a stack rows that broadcast to member-major (B, R, dim) and (B, R), such
+    as rows (1, R, dim) shared by every member, and returns their images
+    ``(F, G)``, member-major for a stack.  Each germ is defined (at least) on
+    the polydisc ``max(||z||, |w|) < domain_radius``, one radius per germ.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -234,7 +235,7 @@ def domain_radius(params: AutParams):
 
 def as_holo_map(params: AutParams) -> HoloMap:
     """Wrap the automorphism as a map germ with a guaranteed domain radius;
-    a stack of B members gives a stack of B germs (member-major rows)."""
+    a stack of B members gives a stack of B germs (rows as for HoloMap)."""
     M = matrix(params)
     return HoloMap(lambda zs, ws: _apply_batch(M, zs, ws), params.dim,
                    domain_radius(params))

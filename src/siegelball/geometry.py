@@ -99,28 +99,24 @@ def _classify(value, inside) -> DefectReport:
     return DefectReport(value, cls, DEFECT_TOL)
 
 
-def _check_pole(den, error: type, what: str) -> None:
-    """Raise ``error`` when any ``|den| <= EPS_DENOM``; ``what`` names the quantity."""
-    closest = np.abs(den).min(initial=np.inf)
-    if closest <= EPS_DENOM:
-        msg = f"{what} = {closest:.3e}"
-        raise error(msg)
-
-
 def _projective(M: np.ndarray, *blocks: np.ndarray, error: type, what: str):
     """The linear-fractional map ``x -> (M x~)[:-1] / (M x~)[-1]``, x~ = (x, 1).
 
     ``x`` is one point (m,) or rows (..., m), whole or as column blocks;
     ``M`` is one (m+1) x (m+1) matrix for all rows, one per row, or one per
-    member for member-major rows (B, R, m) against (B, m+1, m+1).  Raises
+    member against member-major rows (B, R, m), or rows (1, R, m) shared by
+    every member.  The images are a view into the one product array.  Raises
     ``error`` when any ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
     """
     x = np.concatenate([*blocks, np.ones(blocks[0].shape[:-1] + (1,))], axis=-1)
     y = x @ M.swapaxes(-1, -2) if x.ndim >= M.ndim else (M @ x[..., None])[..., 0]
-    del x  # a row stack may be long: free it before the images are allocated
     den = y[..., -1:]
-    _check_pole(den, error, what)
-    return y[..., :-1] * (1.0 / den)  # one complex division per row
+    closest = np.abs(den).min(initial=np.inf)
+    if closest <= EPS_DENOM:
+        msg = f"{what} = {closest:.3e}"
+        raise error(msg)
+    y *= 1.0 / den  # whole rows: numpy buffers a strided in-place product
+    return y[..., :-1]
 
 
 @functools.cache

@@ -155,23 +155,21 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
 
     Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
     radius ``cfg.radius``: 1 + M + 5dM rows for M = ``cfg.nodes`` (the
-    diagonal circles take 2M points each).  A stack of B germs gets these
-    rows member-major, and every jet field a leading member axis.  Raises
-    :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than 1e-12
-    from the origin, and ``ValueError`` when the circle radius does not fit
-    inside the advertised domain radius of ``H``.
+    diagonal circles take 2M points each), as rows (1, R, d) and (1, R) that
+    a stack's germs share; a stack's jet fields get a leading member axis.
+    Raises :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than
+    1e-12 from the origin, and ``ValueError`` when the circle radius does not
+    fit inside the advertised domain radius of ``H``.
     """
     radius, r = np.asarray(H.domain_radius), cfg.radius
     _require(r < radius, ValueError, lambda i: (
         f"differentiation radius {r} does not fit inside the "
         f"map domain (radius {radius[i]})"))
     d, M = H.dim, cfg.nodes
-    M2 = _DIAGONAL_OVERSAMPLE * M
     axial, diagonal = 1 + M, 1 + M + d * M
     zs, ws, C, C2 = _circles(d, M)
-    batch = radius.shape
-    F, G = H.evaluate(np.broadcast_to(r * zs, batch + zs.shape),
-                      np.broadcast_to(r * ws, batch + ws.shape))
+    lead = (1,) * radius.ndim  # the same rows for every member of a stack
+    F, G = H.evaluate(r * zs.reshape(lead + zs.shape), r * ws.reshape(lead + ws.shape))
 
     offset = np.maximum(np.linalg.norm(F[..., 0, :], axis=-1), np.abs(G[..., 0]))
     _require(offset <= ORIGIN_TOL, NotOriginFixingError,
@@ -181,11 +179,12 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     # indexed (direction, component), transposed at the end into columns.
     f12 = C @ F[..., 1:axial, :]
     g12 = G[..., 1:axial] @ C.T
-    z1 = C[0] @ F[..., axial:diagonal, :].reshape(batch + (d, M, d))
-    g_z1 = G[..., axial:diagonal].reshape(batch + (d, M)) @ C[0]
-    psi = F[..., diagonal:, :].reshape(batch + (2, d, M2, d))
-    # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.
-    mixed = C2 @ (psi[..., 0, :, :, :] - psi[..., 1, :, :, :])
+    z1 = C[0] @ F[..., axial:diagonal, :].reshape(F.shape[:-2] + (d, M, d))
+    g_z1 = G[..., axial:diagonal].reshape(G.shape[:-1] + (d, M)) @ C[0]
+    # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2, read per sign
+    # and then differenced: a difference of the samples would copy them.
+    psi = C2 @ F[..., diagonal:, :].reshape(F.shape[:-2] + (2, d, -1, d))
+    mixed = psi[..., 0, :, :] - psi[..., 1, :, :]
     return Jet2(f_z=z1.swapaxes(-1, -2) / r, f_w=f12[..., 0, :] / r,
                 g_z=g_z1 / r, g_w=g12[..., 0] / r, g_w2=2.0 * g12[..., 1] / r**2,
                 f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2),
@@ -208,19 +207,22 @@ def recover_params(jet: Jet2) -> AutParams:
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity (and, on a stack, the first failing member): g_w
-    must be real and positive; f_z must be invertible ("derivative not
-    onto"); U = f_z / sqrt(g_w) must be unitary to ``RECOVERY_TOL`` (and is
-    replaced by its polar factor when not unitary to ``hilbert.UNITARY_TOL``);
-    and R must be real (:func:`recovery_terms` gives U and R).
+    must be real and positive; f_z must be finite and invertible ("derivative
+    not onto") and U = f_z / sqrt(g_w) unitary to ``RECOVERY_TOL``, both read
+    only when U is not unitary to ``hilbert.UNITARY_TOL`` (U is then replaced
+    by its polar factor); and R must be real (:func:`recovery_terms`).
     """
     g_w = np.asarray(jet.g_w, dtype=complex)
     _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
              lambda i: f"g_w not positive real: {g_w[i]}")
-    cond = np.linalg.cond(jet.f_z)
-    _require(cond <= COND_MAX, JetRecoveryError,
-             lambda i: f"derivative not onto: cond(f_z) = {cond[i]:.3e}")
     s, U, R = recovery_terms(jet)
-    if unitarity_defect(U) > UNITARY_TOL:  # rare: find the members at fault
+    if not unitarity_defect(U) <= UNITARY_TOL:  # rare, or NaN: find the members at fault
+        f_z = np.asarray(jet.f_z, dtype=complex)
+        finite = np.isfinite(f_z).all(axis=(-2, -1))
+        safe = np.where(finite[..., None, None], f_z, np.eye(U.shape[-1]))
+        cond = np.where(finite, np.linalg.cond(safe), np.inf)
+        _require(cond <= COND_MAX, JetRecoveryError,
+                 lambda i: f"derivative not onto: cond(f_z) = {cond[i]:.3e}")
         each = np.vectorize(unitarity_defect, signature="(n,n)->()")(U)
         _require(each <= RECOVERY_TOL, JetRecoveryError,
                  lambda i: f"normalized f_z not unitary: defect {each[i]:.3e}")

@@ -430,9 +430,10 @@ def _j_finite_difference(config: RunConfig, rng):
 
 def _member_blocks(params: AutParams) -> list[slice]:
     """Consecutive members of a stack, in blocks whose jet evaluations hold at
-    most 2^15 entries: 1 + M + 5dM rows of d + 2 coordinates per member."""
+    most 2^16 entries: 1 + M + 5dM rows of d + 2 coordinates per member (6
+    at d = 7).  2^17 would break the 2 MB traced peak of a dim-8 run."""
     d, nodes = params.dim, DiffConfig().nodes
-    size = max(1, 2**15 // ((1 + nodes + 5 * d * nodes) * (d + 2)))
+    size = max(1, 2**16 // ((1 + nodes + 5 * d * nodes) * (d + 2)))
     return [slice(i, i + size) for i in range(0, len(params.s), size)]
 
 

@@ -407,6 +407,21 @@ def test_stacked_holo_map_takes_member_major_rows():
         assert_allclose(G[i], expected[:, -1], rtol=1e-14, atol=1e-15)
 
 
+def test_stacked_holo_map_takes_shared_rows():
+    """Rows (1, R, d) and (1, R) broadcast against a stack's members: each
+    member's images equal ``apply`` of that member on the same rows."""
+    stack = random_params(3, 33, count=5)
+    rng = np.random.default_rng(34)
+    rows = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    rows *= 0.3 * domain_radius(stack).min() / np.abs(rows).max()
+    F, G = as_holo_map(stack).evaluate(rows[None, :, :-1], rows[None, :, -1])
+    assert F.shape == (5, 7, 3) and G.shape == (5, 7)
+    for i in range(5):
+        expected = apply(stack[i], rows)
+        assert_allclose(F[i], expected[:, :-1], rtol=1e-14, atol=1e-15)
+        assert_allclose(G[i], expected[:, -1], rtol=1e-14, atol=1e-15)
+
+
 def test_compose_two_linear_members():
     U = haar_unitary(2, seed=1)
     V = haar_unitary(2, seed=2)
