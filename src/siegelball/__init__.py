@@ -42,7 +42,6 @@ from .hilbert import (
     inner,
     is_unitary,
     norm,
-    solve,
     unitarity_defect,
 )
 from .jets import (
@@ -123,7 +122,6 @@ __all__ = [
     "sample_sphere",
     "shift_map",
     "siegel_defect",
-    "solve",
     "unitarity_defect",
     "whitney_map",
     "whitney_norm_identity",

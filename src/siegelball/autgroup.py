@@ -57,7 +57,8 @@ class AutParams:
 
     A stack of B members carries a leading batch axis on every field:
     U (B, d, d), s (B,), a (B, d), R (B,).  A stack acts row by row on
-    stacked points (member i on row i); ``params[i]`` is member i.
+    stacked points (member i on row i), or on member-major rows (B, R, .)
+    (member i on the rows [i]); ``params[i]`` is member i.
     """
 
     U: np.ndarray
@@ -71,7 +72,7 @@ class AutParams:
             msg = f"U must be square (or a stack of squares), got shape {U.shape}"
             raise ValueError(msg)
         defect = unitarity_defect(U)
-        if defect > hilbert.UNITARY_TOL:
+        if not defect <= hilbert.UNITARY_TOL:  # also NaN
             msg = f"U is not unitary (defect {defect:.3e})"
             raise ValueError(msg)
         batch = U.shape[:-2]
@@ -183,10 +184,10 @@ _POLE = "pole of automorphism: |D|"
 
 
 def apply(params: AutParams, p):
-    """Evaluate the automorphism at a SiegelPoint, or row by row on rows.
-
-    Raises :class:`AutomorphismPoleError` when ``|D| <= EPS_DENOM`` at any point.
-    """
+    """Evaluate the automorphism at a SiegelPoint or on rows: a stack of B
+    members acts row by row on rows (B, n), member by member on member-major
+    rows (B, R, n).  Raises :class:`AutomorphismPoleError` when
+    ``|D| <= EPS_DENOM`` at any point."""
     rows = _projective(matrix(params), siegel_rows(p, params.dim),
                        error=AutomorphismPoleError, what=_POLE)
     return _siegel_like(p, rows)

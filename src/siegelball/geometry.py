@@ -109,7 +109,13 @@ def _projective(M: np.ndarray, *blocks: np.ndarray, error: type, what: str):
     ``error`` when any ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
     """
     x = np.concatenate([*blocks, np.ones(blocks[0].shape[:-1] + (1,))], axis=-1)
-    y = x @ M.swapaxes(-1, -2) if x.ndim >= M.ndim else (M @ x[..., None])[..., 0]
+    if x.ndim < M.ndim:  # one matrix per row
+        y = (M @ x[..., None])[..., 0]
+    else:  # blocks of <= 2^16 multiply-adds: larger ones wake a spinning BLAS thread
+        rows, Mt = max(1, 2**16 // M.shape[-1] ** 2), M.swapaxes(-1, -2)
+        y = np.empty(np.broadcast_shapes(x.shape, M.shape[:-2] + (1, 1)), complex)
+        for i in range(0, x.shape[-2], rows):
+            np.matmul(x[..., i:i + rows, :], Mt, out=y[..., i:i + rows, :])
     den = y[..., -1:]
     closest = np.abs(den).min(initial=np.inf)
     if closest <= EPS_DENOM:

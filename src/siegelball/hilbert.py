@@ -13,15 +13,14 @@ import numpy as np
 #: Per-entry tolerance for "is this matrix unitary" checks.
 UNITARY_TOL = 1e-12
 
-#: Largest condition number accepted by :func:`solve`.
+#: Largest condition number of a derivative accepted by ``jets.recover_params``.
 COND_MAX = 1e8
-
-#: Relative residual required of a solution returned by :func:`solve`.
-SOLVE_RESIDUAL_TOL = 1e-10
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a linear system is singular or too ill-conditioned."""
+    """A singular or ill-conditioned linear system.  The package no longer
+    raises it (``jets.recover_params`` raises ``JetRecoveryError``); it stays
+    exported for existing callers that catch it."""
 
 
 def as_points(u, dim: int | None = None) -> np.ndarray:
@@ -115,37 +114,3 @@ def unitarity_defect(U) -> float:
 def is_unitary(U) -> bool:
     """True when every entry of ``U^H U - I`` is at most ``UNITARY_TOL`` in modulus."""
     return unitarity_defect(U) <= UNITARY_TOL
-
-
-def solve(A, b) -> np.ndarray:
-    """Solve ``A x = b`` for a small well-conditioned square system.
-
-    Raises :class:`SingularMatrixError` when the condition number exceeds
-    ``COND_MAX`` or the computed solution fails the residual bound
-    ``norm(A x - b) <= 1e-10 * norm(b)``.
-    """
-    A = np.asarray(A, dtype=complex)
-    b = as_vector(b)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        msg = f"expected a square matrix, got shape {A.shape}"
-        raise ValueError(msg)
-    if A.shape[0] != b.shape[0]:
-        msg = f"dimension mismatch: matrix {A.shape[0]}, vector {b.shape[0]}"
-        raise ValueError(msg)
-    if not np.all(np.isfinite(A)):
-        msg = "matrix entries must be finite"
-        raise ValueError(msg)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_MAX:
-        msg = f"derivative not invertible (condition estimate {cond:.3e})"
-        raise SingularMatrixError(msg)
-    x = np.linalg.solve(A, b)
-    bnorm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(A @ x - b))
-    if residual > SOLVE_RESIDUAL_TOL * bnorm:
-        msg = (
-            f"derivative not invertible (solve residual {residual:.3e} "
-            f"exceeds {SOLVE_RESIDUAL_TOL:.1e} * norm(b))"
-        )
-        raise SingularMatrixError(msg)
-    return x

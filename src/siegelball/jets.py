@@ -110,8 +110,9 @@ def _coefficients(count: int, orders) -> np.ndarray:
 def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     """Order-th derivative at 0 of a scalar- or array-valued function.
 
-    ``phi`` is evaluated at the ``cfg.nodes`` circle points of radius
-    ``cfg.radius``; any evaluation failure propagates.  Requires
+    ``phi`` is called once, on the array t (M,) of the M = ``cfg.nodes``
+    circle points of radius ``cfg.radius``, and returns its samples with the
+    node axis first, (M, ...); any evaluation failure propagates.  Requires
     ``order <= nodes / 2`` so the wanted coefficient is alias-free.
     """
     if order < 0:
@@ -120,8 +121,12 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     if order > cfg.nodes // 2:
         msg = f"order {order} exceeds nodes/2 = {cfg.nodes // 2}"
         raise ValueError(msg)
-    samples = np.asarray([phi(t) for t in _nodes(cfg.nodes, cfg.radius)], dtype=complex)
-    total = np.tensordot(_coefficients(cfg.nodes, [order])[0], samples, axes=(0, 0))
+    samples = np.asarray(phi(_nodes(cfg.nodes, cfg.radius)), dtype=complex)
+    if samples.shape[:1] != (cfg.nodes,):
+        msg = f"phi must return {cfg.nodes} samples on axis 0, got {samples.shape}"
+        raise ValueError(msg)
+    # einsum, not a BLAS product: a wide one would wake a second BLAS thread.
+    total = np.einsum("m,m...->...", _coefficients(cfg.nodes, [order])[0], samples)
     return total * (math.factorial(order) / cfg.radius**order)
 
 
@@ -197,7 +202,8 @@ def recovery_terms(jet: Jet2):
     unitary and R real, which :func:`recover_params` checks."""
     g_w = np.asarray(jet.g_w)
     s = np.sqrt(g_w.real)
-    U = np.asarray(jet.f_z, dtype=complex) / s[..., None, None]
+    with np.errstate(invalid="ignore"):  # inf / s: a NaN U, rejected as not onto
+        U = np.asarray(jet.f_z, dtype=complex) / s[..., None, None]
     R = (-0.5 * np.asarray(jet.g_w2) + 1j * sq_norm(np.asarray(jet.f_w))) / g_w
     return s, U, R
 

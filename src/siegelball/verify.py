@@ -176,9 +176,9 @@ def _by_blocks(fn, *arrays, size: int = 100) -> np.ndarray:
 
 
 def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
-    """Per row ``max(||z_p - z_q||, |w_p - w_q|)`` of Siegel rows."""
+    """Per row ``max(||z_p - z_q||, |w_p - w_q|)`` of Siegel rows (..., n)."""
     diff = p - q
-    return np.maximum(np.linalg.norm(diff[:, :-1], axis=1), np.abs(diff[:, -1]))
+    return np.maximum(np.linalg.norm(diff[..., :-1], axis=-1), np.abs(diff[..., -1]))
 
 
 def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -187,7 +187,9 @@ def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def finite_difference_jet2(H: HoloMap, step: float = 1e-5) -> Jet2:
-    """Independent second-order jet oracle using central differences."""
+    """Independent second-order jet oracle using central differences, from one
+    evaluation of ``H``.  A stack of germs shares the stencil as rows (1, S, d)
+    and (1, S), and its jet fields gain a leading member axis."""
     d = H.dim
     h = step * np.eye(d, dtype=complex)
     zero = np.zeros((1, d), dtype=complex)
@@ -196,18 +198,19 @@ def finite_difference_jet2(H: HoloMap, step: float = 1e-5) -> Jet2:
     zs = np.concatenate([zero, h, -h, zero, zero, h, h, -h, -h])
     ws = np.concatenate([np.zeros(1 + 2 * d), [step, -step],
                          np.tile(np.repeat([step, -step], d), 2)])
-    F, G = H.evaluate(zs, ws)
+    lead = (1,) * np.ndim(H.domain_radius)  # the same rows for every member
+    F, G = H.evaluate(zs.reshape(lead + zs.shape), ws.reshape(lead + ws.shape))
     cuts = np.cumsum([1, d, d, 1, 1, d, d, d])
-    f0, fz_hi, fz_lo, fw_hi, fw_lo, pp, pm, mp, mm = np.split(F, cuts)
-    g0, gz_hi, gz_lo, gw_hi, gw_lo = np.split(G, cuts)[:5]
+    f0, fz_hi, fz_lo, fw_hi, fw_lo, pp, pm, mp, mm = np.split(F, cuts, axis=-2)
+    g0, gz_hi, gz_lo, gw_hi, gw_lo = np.split(G, cuts, axis=-1)[:5]
     return Jet2(
-        f_z=(fz_hi - fz_lo).T / (2 * step),
-        f_w=(fw_hi - fw_lo)[0] / (2 * step),
+        f_z=(fz_hi - fz_lo).swapaxes(-1, -2) / (2 * step),
+        f_w=(fw_hi - fw_lo)[..., 0, :] / (2 * step),
         g_z=(gz_hi - gz_lo) / (2 * step),
-        g_w=complex((gw_hi - gw_lo)[0]) / (2 * step),
-        g_w2=complex((gw_hi - 2 * g0 + gw_lo)[0]) / step**2,
-        f_zw=(pp - pm - mp + mm).T / (4 * step**2),
-        f_w2=(fw_hi - 2 * f0 + fw_lo)[0] / step**2,
+        g_w=(gw_hi - gw_lo)[..., 0] / (2 * step),
+        g_w2=(gw_hi - 2 * g0 + gw_lo)[..., 0] / step**2,
+        f_zw=(pp - pm - mp + mm).swapaxes(-1, -2) / (4 * step**2),
+        f_w2=(fw_hi - 2 * f0 + fw_lo)[..., 0, :] / step**2,
     )
 
 
@@ -258,11 +261,11 @@ def _g_slice_derivative(config: RunConfig, rng):
     Z0 = _radial_rows(rng, count, n, 0.3)
     V = _unit_rows(rng, count, n)
 
-    def phi(t):  # all slices Z0 + t V at once, as Siegel rows
-        return cayley(Z0 + t * V)
+    def phi(t):  # every slice Z0 + t V at every node t: Siegel rows (len(t), count, n)
+        return cayley(Z0 + t[:, None, None] * V)
 
     analytic = cauchy_derivative(phi, 1, cfg)
-    fd = (phi(step) - phi(-step)) / (2 * step)
+    fd = np.subtract(*phi(np.array([step, -step]))) / (2 * step)
     return [("geometry.cayley_slice_derivative", _worst(np.abs(analytic - fd)), count)]
 
 
@@ -350,24 +353,23 @@ def _a_compose_pointwise(config: RunConfig, rng):
     npairs = max(2, min(10, config.samples // 100))
     outer = random_params(d, rng, count=npairs)
     inner = random_params(d, rng, count=npairs)
-    member = np.repeat(np.arange(npairs), 25)  # 25 points per pair
-    scale = 0.3 * composition_radius(outer, inner)[member]
-    points = _small_rows(rng, len(member), d, scale)
-    direct = apply(compose(outer, inner)[member], points)
-    chained = apply(outer[member], apply(inner[member], points))
+    scale = np.repeat(0.3 * composition_radius(outer, inner), 25)  # 25 points per pair
+    points = _small_rows(rng, len(scale), d, scale).reshape(npairs, 25, d + 1)
+    direct = apply(compose(outer, inner), points)  # member-major rows
+    chained = apply(outer, apply(inner, points))
     return [("autgroup.compose_pointwise", _worst(_siegel_gap(direct, chained)),
-             len(member))]
+             len(scale))]
 
 
 def _a_invert_roundtrip(config: RunConfig, rng):
     d = config.dim - 1
     draws = max(2, min(10, config.samples // 100))
     params = random_params(d, rng, count=draws)
-    member = np.repeat(np.arange(draws), 25)  # 25 points per draw
-    points = _small_rows(rng, len(member), d, 0.3 * domain_radius(params)[member])
-    back = apply(invert(params)[member], apply(params[member], points))
+    scale = np.repeat(0.3 * domain_radius(params), 25)  # 25 points per draw
+    points = _small_rows(rng, len(scale), d, scale).reshape(draws, 25, d + 1)
+    back = apply(invert(params), apply(params, points))  # member-major rows
     return [("autgroup.invert_roundtrip", _worst(_siegel_gap(back, points)),
-             len(member))]
+             len(scale))]
 
 
 def _a_compose_associative(config: RunConfig, rng):
@@ -409,7 +411,7 @@ def _j_cauchy_monomials(config: RunConfig, rng):
     used = 0
     for order in range(9):
         # Every monomial t^degree of degree >= order at once.
-        values = cauchy_derivative(lambda t: t**degrees, order, cfg)[order:]
+        values = cauchy_derivative(lambda t: t[:, None] ** degrees, order, cfg)[order:]
         scale = float(math.factorial(order))
         expected = np.where(degrees[order:] == order, scale, 0.0)
         worst = max(worst, _worst(np.abs(values - expected)) / scale)
@@ -418,13 +420,11 @@ def _j_cauchy_monomials(config: RunConfig, rng):
 
 
 def _j_finite_difference(config: RunConfig, rng):
-    base = random_params(config.dim - 1, rng)
-    gaps = []
-    for params in (*factors(base), base):  # omega, phi_a, h_R and their product
-        H = as_holo_map(params)
-        exact, fd = astuple(extract_jet2(H)), astuple(finite_difference_jet2(H))
-        gaps += [np.abs(e - f).ravel() for e, f in zip(exact, fd)]
-    gaps = np.concatenate(gaps)
+    base = random_params(config.dim - 1, rng, count=1)
+    members = (*factors(base), base)  # omega, phi_a, h_R and their product: one stack
+    H = as_holo_map(AutParams(*map(np.concatenate, zip(*map(astuple, members)))))
+    exact, fd = astuple(extract_jet2(H)), astuple(finite_difference_jet2(H))
+    gaps = np.concatenate([np.abs(e - f).ravel() for e, f in zip(exact, fd)])
     return [("jets.jet_finite_difference", _worst(gaps), gaps.size)]
 
 

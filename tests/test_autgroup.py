@@ -284,6 +284,34 @@ def test_params_validation():
         AutParams(np.eye(2), 1.0, np.zeros(3), 0.0)
 
 
+def test_params_reject_nan_unitary():
+    """A NaN unitarity defect is not within tolerance: a U of NaN is refused
+    for one member and as one member of a stack."""
+    with pytest.raises(ValueError, match="not unitary"):
+        AutParams(np.full((2, 2), np.nan), 1.0, np.zeros(2), 0.0)
+    stack = random_params(2, seed=48, count=4)
+    U = stack.U.copy()
+    U[2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        AutParams(U, stack.s, stack.a, stack.R)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_apply_on_member_major_rows_matches_single_members(d):
+    """A stack of B members maps member-major rows (B, R, n) member by member,
+    as ``apply`` of member i does on rows[i]; R spans more than one product
+    block of 2^16 multiply-adds."""
+    stack = random_params(d, seed=45, count=4)
+    shape = (4, 2**16 // (d + 2) ** 2 + 3, d + 1)
+    rng = np.random.default_rng(46)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows *= 0.3 * domain_radius(stack)[:, None, None] / np.abs(rows).max()
+    images = apply(stack, rows)
+    assert images.shape == rows.shape
+    for i in range(4):
+        assert_allclose(images[i], apply(stack[i], rows[i]), rtol=1e-14, atol=1e-15)
+
+
 @pytest.mark.parametrize("ranges", [{}, WIDE])
 def test_stacked_apply_matches_single_members(ranges):
     """A stack of B members on B rows equals B single-member calls."""

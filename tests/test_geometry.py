@@ -215,10 +215,10 @@ def test_cayley_slice_is_holomorphic():
     V = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     V /= np.linalg.norm(V)
 
-    def phi(t):
-        return _pvec(cayley(Z0 + t * V))
+    def phi(t):  # the slice at every node t: Siegel rows (len(t), 3)
+        return cayley(Z0 + t[:, None] * V)
 
     analytic = cauchy_derivative(phi, 1, DiffConfig(radius=0.05))
     step = 1e-5
-    fd = (phi(step) - phi(-step)) / (2 * step)
+    fd = np.subtract(*phi(np.array([step, -step]))) / (2 * step)
     assert np.max(np.abs(analytic - fd)) < 1e-6

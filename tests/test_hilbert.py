@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from siegelball.hilbert import (
-    SingularMatrixError,
     as_vector,
     haar_unitary,
     inner,
     is_unitary,
     norm,
-    solve,
     sq_norm,
     unitarity_defect,
 )
@@ -200,41 +198,3 @@ def test_sq_norm_matches_sum_of_squared_moduli():
         value = sq_norm(u)
         assert np.shape(value) == u.shape[:-1]
         assert_allclose(value, reference(u), rtol=1e-15, atol=0.0)
-
-
-def test_solve_small_system():
-    A = np.array([[2.0, 0.0], [0.0, 1j]])
-    b = np.array([4.0, 2.0])
-    x = solve(A, b)
-    assert_allclose(A @ x, b, atol=1e-12)
-    assert_allclose(x, [2.0, -2j])
-
-
-def test_solve_scaled_identity():
-    b = np.array([1.0 + 1j, -2.0, 0.5j])
-    assert_allclose(solve(np.eye(3), b), b)
-    assert_allclose(solve(2.0 * np.eye(3), b), b / 2.0)
-
-
-def test_solve_unitary_system():
-    U = haar_unitary(4, seed=13)
-    x = np.arange(1.0, 5.0) + 1j
-    assert_allclose(solve(U, U @ x), x, atol=1e-12)
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(SingularMatrixError, match="not invertible"):
-        solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
-
-
-def test_solve_rejects_ill_conditioned():
-    A = np.diag([1.0, 1e-12])
-    with pytest.raises(SingularMatrixError):
-        solve(A, np.array([1.0, 1.0]))
-
-
-def test_solve_shape_checks():
-    with pytest.raises(ValueError, match="square"):
-        solve(np.ones((2, 3)), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        solve(np.eye(2), np.array([1.0, 2.0, 3.0]))

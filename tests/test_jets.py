@@ -7,6 +7,7 @@ all the second-order structure (2i||a||^2 terms).
 """
 
 import tracemalloc
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -70,12 +71,30 @@ def test_cauchy_derivative_monomials():
     assert abs(cauchy_derivative(lambda t: t**5, 5, cfg) - 120.0) < 1e-10
     assert abs(cauchy_derivative(lambda t: t**5, 3, cfg)) < 1e-10
     assert abs(cauchy_derivative(lambda t: t**2, 0, cfg)) < 1e-14
-    assert abs(cauchy_derivative(lambda t: 3.0 + 0j, 1, cfg)) < 1e-14
+    assert abs(cauchy_derivative(lambda t: np.full_like(t, 3.0), 1, cfg)) < 1e-14
 
 
 def test_cauchy_derivative_array_valued():
-    value = cauchy_derivative(lambda t: np.array([t, t**2]), 1)
+    value = cauchy_derivative(lambda t: np.stack([t, t**2], axis=-1), 1)
     assert_allclose(value, [1.0, 0.0], atol=1e-12)
+
+
+def test_cauchy_derivative_calls_phi_once_on_every_node():
+    """phi gets all M circle nodes in one call and answers node axis first;
+    samples along another axis are refused."""
+    cfg = DiffConfig(radius=0.3, nodes=16)
+    calls = []
+
+    def phi(t):
+        calls.append(t.copy())
+        return np.stack([np.exp(t), t**3], axis=-1)
+
+    assert_allclose(cauchy_derivative(phi, 3, cfg), [1.0, 6.0], atol=1e-10)
+    assert len(calls) == 1 and calls[0].shape == (16,)
+    assert len(np.unique(calls[0])) == 16
+    assert_allclose(np.abs(calls[0]), 0.3, rtol=1e-15)
+    with pytest.raises(ValueError, match="16 samples on axis 0"):
+        cauchy_derivative(lambda t: np.stack([t, t**2]), 1, cfg)
 
 
 def test_cauchy_derivative_order_limits():
@@ -314,6 +333,19 @@ def test_recovery_rejects_nan_derivative():
     f_z[3, 2, 0] = np.nan
     with pytest.raises(JetRecoveryError, match=r"^member 3: derivative not onto: .* = inf"):
         recover_params(replace(jet, f_z=f_z))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_recovery_rejects_non_finite_member_without_warning(bad):
+    """A member whose f_z is inf or NaN is a typed "derivative not onto";
+    no RuntimeWarning escapes on the way."""
+    jet = extract_jet2(as_holo_map(random_params(3, 24, count=6)))
+    f_z = jet.f_z.copy()
+    f_z[4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JetRecoveryError, match=r"^member 4: derivative not onto"):
+            recover_params(replace(jet, f_z=f_z))
 
 
 def test_recovery_rejects_non_unitary_derivative():

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -201,6 +202,20 @@ def test_finite_difference_oracle_on_linear_member():
     assert np.max(np.abs(jet.f_w)) < 1e-6
 
 
+def test_stacked_finite_difference_oracle_matches_single_members():
+    """A stack of germs shares one stencil: each member's oracle jet equals
+    the oracle run on that member alone."""
+    stack = random_params(3, seed=47, count=5)
+    stacked = finite_difference_jet2(as_holo_map(stack), step=1e-3)
+    for i in range(5):
+        single = finite_difference_jet2(as_holo_map(stack[i]), step=1e-3)
+        for field in dataclasses.fields(single):
+            value = getattr(single, field.name)
+            assert np.shape(getattr(stacked, field.name)) == (5, *np.shape(value))
+            np.testing.assert_allclose(getattr(stacked, field.name)[i], value,
+                                       rtol=1e-12, atol=1e-12, err_msg=field.name)
+
+
 @pytest.mark.parametrize("field", ["g_w2", "f_zw"])
 def test_normalized_jet_check_sees_a_wrong_jet(monkeypatch, field):
     """``jets.normalized_f_w2`` compares the whole h_R jet with its closed
@@ -227,6 +242,18 @@ def test_default_run_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_default_run_keeps_one_core_busy():
+    """A dim-8 run is one thread of work, and every BLAS product in it stays
+    small enough for OpenBLAS to keep on that thread: a threaded product
+    leaves a second thread spinning (about 1.95 CPU-seconds per second)."""
+    run(RunConfig(dim=8, samples=4))  # caches and lazy imports
+    time.sleep(0.5)  # BLAS threads woken before this test go idle
+    cpu, wall = time.process_time(), time.perf_counter()
+    run(RunConfig(dim=8))
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.2 * wall, f"{cpu:.3f} CPU-s in {wall:.3f} s"
 
 
 def test_benchmark_tracer_binds_package_names():
