@@ -11,7 +11,6 @@ identities, and a deterministic verification CLI.
 from .autgroup import (
     AutomorphismPoleError,
     AutParams,
-    HoloMap,
     apply,
     as_holo_map,
     ball_automorphism,
@@ -57,7 +56,7 @@ from .jets import (
 )
 from .maps import (
     INFINITY,
-    BallMap,
+    HoloMap,
     LambdaSeq,
     MultiIndexTable,
     WhitneySpec,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutParams",
     "AutomorphismPoleError",
-    "BallMap",
     "CayleyPoleError",
     "CheckResult",
     "DefectReport",

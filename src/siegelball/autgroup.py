@@ -27,13 +27,13 @@ pole-checked kernel ``geometry._projective`` on a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from . import hilbert
 from .geometry import _cayley_matrices, _projective, _siegel_like, siegel_rows
 from .hilbert import as_points, haar_unitary, sq_norm, unitarity_defect
+from .maps import HoloMap
 
 #: Cap on the advertised domain radius of an automorphism seen as a map germ.
 DOMAIN_RADIUS_CAP = 2.0
@@ -107,22 +107,6 @@ class AutParams:
         return self.R - 1j * sq_norm(self.a)
 
 
-@dataclass(frozen=True, eq=False)
-class HoloMap:
-    """A holomorphic map germ, or a stack of B germs, given by a batched evaluator.
-
-    ``evaluate(zs, ws)`` takes stacked points, zs (R, dim) and ws (R,), or for
-    a stack rows that broadcast to member-major (B, R, dim) and (B, R), such
-    as rows (1, R, dim) shared by every member, and returns their images
-    ``(F, G)``, member-major for a stack.  Each germ is defined (at least) on
-    the polydisc ``max(||z||, |w|) < domain_radius``, one radius per germ.
-    """
-
-    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    dim: int
-    domain_radius: float | np.ndarray
-
-
 def identity_params(dim: int, count: int | None = None) -> AutParams:
     """The identity automorphism on C^dim x C, or a stack of ``count`` copies."""
     batch = () if count is None else (count,)
@@ -180,24 +164,18 @@ def denominator(params: AutParams, p):
     return 1.0 + (siegel_rows(p, params.dim) * _denominator_row(params, row)).sum(axis=-1)
 
 
-_POLE = "pole of automorphism: |D|"
-
-
 def apply(params: AutParams, p):
     """Evaluate the automorphism at a SiegelPoint or on rows: a stack of B
     members acts row by row on rows (B, n), member by member on member-major
     rows (B, R, n).  Raises :class:`AutomorphismPoleError` when
     ``|D| <= EPS_DENOM`` at any point."""
-    rows = _projective(matrix(params), siegel_rows(p, params.dim),
-                       error=AutomorphismPoleError, what=_POLE)
-    return _siegel_like(p, rows)
+    return _siegel_like(p, _apply_batch(matrix(params), siegel_rows(p, params.dim)))
 
 
-def _apply_batch(M: np.ndarray, zs, ws) -> tuple[np.ndarray, np.ndarray]:
-    """Images ``(F, G)`` of stacked points (rows of zs, entries of ws) under
-    the member(s) with projective matrix ``M``."""
-    rows = _projective(M, zs, ws[..., None], error=AutomorphismPoleError, what=_POLE)
-    return rows[..., :-1], rows[..., -1]
+def _apply_batch(M: np.ndarray, rows) -> np.ndarray:
+    """Images of Siegel rows under the member(s) with projective matrix ``M``."""
+    return _projective(M, rows, error=AutomorphismPoleError,
+                       what="pole of automorphism: |D|")
 
 
 def factors(params: AutParams) -> tuple[AutParams, AutParams, AutParams]:
@@ -235,11 +213,11 @@ def domain_radius(params: AutParams):
 
 
 def as_holo_map(params: AutParams) -> HoloMap:
-    """Wrap the automorphism as a map germ with a guaranteed domain radius;
-    a stack of B members gives a stack of B germs (rows as for HoloMap)."""
-    M = matrix(params)
-    return HoloMap(lambda zs, ws: _apply_batch(M, zs, ws), params.dim,
-                   domain_radius(params))
+    """Wrap the automorphism as a germ C^(d+1) -> C^(d+1) on Siegel rows, with
+    a guaranteed domain radius; a stack of B members gives a stack of B germs
+    (rows as for HoloMap)."""
+    M, n = matrix(params), params.dim + 1
+    return HoloMap(lambda rows: _apply_batch(M, rows), n, n, domain_radius(params))
 
 
 def composition_radius(outer: AutParams, inner: AutParams):

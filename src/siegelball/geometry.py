@@ -99,16 +99,16 @@ def _classify(value, inside) -> DefectReport:
     return DefectReport(value, cls, DEFECT_TOL)
 
 
-def _projective(M: np.ndarray, *blocks: np.ndarray, error: type, what: str):
+def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
     """The linear-fractional map ``x -> (M x~)[:-1] / (M x~)[-1]``, x~ = (x, 1).
 
-    ``x`` is one point (m,) or rows (..., m), whole or as column blocks;
-    ``M`` is one (m+1) x (m+1) matrix for all rows, one per row, or one per
-    member against member-major rows (B, R, m), or rows (1, R, m) shared by
-    every member.  The images are a view into the one product array.  Raises
-    ``error`` when any ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
+    ``x`` is one point (m,) or rows (..., m); ``M`` is one (m+1) x (m+1)
+    matrix for all rows, one per row, or one per member against member-major
+    rows (B, R, m), or rows (1, R, m) shared by every member.  The images are
+    a view into the one product array.  Raises ``error`` when any
+    ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
     """
-    x = np.concatenate([*blocks, np.ones(blocks[0].shape[:-1] + (1,))], axis=-1)
+    x = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
     if x.ndim < M.ndim:  # one matrix per row
         y = (M @ x[..., None])[..., 0]
     else:  # blocks of <= 2^16 multiply-adds: larger ones wake a spinning BLAS thread

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autgroup import AutParams, HoloMap
+from .autgroup import AutParams
 from .hilbert import COND_MAX, UNITARY_TOL, sq_norm, unitarity_defect
+from .maps import HoloMap
 
 #: Tolerance for the validity checks in :func:`recover_params`.
 RECOVERY_TOL = 1e-8
@@ -52,7 +53,8 @@ class NotOriginFixingError(ValueError):
 
 
 class JetRecoveryError(ValueError):
-    """Raised when a jet fails one of the recovery validity identities."""
+    """Raised when a germ's circles do not fit inside its domain, or when its
+    jet fails a recovery validity identity (N != n is "derivative not onto")."""
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,14 @@ class DiffConfig:
 
 @dataclass(frozen=True, eq=False)
 class Jet2:
-    """Second-order jet data of an origin-fixing map (f, g) at the origin.
+    """Second-order jet data of an origin-fixing germ (f, g): C^n -> C^N at
+    the origin, f the first N - 1 image coordinates and g the last.
 
-    ``f_z`` and ``f_zw`` are (n-1) x (n-1) matrices whose j-th columns
-    differentiate in the z_j direction; ``f_w``, ``f_w2`` and ``g_z`` are
-    vectors; ``g_w`` and ``g_w2`` are scalars.  The jets of a stack of B
-    germs carry a leading member axis on every field, (B,) for the scalars.
+    ``f_z`` and ``f_zw`` are (N-1) x (n-1) matrices whose j-th columns
+    differentiate in the z_j direction; ``f_w`` and ``f_w2`` have length
+    N - 1 and ``g_z`` length n - 1; ``g_w`` and ``g_w2`` are scalars.  The
+    jets of a stack of B germs carry a leading member axis on every field,
+    (B,) for the scalars.
     """
 
     f_z: np.ndarray
@@ -140,7 +144,7 @@ def _require(ok, error: type, describe) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _circles(d: int, M: int):
-    """Rows (zs, ws) at radius 1 and quadrature rows of :func:`extract_jet2`;
+    """Siegel rows at radius 1 and quadrature rows of :func:`extract_jet2`;
     cached (a few (d, M) pairs), as that is their only reader and never writes them."""
     t, t2 = _nodes(M, 1.0), _nodes(_DIAGONAL_OVERSAMPLE * M, 1.0)
     # Rows (z, w): origin | w-circle | z_j-circles | (t e_j, t) | (t e_j, -t),
@@ -152,29 +156,31 @@ def _circles(d: int, M: int):
                            (axes[:, None, :] * t[:, None]).reshape(-1, d + 1),
                            (diagonals[:, None, :] * t2[:, None]).reshape(-1, d + 1)])
     C2 = _coefficients(_DIAGONAL_OVERSAMPLE * M, [2])[0]
-    return rows[:, :-1], rows[:, -1], _coefficients(M, [1, 2]), C2
+    return rows, _coefficients(M, [1, 2]), C2
 
 
 def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     """Second-order jet of an origin-fixing map germ, or of a stack of germs.
 
     Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
-    radius ``cfg.radius``: 1 + M + 5dM rows for M = ``cfg.nodes`` (the
-    diagonal circles take 2M points each), as rows (1, R, d) and (1, R) that
-    a stack's germs share; a stack's jet fields get a leading member axis.
+    radius ``cfg.radius``: 1 + M + 5dM Siegel rows (z, w) for M = ``cfg.nodes``
+    (the diagonal circles take 2M points each), as rows (1, R, d + 1) that a
+    stack's germs share; a stack's jet fields get a leading member axis.  The
+    image width N, and with it the jet's shapes, is read off the images.
     Raises :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than
-    1e-12 from the origin, and ``ValueError`` when the circle radius does not
-    fit inside the advertised domain radius of ``H``.
+    1e-12 from the origin, and :class:`JetRecoveryError` when the circle
+    radius does not fit inside the advertised domain radius of ``H``.
     """
     radius, r = np.asarray(H.domain_radius), cfg.radius
-    _require(r < radius, ValueError, lambda i: (
+    _require(r < radius, JetRecoveryError, lambda i: (
         f"differentiation radius {r} does not fit inside the "
         f"map domain (radius {radius[i]})"))
     d, M = H.dim, cfg.nodes
     axial, diagonal = 1 + M, 1 + M + d * M
-    zs, ws, C, C2 = _circles(d, M)
+    rows, C, C2 = _circles(d, M)
     lead = (1,) * radius.ndim  # the same rows for every member of a stack
-    F, G = H.evaluate(r * zs.reshape(lead + zs.shape), r * ws.reshape(lead + ws.shape))
+    images = H.evaluate(r * rows.reshape(lead + rows.shape))
+    F, G, k = images[..., :-1], images[..., -1], images.shape[-1] - 1
 
     offset = np.maximum(np.linalg.norm(F[..., 0, :], axis=-1), np.abs(G[..., 0]))
     _require(offset <= ORIGIN_TOL, NotOriginFixingError,
@@ -184,11 +190,11 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     # indexed (direction, component), transposed at the end into columns.
     f12 = C @ F[..., 1:axial, :]
     g12 = G[..., 1:axial] @ C.T
-    z1 = C[0] @ F[..., axial:diagonal, :].reshape(F.shape[:-2] + (d, M, d))
+    z1 = C[0] @ F[..., axial:diagonal, :].reshape(F.shape[:-2] + (d, M, k))
     g_z1 = G[..., axial:diagonal].reshape(G.shape[:-1] + (d, M)) @ C[0]
     # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2, read per sign
     # and then differenced: a difference of the samples would copy them.
-    psi = C2 @ F[..., diagonal:, :].reshape(F.shape[:-2] + (2, d, -1, d))
+    psi = C2 @ F[..., diagonal:, :].reshape(F.shape[:-2] + (2, d, C2.size, k))
     mixed = psi[..., 0, :, :] - psi[..., 1, :, :]
     return Jet2(f_z=z1.swapaxes(-1, -2) / r, f_w=f12[..., 0, :] / r,
                 g_z=g_z1 / r, g_w=g12[..., 0] / r, g_w2=2.0 * g12[..., 1] / r**2,
@@ -212,12 +218,17 @@ def recover_params(jet: Jet2) -> AutParams:
     """Read automorphism parameters off a second-order jet, or a stack of them.
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
-    the failed identity (and, on a stack, the first failing member): g_w
-    must be real and positive; f_z must be finite and invertible ("derivative
-    not onto") and U = f_z / sqrt(g_w) unitary to ``RECOVERY_TOL``, both read
-    only when U is not unitary to ``hilbert.UNITARY_TOL`` (U is then replaced
-    by its polar factor); and R must be real (:func:`recovery_terms`).
+    the failed identity (and, on a stack, the first failing member): f_z
+    must be square, N = n, and finite and invertible ("derivative not onto",
+    the paper's hypothesis); g_w must be real and positive; U = f_z / sqrt(g_w)
+    must be unitary to ``RECOVERY_TOL``, and invertibility and unitarity are
+    read only when U is not unitary to ``hilbert.UNITARY_TOL`` (U is then
+    replaced by its polar factor); and R must be real (:func:`recovery_terms`).
     """
+    k, d = np.shape(jet.f_z)[-2:]
+    if k != d:
+        msg = f"derivative not onto: f_z is {k} x {d}"
+        raise JetRecoveryError(msg)
     g_w = np.asarray(jet.g_w, dtype=complex)
     _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
              lambda i: f"g_w not positive real: {g_w[i]}")
@@ -252,12 +263,13 @@ def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
 
     holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
     samples (P, dim), or (B, P, dim) for a stack of B germs, with ||z|| small
-    enough to stay inside the domain of ``H``.
+    enough to stay inside the domain of ``H``; f(z, 0) is read off the images
+    of the Siegel rows (z, 0).
     """
     zs = np.asarray(zs, dtype=complex)
     us = np.asarray(us, dtype=complex)
     jet = extract_jet2(H, cfg)
-    images, _ = H.evaluate(zs, np.zeros(zs.shape[:-1], dtype=complex))
+    images = H.evaluate(np.concatenate([zs, 0 * zs[..., :1]], axis=-1))[..., :-1]
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
     lhs = np.conj(jet.g_w)[..., None] * np.sum(zs * us.conj(), axis=-1)
     partner = (us @ jet.f_z.swapaxes(-1, -2)
@@ -274,10 +286,11 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> float:
 
         g(z, w) - conj(g(chi, tau)) = 2i <f(z, w), f(chi, tau)>
 
-    is evaluated two-sidedly.  Samples are rows (P, dim) and (P,), or
-    (B, P, dim) and (B, P) for a stack of B germs.  Samples falling outside
-    the domain of ``H`` are skipped with one warning that counts them; if
-    every sample is skipped a ``ValueError`` is raised.  A pole inside the
+    is evaluated two-sidedly on the Siegel rows (z, w) and (chi, tau), with
+    g the images' last column and f the rest.  Samples are rows (P, dim) and
+    (P,), or (B, P, dim) and (B, P) for a stack of B germs.  Samples falling
+    outside the domain of ``H`` are skipped with one warning that counts them;
+    if every sample is skipped a ``ValueError`` is raised.  A pole inside the
     domain breaks the map's own contract and propagates.
     """
     zs = np.asarray(zs, dtype=complex)
@@ -297,9 +310,9 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> float:
         msg = "all polarization samples fell outside the map domain"
         raise ValueError(msg)
     # Skipped samples are evaluated at the origin: a stack keeps its rows.
-    f_left, g_left = H.evaluate(np.where(inside[..., None], zs, 0.0),
-                                np.where(inside, ws, 0.0))
-    f_right, g_right = H.evaluate(np.where(inside[..., None], chis, 0.0),
-                                  np.where(inside, taus, 0.0))
-    cross = np.sum(f_left * f_right.conj(), axis=-1)
-    return float(np.max(np.abs(g_left - np.conj(g_right) - 2j * cross)[inside]))
+    keep = inside[..., None]
+    left = H.evaluate(np.where(keep, np.concatenate([zs, ws[..., None]], -1), 0.0))
+    right = H.evaluate(np.where(keep, np.concatenate([chis, taus[..., None]], -1), 0.0))
+    cross = np.sum(left[..., :-1] * right[..., :-1].conj(), axis=-1)
+    residual = left[..., -1] - np.conj(right[..., -1]) - 2j * cross
+    return float(np.max(np.abs(residual)[inside]))

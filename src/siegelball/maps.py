@@ -1,4 +1,4 @@
-"""Coordinate maps of the ball with closed-form norm identities.
+"""The one map type, :class:`HoloMap`, and ball maps with closed-form norm identities.
 
 Two families of holomorphic maps from the unit ball of C^n into a
 higher-dimensional ball, each squashing the whole sphere (or a piece of it)
@@ -31,15 +31,27 @@ NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class BallMap:
-    """A holomorphic coordinate map from C^n into C^N.
+class HoloMap:
+    """A holomorphic map from C^n into C^N, or a stack of B map germs.
 
-    ``evaluate`` maps points (..., n) to images (..., N), one point or a stack.
+    ``evaluate`` maps rows (..., n) to images (..., N): ball points for the
+    coordinate maps below, Siegel rows ``(z, w)`` for germs at the Siegel
+    origin.  A stack's evaluator takes rows that broadcast to member-major
+    (B, R, n), such as rows (1, R, n) shared by every member, and returns
+    member-major images.  Each germ is defined (at least) on the polydisc
+    ``max(||z||, |w|) < domain_radius``, one radius per member (infinite for
+    the polynomial maps).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     input_dim: int
     output_dim: int
+    domain_radius: float | np.ndarray = math.inf
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the z-part of the Siegel rows, ``input_dim - 1``."""
+        return self.input_dim - 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,7 @@ class LambdaSeq:
         return len(self.values)
 
 
-def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> BallMap:
+def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> HoloMap:
     """Map with coordinates ``lambda_|alpha| * prod_j Z_alpha_j``, one per index.
 
     Requires the table to cover every multi-index up to its degree cap and
@@ -168,7 +180,7 @@ def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> BallMap:
         out *= coef
         return out if order is None else out[..., order]
 
-    return BallMap(evaluate, n, table.size)
+    return HoloMap(evaluate, n, table.size)
 
 
 def _graded_lex_position(alpha, n: int, offsets) -> int:
@@ -212,7 +224,7 @@ class WhitneySpec:
         return int(self.truncation) + 1 if self.p == INFINITY else int(self.p)
 
 
-def whitney_map(spec: WhitneySpec) -> BallMap:
+def whitney_map(spec: WhitneySpec) -> HoloMap:
     """Generalised Whitney map.
 
     Coordinates ``z_1^q z_k`` for ``k = 2..n`` and ``0 <= q < p`` (finite p)
@@ -232,7 +244,7 @@ def whitney_map(spec: WhitneySpec) -> BallMap:
             return np.concatenate([mixed, Z[..., :1] ** int(spec.p)], axis=-1)
         return mixed
 
-    return BallMap(evaluate, n, out_dim)
+    return HoloMap(evaluate, n, out_dim)
 
 
 def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple:
@@ -267,7 +279,7 @@ def whitney_norm_identity(spec: WhitneySpec, Z) -> tuple:
     return lhs, rhs
 
 
-def shift_map(n: int) -> BallMap:
+def shift_map(n: int) -> HoloMap:
     """The isometric shift: prepend a zero coordinate, ``Z -> (0, Z)``."""
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
@@ -277,4 +289,4 @@ def shift_map(n: int) -> BallMap:
         Z = as_points(Z, n)
         return np.concatenate([np.zeros_like(Z[..., :1]), Z], axis=-1)
 
-    return BallMap(evaluate, n, n + 1)
+    return HoloMap(evaluate, n, n + 1)

@@ -24,7 +24,6 @@ import numpy as np
 from . import maps
 from .autgroup import (
     AutParams,
-    HoloMap,
     apply,
     as_holo_map,
     ball_automorphism,
@@ -186,20 +185,18 @@ def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
 
 
-def finite_difference_jet2(H: HoloMap, step: float = 1e-5) -> Jet2:
+def finite_difference_jet2(H: maps.HoloMap, step: float = 1e-5) -> Jet2:
     """Independent second-order jet oracle using central differences, from one
-    evaluation of ``H``.  A stack of germs shares the stencil as rows (1, S, d)
-    and (1, S), and its jet fields gain a leading member axis."""
+    evaluation of ``H`` on Siegel rows.  A stack of germs shares the stencil
+    as rows (1, S, d + 1), and its jet fields gain a leading member axis."""
     d = H.dim
-    h = step * np.eye(d, dtype=complex)
-    zero = np.zeros((1, d), dtype=complex)
-    # Stencil: origin, +-h e_j at w = 0, the origin at w = +-h, and the
-    # four corners (+-h e_j, +-h) of each mixed z_j/w square.
-    zs = np.concatenate([zero, h, -h, zero, zero, h, h, -h, -h])
-    ws = np.concatenate([np.zeros(1 + 2 * d), [step, -step],
-                         np.tile(np.repeat([step, -step], d), 2)])
+    h = step * np.eye(d, d + 1, dtype=complex)  # step e_j, one row per z_j
+    v = step * np.eye(1, d + 1, d, dtype=complex)  # step e_w
+    # Stencil: the origin, +-h, +-v and the four corners of each z_j/w square.
+    rows = np.concatenate([0 * v, h, -h, v, -v, h + v, h - v, -h + v, -h - v])
     lead = (1,) * np.ndim(H.domain_radius)  # the same rows for every member
-    F, G = H.evaluate(zs.reshape(lead + zs.shape), ws.reshape(lead + ws.shape))
+    images = H.evaluate(rows.reshape(lead + rows.shape))
+    F, G = images[..., :-1], images[..., -1]
     cuts = np.cumsum([1, d, d, 1, 1, d, d, d])
     f0, fz_hi, fz_lo, fw_hi, fw_lo, pp, pm, mp, mm = np.split(F, cuts, axis=-2)
     g0, gz_hi, gz_lo, gw_hi, gw_lo = np.split(G, cuts, axis=-1)[:5]

@@ -268,7 +268,7 @@ def test_acceptance_degenerate_inputs_raise_named_errors():
     with pytest.raises(AutomorphismPoleError):
         apply(h_R, SiegelPoint(np.zeros(d), -1.0))
 
-    shifted = HoloMap(lambda zs, ws: (zs, ws + 1.0), d, 1.0)
+    shifted = HoloMap(lambda rows: rows + np.eye(1, d + 1, d), d + 1, d + 1, 1.0)
     with pytest.raises(NotOriginFixingError):
         extract_jet2(shifted, DiffConfig(radius=0.1))
 

@@ -410,44 +410,40 @@ def test_as_holo_map_matches_apply():
     rng = np.random.default_rng(0)
     zs = (rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))) * 0.1
     ws = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * 0.1
-    fz, fw = H.evaluate(zs, ws)
+    images = H.evaluate(np.concatenate([zs, ws[:, None]], axis=1))
     for i in range(20):
         q = apply(params, SiegelPoint(zs[i], ws[i]))
-        assert_allclose(fz[i], q.z, atol=1e-14)
-        assert abs(fw[i] - q.w) < 1e-14
+        assert_allclose(images[i, :-1], q.z, atol=1e-14)
+        assert abs(images[i, -1] - q.w) < 1e-14
 
 
 def test_stacked_holo_map_takes_member_major_rows():
-    """A stack's germ evaluates rows (B, R, d) member by member, as ``apply``
-    of each member does on its own rows; its radii are one per member."""
+    """A stack's germ evaluates rows (B, R, d + 1) member by member, as
+    ``apply`` of each member does on its own rows; its radii are one per member."""
     stack = random_params(3, 31, count=5)
     H = as_holo_map(stack)
-    assert H.dim == 3
+    assert H.dim == 3 and H.input_dim == H.output_dim == 4
     assert_allclose(H.domain_radius, domain_radius(stack), rtol=0)
     rng = np.random.default_rng(32)
     rows = 0.3 * (rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4)))
     rows *= domain_radius(stack)[:, None, None] / np.abs(rows).max()
-    F, G = H.evaluate(rows[..., :-1], rows[..., -1])
-    assert F.shape == (5, 7, 3) and G.shape == (5, 7)
+    images = H.evaluate(rows)
+    assert images.shape == (5, 7, 4)
     for i in range(5):
-        expected = apply(stack[i], rows[i])
-        assert_allclose(F[i], expected[:, :-1], rtol=1e-14, atol=1e-15)
-        assert_allclose(G[i], expected[:, -1], rtol=1e-14, atol=1e-15)
+        assert_allclose(images[i], apply(stack[i], rows[i]), rtol=1e-14, atol=1e-15)
 
 
 def test_stacked_holo_map_takes_shared_rows():
-    """Rows (1, R, d) and (1, R) broadcast against a stack's members: each
-    member's images equal ``apply`` of that member on the same rows."""
+    """Rows (1, R, d + 1) broadcast against a stack's members: each member's
+    images equal ``apply`` of that member on the same rows."""
     stack = random_params(3, 33, count=5)
     rng = np.random.default_rng(34)
     rows = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
     rows *= 0.3 * domain_radius(stack).min() / np.abs(rows).max()
-    F, G = as_holo_map(stack).evaluate(rows[None, :, :-1], rows[None, :, -1])
-    assert F.shape == (5, 7, 3) and G.shape == (5, 7)
+    images = as_holo_map(stack).evaluate(rows[None])
+    assert images.shape == (5, 7, 4)
     for i in range(5):
-        expected = apply(stack[i], rows)
-        assert_allclose(F[i], expected[:, :-1], rtol=1e-14, atol=1e-15)
-        assert_allclose(G[i], expected[:, -1], rtol=1e-14, atol=1e-15)
+        assert_allclose(images[i], apply(stack[i], rows), rtol=1e-14, atol=1e-15)
 
 
 def test_compose_two_linear_members():
@@ -497,7 +493,7 @@ def test_compose_matches_jet_of_chained_map(d):
         radius = composition_radius(outer, inner)
         f_in = as_holo_map(inner).evaluate
         f_out = as_holo_map(outer).evaluate
-        chained = HoloMap(lambda zs, ws: f_out(*f_in(zs, ws)), d, radius)
+        chained = HoloMap(lambda rows: f_out(f_in(rows)), d + 1, d + 1, radius)
         jet = extract_jet2(chained, DiffConfig(radius=min(0.1, 0.6 * radius)))
         assert param_distance(recover_params(jet), compose(outer, inner)) < 1e-8
 

@@ -22,6 +22,7 @@ from siegelball.autgroup import (
     param_distance,
     random_params,
 )
+from siegelball.geometry import cayley, inverse_cayley
 from siegelball.hilbert import haar_unitary, is_unitary, norm, unitarity_defect
 from siegelball.jets import (
     DiffConfig,
@@ -34,6 +35,7 @@ from siegelball.jets import (
     extract_jet2,
     recover_params,
 )
+from siegelball.maps import WhitneySpec, shift_map, whitney_map
 from siegelball.verify import finite_difference_jet2
 
 
@@ -233,12 +235,12 @@ def test_extraction_evaluates_once_on_circles(dim):
     H = as_holo_map(params)
     calls = []
 
-    def counting(zs, ws):
-        calls.append(len(zs))
-        return H.evaluate(zs, ws)
+    def counting(rows):
+        calls.append(len(rows))
+        return H.evaluate(rows)
 
     cfg = DiffConfig()
-    jet = extract_jet2(HoloMap(counting, H.dim, H.domain_radius), cfg)
+    jet = extract_jet2(replace(H, evaluate=counting), cfg)
     M = cfg.nodes
     assert len(calls) == 1
     assert calls[0] <= 1 + M + 5 * dim * M < dim * M * M
@@ -248,18 +250,18 @@ def test_extraction_evaluates_once_on_circles(dim):
 
 
 def test_stack_extraction_shares_one_grid():
-    """A stack's evaluator gets the one grid as rows (1, R, d) and (1, R),
-    which broadcast against the members, not B copies of it."""
+    """A stack's evaluator gets the one grid as rows (1, R, d + 1), which
+    broadcast against the members, not B copies of it."""
     H = as_holo_map(random_params(3, 4, count=5))
     shapes = []
 
-    def counting(zs, ws):
-        shapes.append((zs.shape, ws.shape))
-        return H.evaluate(zs, ws)
+    def counting(rows):
+        shapes.append(rows.shape)
+        return H.evaluate(rows)
 
-    jet = extract_jet2(HoloMap(counting, H.dim, H.domain_radius))
+    jet = extract_jet2(replace(H, evaluate=counting))
     R = 1 + 32 + 5 * 3 * 32
-    assert shapes == [((1, R, 3), (1, R))]
+    assert shapes == [(1, R, 4)]
     assert jet.f_z.shape == (5, 3, 3) and jet.g_w.shape == (5,)
 
 
@@ -368,14 +370,14 @@ def test_recovery_accepts_compensated_imaginary_part():
 
 
 def test_extract_requires_origin_fixing():
-    shifted = HoloMap(lambda zs, ws: (zs, ws + 0.5), dim=2, domain_radius=1.0)
+    shifted = HoloMap(lambda rows: rows + [0, 0, 0.5], 3, 3, domain_radius=1.0)
     with pytest.raises(NotOriginFixingError, match="not origin-fixing"):
         extract_jet2(shifted)
 
 
 def test_extract_requires_radius_inside_domain():
     H = as_holo_map(random_params(2, seed=3))
-    with pytest.raises(ValueError, match="does not fit inside"):
+    with pytest.raises(JetRecoveryError, match="does not fit inside"):
         extract_jet2(H, DiffConfig(radius=H.domain_radius))
 
 
@@ -533,9 +535,74 @@ def test_stacked_recovery_names_failing_member():
 def test_stacked_extraction_names_failing_member():
     """The radius and origin checks of extract_jet2 name the failing member."""
     radii = np.array([0.5, 0.05, 0.5])
-    shifted = HoloMap(lambda zs, ws: (zs, ws + np.array([0.0, 0.0, 0.5])[:, None]),
-                      dim=2, domain_radius=radii)
-    with pytest.raises(ValueError, match=r"^member 1: differentiation radius 0.1 does"):
+    offsets = np.zeros((3, 1, 3))
+    offsets[2, :, -1] = 0.5  # member 2 moves the origin to w = 0.5
+    shifted = HoloMap(lambda rows: rows + offsets, 3, 3, domain_radius=radii)
+    with pytest.raises(JetRecoveryError,
+                       match=r"^member 1: differentiation radius 0.1 does"):
         extract_jet2(shifted)
     with pytest.raises(NotOriginFixingError, match=r"^member 2: not origin-fixing"):
         extract_jet2(replace(shifted, domain_radius=np.ones(3)))
+
+
+def _siegel_germ(F) -> HoloMap:
+    """The germ C o F o C^-1 at the Siegel origin of a ball map F: C^n -> C^N
+    with F(e_n) a unit vector e_k, its output permuted so that F(e_n) = e_N."""
+    n, N = F.input_dim, F.output_dim
+    top = F.evaluate(np.eye(n)[-1])
+    k = int(np.argmax(np.abs(top)))
+    assert_allclose(top, np.eye(N)[k], rtol=0, atol=0)
+    order = [*range(k), *range(k + 1, N), k]
+    return HoloMap(lambda rows: cayley(F.evaluate(inverse_cayley(rows))[..., order]),
+                   n, N, domain_radius=0.5)
+
+
+SPHERE_MAPS = {"shift n=2": shift_map(2), "shift n=4": shift_map(4),
+               "whitney p=2 n=3": whitney_map(WhitneySpec(2, 3))}
+RECTANGULAR = {**{name: _siegel_germ(F) for name, F in SPHERE_MAPS.items()},
+               "drop z_1 n=3": HoloMap(lambda rows: rows[..., 1:], 3, 2, 1.0),
+               "keep w n=2": HoloMap(lambda rows: rows[..., -1:], 2, 1, 1.0)}
+
+
+@pytest.mark.parametrize("H", RECTANGULAR.values(), ids=RECTANGULAR.keys())
+def test_rectangular_germs_are_not_onto(H):
+    """A germ C^n -> C^N with N != n, down to N = 1, has an (N-1) x (n-1) jet,
+    which both jet paths agree on, and its recovery fails with the paper's
+    hypothesis."""
+    n, N = H.input_dim, H.output_dim
+    jet = extract_jet2(H)
+    assert jet.f_z.shape == jet.f_zw.shape == (N - 1, n - 1)
+    assert jet.f_w.shape == jet.f_w2.shape == (N - 1,)
+    assert jet.g_z.shape == (n - 1,) and np.ndim(jet.g_w) == np.ndim(jet.g_w2) == 0
+    fd = finite_difference_jet2(H)
+    for name in ("f_z", "f_w", "g_z", "g_w", "g_w2", "f_zw", "f_w2"):
+        gap = np.max(np.abs(getattr(jet, name) - getattr(fd, name)), initial=0.0)
+        assert gap < 1e-4, f"{name}: finite-difference gap {gap:.3e}"
+    with pytest.raises(JetRecoveryError,
+                       match=rf"^derivative not onto: f_z is {N - 1} x {n - 1}$"):
+        recover_params(jet)
+
+
+def test_rectangular_germs_keep_the_boundary_identities():
+    """The sphere-preserving maps give germs that preserve the boundary
+    hypersurface, so the Levi and polarization identities hold for N > n."""
+    rng = np.random.default_rng(13)
+    for F in SPHERE_MAPS.values():
+        H = _siegel_germ(F)
+        d = H.dim
+        zs, us = _levi_pairs(rng, d=d, scale=0.03)
+        assert check_levi(H, zs, us) < 1e-10
+        chis = 0.03 * _levi_pairs(rng, d=d)[1]
+        taus = 0.03 * np.exp(2j * np.pi * rng.uniform(size=len(zs)))
+        assert check_polarization(H, zs, chis, taus) < 1e-10
+
+
+def test_whitney_degree_one_germ_recovers_its_permutation():
+    """Whitney p = 1 at n = 3 is the permutation Z -> (z_2, z_3, z_1); with
+    e_3 fixed it is Z -> (z_2, z_1, z_3), so its germ is the linear member
+    (U, 1, 0, 0) with U the swap of z_1 and z_2."""
+    H = _siegel_germ(whitney_map(WhitneySpec(1, 3)))
+    expected = AutParams(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, np.zeros(2), 0.0)
+    recovered = recover_params(extract_jet2(H))
+    assert param_distance(recovered, expected) < 1e-12
+    assert_allclose(finite_difference_jet2(H).f_z, expected.U, atol=1e-8)

@@ -258,9 +258,10 @@ def test_default_run_keeps_one_core_busy():
 
 def test_benchmark_tracer_binds_package_names():
     """perfbench's tracer binds ``extract_jet2``'s parameters by the names
-    ``H`` and ``cfg`` (reading ``cfg.nodes``) and wraps
-    ``autgroup._apply_batch`` by name: a rename crashes the traced run or
-    drops the span."""
+    ``H`` and ``cfg`` (reading ``H.dim`` and ``cfg.nodes``), wraps
+    ``autgroup._apply_batch`` by name and the evaluators of the maps that
+    ``maps`` hands out by field: a rename crashes the traced run or drops
+    the span."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -269,9 +270,14 @@ def test_benchmark_tracer_binds_package_names():
     tracer = spans.Tracer(keep=0)
     with spans.instrument(siegelball, tracer):
         siegelball.jets.extract_jet2(as_holo_map(random_params(2, seed=0)))
+        table = siegelball.maps.MultiIndexTable.graded_lex(2, 2)
+        H = siegelball.maps.homog_sum_map(siegelball.maps.LambdaSeq((1.0, 0.5)), table)
+        H.evaluate(np.ones((3, 2)))
     assert tracer.counters["jets.extract_jet2.grid_points"] > 0
     assert tracer.stat("jets.extract_jet2")[0] == 1
     assert tracer.stat("autgroup.apply_batch")[0] == 1
+    assert tracer.stat("maps.homog_sum_map")[0] == 1
+    assert tracer.stat("maps.evaluate")[0] == 1
 
 
 # ---------------------------------------------------------------------------
