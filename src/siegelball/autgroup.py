@@ -26,12 +26,13 @@ pole-checked kernel ``geometry._projective`` on a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from .geometry import _cayley_matrices, _projective, _siegel_like, siegel_rows
+from .geometry import (_cayley_matrices, _projective, _radial_rows, _siegel_like,
+                       siegel_rows)
 from .hilbert import as_points, haar_unitary, sq_norm, unitarity_defect
 from .maps import HoloMap
 
@@ -84,8 +85,11 @@ class AutParams:
             msg = f"R must be a real number per member, got {self.R!r}"
             raise ValueError(msg)
         a = np.asarray(self.a, dtype=complex)
-        if a.shape != U.shape[:-1] or not np.isfinite(a).all():
-            msg = f"a must be finite of dimension {U.shape[:-1]}, got shape {a.shape}"
+        if a.shape != U.shape[:-1]:
+            msg = f"a has the wrong shape: dimension {U.shape[:-1]}, got {a.shape}"
+            raise ValueError(msg)
+        if not np.isfinite(a).all():
+            msg = "a must be finite"
             raise ValueError(msg)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "s", s.astype(float) if batch else float(s))
@@ -93,8 +97,16 @@ class AutParams:
         object.__setattr__(self, "R", R.astype(float) if batch else float(R))
 
     def __getitem__(self, index) -> AutParams:
-        """Member ``index`` of a stack, or the sub-stack a slice or mask selects."""
-        return AutParams(self.U[index], self.s[index], self.a[index], self.R[index])
+        """Member ``index`` of a stack, or the sub-stack a slice or mask selects.
+
+        The fields come from this validated stack, so they are not checked
+        again; only the index must select along the member axis.
+        """
+        U = self.U[index]
+        if U.ndim not in (2, 3) or U.shape[-2:] != self.U.shape[-2:]:
+            msg = f"index {index!r} does not select members of the stack"
+            raise IndexError(msg)
+        return _unchecked(U, self.s[index], self.a[index], self.R[index])
 
     @property
     def dim(self) -> int:
@@ -107,12 +119,24 @@ class AutParams:
         return self.R - 1j * sq_norm(self.a)
 
 
+def _unchecked(U, s, a, R) -> AutParams:
+    """An AutParams from fields that are valid by construction (taken from a
+    validated stack, or the identity), without a second Gram check; one
+    member gets Python-float ``s`` and ``R``."""
+    params = object.__new__(AutParams)
+    if np.ndim(s) == 0:
+        s, R = float(s), float(R)
+    for name, value in zip(("U", "s", "a", "R"), (U, s, a, R)):
+        object.__setattr__(params, name, value)
+    return params
+
+
 def identity_params(dim: int, count: int | None = None) -> AutParams:
     """The identity automorphism on C^dim x C, or a stack of ``count`` copies."""
     batch = () if count is None else (count,)
     U = np.broadcast_to(np.eye(dim, dtype=complex), batch + (dim, dim))
-    return AutParams(U, np.ones(batch), np.zeros(batch + (dim,), dtype=complex),
-                     np.zeros(batch))
+    return _unchecked(U, np.ones(batch), np.zeros(batch + (dim,), dtype=complex),
+                      np.zeros(batch))
 
 
 def random_params(
@@ -124,19 +148,26 @@ def random_params(
     s_max: float = 2.0,
     count: int | None = None,
 ) -> AutParams:
-    """Draw bounded random parameters: Haar U, ||a|| <= a_max, |R| <= r_max.
+    """Draw bounded random parameters: Haar U, s uniform in [s_min, s_max],
+    ||a|| <= a_max and |R| <= r_max.
 
     With ``count`` the result is a stack of that many independent members.
+    Raises ``ValueError`` naming the argument when a_max or r_max is not a
+    finite number >= 0, or unless 0 < s_min <= s_max < inf.
     """
+    for name, bound in (("a_max", a_max), ("r_max", r_max)):
+        if not 0.0 <= bound < np.inf:  # also NaN
+            msg = f"{name} must be finite and >= 0, got {bound!r}"
+            raise ValueError(msg)
+    if not 0.0 < s_min <= s_max < np.inf:
+        msg = f"need 0 < s_min <= s_max < inf, got s_min={s_min!r}, s_max={s_max!r}"
+        raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    batch = () if count is None else (count,)
     U = haar_unitary(dim, rng, count)
     s = rng.uniform(s_min, s_max, count)
-    g = rng.standard_normal(batch + (dim,)) + 1j * rng.standard_normal(batch + (dim,))
-    radius = a_max * rng.uniform(size=batch + (1,))
-    a = g / np.linalg.norm(g, axis=-1, keepdims=True) * radius
+    a = _radial_rows(rng, 1 if count is None else count, dim, a_max)
     R = rng.uniform(-r_max, r_max, count)
-    return AutParams(U, s, a, R)
+    return AutParams(U, s, a if count is not None else a[0], R)
 
 
 def param_distance(p: AutParams, q: AutParams):
@@ -182,8 +213,9 @@ def factors(params: AutParams) -> tuple[AutParams, AutParams, AutParams]:
     """The members ``omega = (U, s, 0, 0)``, ``phi_a = (I, 1, a, 0)`` and
     ``h_R = (I, 1, 0, R)`` with ``H = omega o phi_a o h_R`` (stacks for a stack)."""
     ident = identity_params(params.dim, *params.U.shape[:-2])  # one per member
-    return (replace(params, a=ident.a, R=ident.R), replace(ident, a=params.a),
-            replace(ident, R=params.R))
+    return (_unchecked(params.U, params.s, ident.a, ident.R),
+            _unchecked(ident.U, ident.s, params.a, ident.R),
+            _unchecked(ident.U, ident.s, ident.a, params.R))
 
 
 def factor_apply(params: AutParams, p):

@@ -174,9 +174,11 @@ def ball_defect(Z) -> DefectReport:
 
 
 def _unit_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """``count`` uniform unit vectors of C^n, as rows."""
-    g = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    """``count`` uniform unit vectors of C^n, as rows: every point sampler's
+    one draw, normalised complex Gaussians from one call to the generator."""
+    g = rng.standard_normal((count, n, 2))
+    norm = np.sqrt(np.einsum("ijc,ijc->i", g, g))
+    return g.view(complex)[..., 0] / norm[:, None]
 
 
 def _radial_rows(rng: np.random.Generator, count: int, n: int,

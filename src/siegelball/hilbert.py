@@ -74,22 +74,42 @@ def norm(u) -> float:
 
 
 def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
-    """Haar-distributed ``n x n`` unitary matrix, or a stack of ``count``.
+    """Haar-distributed ``n x n`` unitary matrix, or a stack (count, n, n).
 
     Deterministic for a fixed integer seed; also accepts a
-    ``numpy.random.Generator``.  Uses the (stacked) QR decomposition of
-    complex Ginibre matrices with the phases of R's diagonal absorbed into
-    Q, which makes the distribution exactly Haar rather than merely unitary.
+    ``numpy.random.Generator``; one matrix is the stack of one.  Stewart's
+    sampler (SIAM J. Numer. Anal. 1980):
+    ``U = H_0 diag(1, H_1) ... diag(I_(n-1), H_(n-1)) D``, where H_k is the
+    Householder reflection taking a fresh complex Gaussian x_k of length
+    n - k to ``-phase_k ||x_k|| e_1``, ``phase_k = x_k[0] / |x_k[0]|``, and
+    ``D = diag(-phase_k)``.  The reflections are the Householder QR of a
+    Ginibre matrix, column by column, so ``-phase_k`` is the phase of R's
+    k-th diagonal entry; multiplying it back in makes U exactly Haar rather
+    than merely unitary (Mezzadri, Notices AMS 2007).  That takes
+    n (n + 1) / 2 complex normals per matrix instead of n^2.
     """
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    shape = (n, n) if count is None else (count, n, n)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(g / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    batch = 1 if count is None else count
+    starts = [k * n - k * (k - 1) // 2 for k in range(n)]  # x_k has length n - k
+    g = rng.standard_normal((n * (n + 1) // 2, batch, 2))
+    x = g.view(complex)[..., 0]  # x_0, ..., x_{n-1} one after another, batch last
+    norm = np.sqrt(np.add.reduceat(np.einsum("ibc,ibc->ib", g, g), starts, axis=0))
+    head = x[starts]
+    modulus = np.abs(head)
+    phase = head / modulus
+    # v_k = x_k + phase_k ||x_k|| e_1, scaled in place so that H_k = I - v_k v_k^H.
+    x[starts] += phase * norm
+    x /= np.repeat(np.sqrt(norm * (norm + modulus)), range(n, 0, -1), axis=0)
+    U = np.zeros((n, n, batch), dtype=complex)
+    U.reshape(n * n, batch)[::n + 1] = -phase  # D
+    for k in range(n - 1, -1, -1):  # backward: H_k mixes rows k:, nonzero in columns k:
+        v, block = x[starts[k]:starts[k] + n - k, None], U[k:, k:]
+        block -= v * np.einsum("ib,ijb->jb", v[:, 0].conj(), block)
+    U = np.ascontiguousarray(U.transpose(2, 0, 1))
+    return U if count is not None else U[0]
 
 
 def unitarity_defect(U) -> float:

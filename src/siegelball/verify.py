@@ -174,6 +174,13 @@ def _by_blocks(fn, *arrays, size: int = 100) -> np.ndarray:
     return np.concatenate([fn(*block) for block in blocks])
 
 
+def _matrix_block(d: int) -> int:
+    """Members per block whose (d + 2) x (d + 2) projective matrices hold at
+    most 2^15 entries, near 0.5 MB: 3640 / 1310 / 404 at d = 1 / 3 / 7.
+    A dim-8 run stays under its 2 MB traced peak."""
+    return 2**15 // (d + 2) ** 2
+
+
 def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
     """Per row ``max(||z_p - z_q||, |w_p - w_q|)`` of Siegel rows (..., n)."""
     diff = p - q
@@ -279,16 +286,17 @@ def _a_origin_fixed(config: RunConfig, rng):
 def _pair_check(config: RunConfig, rng, sample, residual, accept=None):
     """Worst residual over pairs of one fresh random automorphism and one point.
 
-    Pairs are drawn in blocks of at most 250 (which bounds the memory of the
-    stacked U's) until ``config.samples`` pass ``accept(params, points)`` (a
-    mask over the rows; without it every pair passes) or
-    ``10 * config.samples`` were tried; ``residual(params, points)`` runs on
-    each block's accepted pairs.  Returns (worst residual, pairs used).
+    Pairs are drawn in blocks until ``config.samples`` pass
+    ``accept(params, points)`` (a mask over the rows; without it every pair
+    passes) or ``10 * config.samples`` were tried; ``residual(params, points)``
+    runs on each block's accepted pairs.  A block holds :func:`_matrix_block`
+    members: 1 / 1 / 3 blocks of the default 1000 pairs at n = 2 / 4 / 8.
+    Returns (worst residual, pairs used).
     """
     d, want = config.dim - 1, config.samples
     worst, used, tried = 0.0, 0, 0
     while used < want and tried < 10 * want:
-        batch = min(want - used, 10 * want - tried, 250)
+        batch = min(want - used, 10 * want - tried, _matrix_block(d))
         params = random_params(d, rng, count=batch)
         points = sample(batch)
         if accept is not None:
@@ -339,8 +347,7 @@ def _a_h_r_defect(config: RunConfig, rng):
     def image_defect(rows, r):  # h_R = (I, 1, 0, R), one member per row
         return siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows)).value
 
-    # Blocks of at most 2^15 matrix entries keep the member matrices near 0.5 MB.
-    lhs = _by_blocks(image_defect, points, R, size=2**15 // (d + 2) ** 2)
+    lhs = _by_blocks(image_defect, points, R, size=_matrix_block(d))
     rhs = siegel_defect(points).value / np.abs(den) ** 2
     return [("autgroup.h_r_defect_scaling", _worst(np.abs(lhs - rhs)), len(points))]
 

@@ -1,6 +1,8 @@
 """The linear-fractional automorphism family and its group structure."""
 
 import itertools
+import sys
+from dataclasses import replace
 
 import formulas
 import numpy as np
@@ -33,8 +35,10 @@ from siegelball.geometry import (
     sample_sphere,
     siegel_defect,
 )
+from siegelball import hilbert
 from siegelball.hilbert import haar_unitary, norm
 from siegelball.jets import DiffConfig, extract_jet2, recover_params
+from siegelball.verify import RunConfig, run
 
 #: The wide parameter range, where jet recovery with default settings fails
 #: but the matrix group law must still hold.
@@ -382,6 +386,97 @@ def test_stacked_params_validation():
     assert stack[1:3].s.shape == (2,)
     assert param_distance(stack[3], AutParams(stack.U[3], stack.s[3], stack.a[3],
                                               stack.R[3])) == 0.0
+
+
+def test_params_a_message_names_the_failed_check():
+    with pytest.raises(ValueError, match="wrong shape") as shape_error:
+        AutParams(np.eye(2), 1.0, np.zeros(3), 0.0)
+    assert "finite" not in str(shape_error.value)
+    with pytest.raises(ValueError, match="a must be finite") as finite_error:
+        AutParams(np.eye(2), 1.0, [np.nan, 0.0], 0.0)
+    assert "shape" not in str(finite_error.value)
+
+
+@pytest.mark.parametrize(("kwargs", "name"), [
+    ({"a_max": np.inf}, "a_max"),
+    ({"a_max": np.nan}, "a_max"),
+    ({"a_max": -1.0}, "a_max"),
+    ({"r_max": np.nan}, "r_max"),
+    ({"r_max": np.inf}, "r_max"),
+    ({"r_max": -0.5}, "r_max"),
+    ({"s_min": 2.0, "s_max": 1.0}, "s_min"),
+    ({"s_min": 0.0}, "s_min"),
+    ({"s_min": np.nan}, "s_min"),
+    ({"s_max": np.inf}, "s_max"),
+])
+def test_random_params_rejects_bad_ranges(kwargs, name):
+    """Each bad range raises a ValueError that names the argument, before
+    anything is drawn, for one member and for a stack."""
+    for count in (None, 3):
+        with pytest.raises(ValueError, match=name):
+            random_params(2, seed=0, count=count, **kwargs)
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """The shapes passed to ``hilbert.unitarity_defect``, one per call, under
+    every name the package imported it as."""
+    real, calls = hilbert.unitarity_defect, []
+
+    def counting(U):
+        calls.append(np.shape(U))
+        return real(U)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("siegelball") and getattr(module, "unitarity_defect",
+                                                     None) is real:
+            monkeypatch.setattr(module, "unitarity_defect", counting)
+    return calls
+
+
+def test_drawn_stack_is_validated_once(gram_checks):
+    """A draw checks its U once; members, sub-stacks and factors of a
+    validated stack are not checked again."""
+    stack = random_params(3, seed=49, count=250)
+    assert gram_checks == [(250, 3, 3)]
+    gram_checks.clear()
+    member, part = stack[7], stack[stack.R > 0]
+    omega, phi_a, h_R = factors(stack)
+    factors(member)
+    assert gram_checks == []
+    assert type(member.s) is float and type(member.R) is float
+    assert type(factors(member)[2].s) is float
+    assert param_distance(member, AutParams(stack.U[7], stack.s[7], stack.a[7],
+                                            stack.R[7])) == 0.0
+    assert len(part.s) == np.count_nonzero(stack.R > 0)
+    assert omega.U is stack.U and phi_a.a is stack.a and h_R.R is stack.R
+    with pytest.raises(IndexError, match="members"):
+        stack[None]
+
+
+def test_outside_fields_are_still_validated(gram_checks):
+    """AutParams, replace, compose and invert check the U they are given."""
+    stack = random_params(2, seed=46, count=4)
+    bad = stack.U.copy()
+    bad[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        AutParams(bad, stack.s, stack.a, stack.R)
+    for U in (bad, np.full_like(bad, np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            replace(stack, U=U)
+    with pytest.raises(ValueError, match="not unitary"):
+        replace(stack[0], U=np.diag([1.0, 2.0]))
+    gram_checks.clear()
+    compose(stack, stack)
+    invert(stack)
+    assert len(gram_checks) == 2
+
+
+def test_default_run_gram_check_count(gram_checks):
+    """A default dim-8 run makes 88 Gram checks (171 when members and
+    factors of drawn stacks were checked again); 34 are recover_params'."""
+    run(RunConfig(dim=8))
+    assert len(gram_checks) <= 92
 
 
 def test_random_params_bounds_and_determinism():

@@ -139,6 +139,40 @@ def test_haar_unitary_stack():
                     atol=1e-15)
 
 
+def _within_5_se(samples, expected) -> bool:
+    """The sample mean is within five standard errors of ``expected`` (with a
+    rounding floor, for quantities that are constant under Haar measure)."""
+    se = np.std(samples) / np.sqrt(len(samples))
+    return abs(np.mean(samples) - expected) <= 5.0 * se + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_haar_unitary_stack_moments(n):
+    """20 000 stacked draws against moments of Haar measure on U(n):
+    E|U_ij|^2 = 1/n along a row and a column, E|tr U|^2 = 1, E|tr U|^4 = 2
+    (n >= 2) and E det U = 0.  QR of Ginibre matrices without the phase
+    correction fails this test."""
+    U = haar_unitary(n, seed=2024, count=20_000)
+    for entries in (U[:, 0, :], U[:, :, -1]):
+        assert all(_within_5_se(np.abs(e) ** 2, 1.0 / n) for e in entries.T)
+    trace2 = np.abs(np.trace(U, axis1=-2, axis2=-1)) ** 2
+    assert _within_5_se(trace2, 1.0)
+    if n >= 2:
+        assert _within_5_se(trace2**2, 2.0)
+    assert abs(np.linalg.det(U).mean()) <= 5.0 / np.sqrt(len(U))  # |det U| = 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_haar_unitary_stack_is_unitary(n):
+    """Every member of a stack is unitary; a stack of one is the single draw
+    of the same stream, and a stack of none is empty."""
+    stack = haar_unitary(n, seed=n, count=200)
+    assert stack.shape == (200, n, n) and stack.flags.c_contiguous
+    assert unitarity_defect(stack) <= 1e-13
+    assert np.array_equal(haar_unitary(n, seed=5, count=1)[0], haar_unitary(n, seed=5))
+    assert haar_unitary(n, seed=5, count=0).shape == (0, n, n)
+
+
 def test_unitarity_defect_of_a_stack_is_its_worst_member():
     stack = haar_unitary(3, seed=12, count=5)
     stack[3] *= 1.0 + 1e-6

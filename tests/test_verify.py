@@ -293,10 +293,10 @@ def test_cli_pass_run(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS: 4 checks, 0 failures")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cli_default_sweep_passes(capsys):
     """The default sweep (dims 2/4/8, 1000 samples, every suite) passes all
-    81 checks at the default tolerances."""
+    81 checks at the default tolerances, with every warning an error."""
     code = cli.main([])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
