@@ -18,10 +18,10 @@ positive factor s^2 / |D|^2, which is what makes the boundary and the two
 sides of it invariant.
 
 In homogeneous coordinates (z, w, 1) every member is linear, given by its
-(d+2) x (d+2) projective matrix (:func:`matrix`), so the group law is matrix
-multiplication and inversion, member by member on :class:`AutParams` stacks,
-and every evaluation, the ball automorphism C^-1 M C included, is the one
-pole-checked kernel ``geometry._projective`` on a matrix.
+(d+2) x (d+2) projective matrix (:func:`matrix`); every evaluation, C^-1 M C
+on the ball included, is the pole-checked kernel ``geometry._projective`` on
+it.  The group law, :func:`compose` and :func:`invert`, is the blocks of the
+matrix product and inverse in closed form on (U, s, a, R), stacks included.
 """
 
 from __future__ import annotations
@@ -67,12 +67,13 @@ class AutParams:
     a: np.ndarray
     R: float | np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, defect: float | None = None):  # U's Gram defect, if known
         U = np.asarray(self.U, dtype=complex)
         if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2]:
             msg = f"U must be square (or a stack of squares), got shape {U.shape}"
             raise ValueError(msg)
-        defect = unitarity_defect(U)
+        if defect is None:
+            defect = unitarity_defect(U)
         if not defect <= hilbert.UNITARY_TOL:  # also NaN
             msg = f"U is not unitary (defect {defect:.3e})"
             raise ValueError(msg)
@@ -280,23 +281,25 @@ def matrix(params: AutParams) -> np.ndarray:
     return M
 
 
-def _from_matrix(M: np.ndarray) -> AutParams:
-    """Read the parameters back off projective matrices (last column e_{d+2})."""
-    d = M.shape[-1] - 2
-    s = np.sqrt(M[..., d, d].real)
-    U = M[..., :d, :d] / s[..., None, None]
-    # a from the last row [-2i a^H, R - i ||a||^2, 1]: no product with U^H.
-    return AutParams(U, s, -0.5j * M[..., d + 1, :d].conj(), M[..., d + 1, d].real)
-
-
 def compose(outer: AutParams, inner: AutParams) -> AutParams:
-    """Parameters of ``outer o inner`` (member by member): the matrix product."""
+    """Parameters of ``outer o inner`` (member by member), the blocks of
+    ``matrix(outer) @ matrix(inner)``: U = U_o U_i, s = s_o s_i,
+    a = a_i + s_i U_i^H a_o (off the denominator row) and
+    R = R_i + s_i^2 R_o + 2 s_i Im <U_i a_i, a_o>."""
     if outer.dim != inner.dim:
         msg = f"dimension mismatch: {outer.dim} vs {inner.dim}"
         raise ValueError(msg)
-    return _from_matrix(matrix(outer) @ matrix(inner))
+    s_i = np.asarray(inner.s)
+    row = (outer.a.conj()[..., None, :] @ inner.U)[..., 0, :]  # a_o^H U_i
+    a = inner.a + s_i[..., None] * row.conj()
+    R = inner.R + s_i**2 * outer.R + 2.0 * s_i * (row * inner.a).sum(axis=-1).imag
+    return AutParams(outer.U @ inner.U, outer.s * inner.s, a, R)
 
 
 def invert(params: AutParams) -> AutParams:
-    """Parameters of the inverse automorphism (per member): the matrix inverse."""
-    return _from_matrix(np.linalg.inv(matrix(params)))
+    """Parameters of the inverse (per member), the blocks of the matrix
+    inverse: (U^-1, 1/s, -U^-H a / s, -R / s^2).  U^-1 is computed, not U^H:
+    a drawn U is unitary only to about 1e-15, and U^H adds that defect."""
+    s, U_inv = np.asarray(params.s), np.linalg.inv(params.U)
+    a = (params.a.conj()[..., None, :] @ U_inv)[..., 0, :].conj()  # U^-H a
+    return AutParams(U_inv, 1.0 / s, -a / s[..., None], -params.R / s**2)

@@ -113,7 +113,9 @@ def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
         y = (M @ x[..., None])[..., 0]
     else:  # blocks of <= 2^16 multiply-adds: larger ones wake a spinning BLAS thread
         rows, Mt = max(1, 2**16 // M.shape[-1] ** 2), M.swapaxes(-1, -2)
-        y = np.empty(np.broadcast_shapes(x.shape, M.shape[:-2] + (1, 1)), complex)
+        lead = (1,) * (x.ndim - M.ndim) + M.shape[:-2]  # np.broadcast_shapes is slow
+        y = np.empty(tuple(m if n == 1 else n for n, m in zip(x.shape[:-2], lead))
+                     + x.shape[-2:], complex)
         for i in range(0, x.shape[-2], rows):
             np.matmul(x[..., i:i + rows, :], Mt, out=y[..., i:i + rows, :])
     den = y[..., -1:]

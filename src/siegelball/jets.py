@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autgroup import AutParams
+from .autgroup import AutParams, _unchecked
 from .hilbert import COND_MAX, UNITARY_TOL, sq_norm, unitarity_defect
 from .maps import HoloMap
 
@@ -137,8 +137,8 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
 def _require(ok, error: type, describe) -> None:
     """Raise ``error(describe(i))`` for the first member i where ``ok`` fails:
     ``i = ()`` for one member, and a stack's message starts with its index."""
-    if not np.all(ok):
-        i = int(np.argmin(ok)) if np.ndim(ok) else ()
+    if not ok.all():  # the method: np.all costs more than the test on a scalar
+        i = int(ok.argmin()) if ok.ndim else ()
         raise error(describe(i) if i == () else f"member {i}: {describe(i)}")
 
 
@@ -233,7 +233,8 @@ def recover_params(jet: Jet2) -> AutParams:
     _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
              lambda i: f"g_w not positive real: {g_w[i]}")
     s, U, R = recovery_terms(jet)
-    if not unitarity_defect(U) <= UNITARY_TOL:  # rare, or NaN: find the members at fault
+    defect = unitarity_defect(U)  # AutParams reuses it: one Gram check per call
+    if not defect <= UNITARY_TOL:  # rare, or NaN: find the members at fault
         f_z = np.asarray(jet.f_z, dtype=complex)
         finite = np.isfinite(f_z).all(axis=(-2, -1))
         safe = np.where(finite[..., None, None], f_z, np.eye(U.shape[-1]))
@@ -247,11 +248,14 @@ def recover_params(jet: Jet2) -> AutParams:
         # unitary, the polar factor, so that AutParams accepts it.
         u, _, vh = np.linalg.svd(U)
         U = np.where((each > UNITARY_TOL)[..., None, None], u @ vh, U)
+        defect = None
     # f_z is s times a matrix unitary to RECOVERY_TOL: cond(f_z) is about 1.
     a = np.linalg.solve(jet.f_z, np.asarray(jet.f_w)[..., None])[..., 0]
     _require(np.abs(R.imag) <= RECOVERY_TOL, JetRecoveryError,
              lambda i: f"R not real: Im R = {R.imag[i]:.3e}")
-    return AutParams(U=U, s=s, a=a, R=R.real)
+    params = _unchecked(U, s, a, R.real)
+    params.__post_init__(defect)  # every check but a second Gram product
+    return params
 
 
 def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:

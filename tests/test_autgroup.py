@@ -35,13 +35,13 @@ from siegelball.geometry import (
     sample_sphere,
     siegel_defect,
 )
-from siegelball import hilbert
+from siegelball import autgroup, hilbert
 from siegelball.hilbert import haar_unitary, norm
 from siegelball.jets import DiffConfig, extract_jet2, recover_params
 from siegelball.verify import RunConfig, run
 
 #: The wide parameter range, where jet recovery with default settings fails
-#: but the matrix group law must still hold.
+#: but the group law must still hold.
 WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
 
 
@@ -472,11 +472,33 @@ def test_outside_fields_are_still_validated(gram_checks):
     assert len(gram_checks) == 2
 
 
+def test_recover_params_checks_its_U_once(gram_checks):
+    """recover_params hands the Gram defect it computed to AutParams, whose
+    other checks still run."""
+    stack = random_params(3, seed=48, count=6)
+    jet = extract_jet2(as_holo_map(stack))
+    gram_checks.clear()
+    recovered = recover_params(jet)
+    assert gram_checks == [(6, 3, 3)]
+    assert np.all(param_distance(recovered, stack) <= 1e-8)
+    gram_checks.clear()
+    recover_params(extract_jet2(as_holo_map(stack[2])))
+    assert len(gram_checks) == 1
+    U, s, a, R = stack.U[2], stack.s[2], stack.a[2], stack.R[2]
+    with pytest.raises(ValueError, match="a must be finite"):
+        autgroup._unchecked(U, s, np.full(3, np.nan), R).__post_init__(0.0)
+    with pytest.raises(ValueError, match="s must be a positive"):
+        autgroup._unchecked(U, -s, a, R).__post_init__(0.0)
+    with pytest.raises(ValueError, match="not unitary"):
+        autgroup._unchecked(U, s, a, R).__post_init__(np.nan)
+
+
 def test_default_run_gram_check_count(gram_checks):
-    """A default dim-8 run makes 88 Gram checks (171 when members and
-    factors of drawn stacks were checked again); 34 are recover_params'."""
+    """A default dim-8 run makes 71 Gram checks (171 when members and
+    factors of drawn stacks were checked again, 88 when recover_params
+    checked its U and then AutParams checked it again); 17 are recover_params'."""
     run(RunConfig(dim=8))
-    assert len(gram_checks) <= 92
+    assert len(gram_checks) <= 75
 
 
 def test_random_params_bounds_and_determinism():
@@ -581,7 +603,7 @@ def test_compose_pointwise_agreement():
 @pytest.mark.parametrize("d", [1, 3])
 def test_compose_matches_jet_of_chained_map(d):
     """Reference: the parameters read off the 2-jet of the pointwise
-    composite agree with the matrix product."""
+    composite agree with ``compose``."""
     for seed in range(4):
         outer = random_params(d, seed)
         inner = random_params(d, seed + 10)
@@ -620,8 +642,8 @@ def test_invert_linear_member():
 
 
 def test_invert_matches_closed_form():
-    """The matrix inverse agrees with the algebraic inverse
-    (U^H, 1/s, -U a / s, -R / s^2)."""
+    """``invert``, which inverts U, agrees with the inverse written for a
+    unitary U, (U^H, 1/s, -U a / s, -R / s^2)."""
     for d, seed, ranges in itertools.product([1, 3, 7], range(5), [{}, WIDE]):
         params = random_params(d, seed, **ranges)
         expected = AutParams(
@@ -640,6 +662,52 @@ def test_invert_two_sided():
         inverse = invert(params)
         assert param_distance(compose(params, inverse), ident) < 1e-8
         assert param_distance(compose(inverse, params), ident) < 1e-8
+
+
+@pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_group_law_is_the_matrix_product_and_inverse(d, ranges):
+    """The closed forms are the blocks of ``matrix(o) @ matrix(i)`` and of
+    the matrix inverse, for stacks, single members and a stack against one
+    member."""
+    outer = random_params(d, seed=61, count=50, **ranges)
+    inner = random_params(d, seed=62, count=50, **ranges)
+    product = matrix(outer) @ matrix(inner)
+    singles = np.array([matrix(compose(outer[i], inner[i])) for i in range(50)])
+    for M, P in [(matrix(compose(outer, inner)), product), (singles, product),
+                 (matrix(compose(outer, inner[7])), matrix(outer) @ matrix(inner[7])),
+                 (matrix(compose(outer[7], inner)), matrix(outer[7]) @ matrix(inner))]:
+        scale = np.abs(P).max(axis=(-2, -1))
+        assert np.all(np.abs(M - P).max(axis=(-2, -1)) <= 1e-14 * scale)
+    M = matrix(outer)
+    scale = np.linalg.norm(M, 2, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(M), 2,
+                                                                  axis=(-2, -1))
+    gap = np.abs(matrix(invert(outer)) @ M - np.eye(d + 2)).max(axis=(-2, -1))
+    assert np.all(gap <= 1e-15 * scale)
+    single = matrix(invert(outer[3])) @ M[3]
+    assert np.abs(single - np.eye(d + 2)).max() <= 1e-15 * scale[3]
+
+
+def test_group_law_builds_no_projective_matrix(monkeypatch):
+    """compose and invert work on (U, s, a, R): they never call ``matrix``,
+    and the one inverse they take is of the d x d block U."""
+    def refuse(params):
+        raise AssertionError("matrix called")
+
+    inverted, inv = [], np.linalg.inv
+
+    def recording(A):
+        inverted.append(np.shape(A))
+        return inv(A)
+
+    monkeypatch.setattr(autgroup, "matrix", refuse)
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    stack = random_params(3, seed=63, count=5)
+    for p in (stack, stack[0]):
+        compose(p, stack)
+        compose(stack, p)
+        invert(p)
+    assert inverted == [(5, 3, 3), (3, 3)]
 
 
 def test_invert_roundtrip_pointwise():

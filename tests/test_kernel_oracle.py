@@ -1,9 +1,11 @@
-"""Forward error of the projective kernel against an independent oracle.
+"""Forward error of the projective kernel and the group law against an
+independent oracle.
 
-Every linear-fractional map of the package runs through one matrix kernel.
-The oracle is the direct formulas of ``tests/formulas.py``, evaluated by
-mpmath at 40 digits on the very same float inputs, so the relative forward
-error ``||computed - exact|| / ||exact||`` is measured, not float64 against
+Every linear-fractional map of the package runs through one matrix kernel,
+and ``compose`` and ``invert`` work on the parameters in closed form.  The
+oracle is the direct formulas of ``tests/formulas.py``, evaluated by mpmath
+at 40 digits on the very same float inputs, so the relative forward error
+``||computed - exact|| / ||exact||`` is measured, not float64 against
 float64.
 """
 
@@ -15,8 +17,11 @@ import pytest
 from siegelball.autgroup import (
     apply,
     ball_automorphism,
+    compose,
+    composition_radius,
     domain_radius,
     factor_apply,
+    invert,
     random_params,
 )
 from siegelball.geometry import (
@@ -47,12 +52,15 @@ def _relative_error(computed, exact) -> float:
     return float(gap / mpmath.sqrt(sum(abs(e) ** 2 for e in exact)))
 
 
-def _siegel_rows_in_domain(rng, params, d):
-    """One Siegel row per member with ||z||, |w| <= domain_radius / 2."""
-    scale = 0.5 * domain_radius(params) * rng.uniform(size=DRAWS)
-    z = rng.standard_normal((DRAWS, d)) + 1j * rng.standard_normal((DRAWS, d))
+def _siegel_rows_in_domain(rng, params, d, radius=None):
+    """One Siegel row per member with ||z||, |w| <= radius / 2 (by default
+    the members' domain radius)."""
+    radius = domain_radius(params) if radius is None else radius
+    count = len(radius)
+    scale = 0.5 * radius * rng.uniform(size=count)
+    z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     z *= (scale / np.linalg.norm(z, axis=1))[:, None]
-    w = scale * np.exp(2j * np.pi * rng.uniform(size=DRAWS))
+    w = scale * np.exp(2j * np.pi * rng.uniform(size=count))
     return np.column_stack([z, w])
 
 
@@ -92,3 +100,60 @@ def test_kernel_forward_error_against_mpmath(d):
     print(f"d={d} worst relative forward error: "
           + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
     assert all(v <= REL_TOL for v in worst.values()), worst
+
+
+#: The wide parameter range of ``random_params``.
+WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
+
+#: Members per (d, range) in the group-law oracle; each is checked as a
+#: member of the stack and on its own.
+GROUP_DRAWS = 30
+
+#: Worst relative error measured over d = 1, 3, 7, both ranges, stacks and
+#: single members: 2.0e-15 for compose and 8.9e-15 for invert, both at the
+#: wide range and d = 1 (9.8e-16 and 1.7e-15 at the default range).  The
+#: bound leaves a margin of 11 over the worst.
+GROUP_REL_TOL = 1e-13
+
+
+def _automorphism(member, z, w):
+    """The direct formula for ``member`` at the mpmath point (z, w)."""
+    U, a = _mp(member.U), _mp(member.a)
+    return formulas.automorphism(U, mpmath.mpf(member.s), a, mpmath.mpf(member.R), z, w)
+
+
+def _gap(computed, exact) -> float:
+    """Relative gap of two mpmath Siegel points (z, w)."""
+    u, v = computed[0] + [computed[1]], exact[0] + [exact[1]]
+    gap = mpmath.sqrt(sum(abs(x - y) ** 2 for x, y in zip(u, v)))
+    return float(gap / mpmath.sqrt(sum(abs(y) ** 2 for y in v)))
+
+
+@pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_group_law_forward_error_against_mpmath(d, ranges):
+    """``compose(o, i)`` at a point, by the direct formula at 40 digits,
+    is ``o`` after ``i`` there, and ``invert(p)`` after ``p`` returns the
+    point: for the members of a stack and for the same members on their own."""
+    outer = random_params(d, seed=90 + d, count=GROUP_DRAWS, **ranges)
+    inner = random_params(d, seed=95 + d, count=GROUP_DRAWS, **ranges)
+    composed, inverse = compose(outer, inner), invert(outer)
+    rng = np.random.default_rng(100 + d)
+    rows = _siegel_rows_in_domain(rng, outer, d, composition_radius(outer, inner))
+    back = _siegel_rows_in_domain(rng, outer, d)
+    worst = {"compose": 0.0, "invert": 0.0}
+    with mpmath.workdps(40):
+        for i in range(GROUP_DRAWS):
+            o, p = outer[i], inner[i]
+            *z, w = _mp(rows[i])
+            chained = _automorphism(o, *_automorphism(p, z, w))
+            *x, t = _mp(back[i])
+            image = _automorphism(o, x, t)
+            for product, inv in ((composed[i], inverse[i]), (compose(o, p), invert(o))):
+                worst["compose"] = max(worst["compose"],
+                                       _gap(_automorphism(product, z, w), chained))
+                worst["invert"] = max(worst["invert"],
+                                      _gap(_automorphism(inv, *image), (x, t)))
+    print(f"d={d} {'wide' if ranges else 'default'} range, worst relative error: "
+          + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+    assert all(v <= GROUP_REL_TOL for v in worst.values()), worst

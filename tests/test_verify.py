@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -256,16 +257,47 @@ def test_default_run_keeps_one_core_busy():
     assert cpu <= 1.2 * wall, f"{cpu:.3f} CPU-s in {wall:.3f} s"
 
 
-def test_benchmark_tracer_binds_package_names():
+def _perfbench(name: str, monkeypatch):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path and
+    registered under ``name`` for the test, as the benchmark's own imports
+    (``import oracle``) and dataclasses expect."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_oracle_agrees_with_the_group_law(monkeypatch):
+    """The benchmark's closed-form oracle accepts compose and invert (default
+    and wide range) and jet recovery (default range) at the tolerances its
+    workload holds them to, on a short seeded stream at d = 1, 3, 7: a miss
+    there would fail every benchmark run."""
+    oracle = _perfbench("oracle", monkeypatch)
+    workloads = _perfbench("workloads", monkeypatch)
+    rng = np.random.default_rng(57)
+    misses = []
+    for d, ranges in itertools.product(workloads.GROUP_DIMS, [{}, workloads.WIDE_RANGE]):
+        for _ in range(4):
+            p, q = (random_params(d, rng, **ranges) for _ in range(2))
+            ops = [("compose", (p, q)), ("invert", (p,))]
+            ops += [] if ranges else [("recover", (p,))]
+            for kind, args in ops:
+                out = workloads.OPERATIONS[kind](siegelball, *args)
+                gap = oracle.distance(out, workloads.ORACLES[kind](*args))
+                if not gap <= DEFAULT_TOLS[workloads.ORACLE_TOLS[kind]]:
+                    misses.append((kind, d, bool(ranges), gap))
+    assert misses == []
+
+
+def test_benchmark_tracer_binds_package_names(monkeypatch):
     """perfbench's tracer binds ``extract_jet2``'s parameters by the names
     ``H`` and ``cfg`` (reading ``H.dim`` and ``cfg.nodes``), wraps
     ``autgroup._apply_batch`` by name and the evaluators of the maps that
     ``maps`` hands out by field: a rename crashes the traced run or drops
     the span."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench("spans", monkeypatch)
     assert "_apply_batch" in spans.PRIVATE_WORKERS["autgroup"]
     tracer = spans.Tracer(keep=0)
     with spans.instrument(siegelball, tracer):
