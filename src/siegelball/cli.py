@@ -2,12 +2,15 @@
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
 configuration errors (unknown suite or check name, malformed tolerance).
+An error raised while the checks run is not a configuration error: it
+propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import verify
@@ -72,31 +75,29 @@ def main(argv=None) -> int:
     dims = [args.dim] if args.dim is not None else list(DEFAULT_DIMS)
     sweeping = len(dims) > 1
 
-    results = []
     try:
-        for dim in dims:
-            config = verify.RunConfig(
-                dim=dim,
-                seed=args.seed,
-                samples=args.samples,
-                suites=suites,
-                tol_overrides=dict(overrides),
-            )
-            for r in verify.run(config):
-                if sweeping:
-                    r = verify.CheckResult(
-                        f"{r.name}[n={dim}]", r.status, r.residual, r.tol,
-                        r.samples, r.ms,
-                    )
-                results.append(r)
-                print(
-                    f"{r.status.upper():4s} {r.name:45s} "
-                    f"residual={r.residual:.3e} tol={r.tol:.1e} "
-                    f"samples={r.samples} ({r.ms:.0f} ms)"
-                )
+        configs = [
+            verify.RunConfig(dim=dim, seed=args.seed, samples=args.samples,
+                             suites=suites, tol_overrides=overrides)
+            for dim in dims
+        ]
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+    # A check that raises is a fault of the package, not of the configuration:
+    # its error propagates.
+    results = []
+    for config in configs:
+        for r in verify.run(config):
+            if sweeping:
+                r = replace(r, name=f"{r.name}[n={config.dim}]")
+            results.append(r)
+            print(
+                f"{r.status.upper():4s} {r.name:45s} "
+                f"residual={r.residual:.3e} tol={r.tol:.1e} "
+                f"samples={r.samples} ({r.ms:.0f} ms)"
+            )
 
     summary = verify.summarize(results)
     print(

@@ -125,10 +125,16 @@ def unitarity_defect(U) -> float:
     if U.ndim > 2:
         U = U[tuple(0 if step == 0 and size else slice(None)
                     for step, size in zip(U.strides[:-2], U.shape[:-2]))]
+    return float(_gram_defects(U).max(initial=0.0))
+
+
+def _gram_defects(U: np.ndarray) -> np.ndarray:
+    """Largest entry of ``|U^H U - I|`` per matrix of a stack, (..., n, n) ->
+    (...), from one batched product."""
     n = U.shape[-1]
     gram = U.conj().swapaxes(-1, -2) @ U
     gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1] -= 1.0  # G - I, in place
-    return float(np.abs(gram).max(initial=0.0))
+    return np.abs(gram).max(axis=(-2, -1), initial=0.0)
 
 
 def is_unitary(U) -> bool:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import AutParams, _unchecked
-from .hilbert import COND_MAX, UNITARY_TOL, sq_norm, unitarity_defect
+from .hilbert import COND_MAX, UNITARY_TOL, _gram_defects, sq_norm, unitarity_defect
 from .maps import HoloMap
 
 #: Tolerance for the validity checks in :func:`recover_params`.
@@ -241,7 +241,7 @@ def recover_params(jet: Jet2) -> AutParams:
         cond = np.where(finite, np.linalg.cond(safe), np.inf)
         _require(cond <= COND_MAX, JetRecoveryError,
                  lambda i: f"derivative not onto: cond(f_z) = {cond[i]:.3e}")
-        each = np.vectorize(unitarity_defect, signature="(n,n)->()")(U)
+        each = _gram_defects(U)
         _require(each <= RECOVERY_TOL, JetRecoveryError,
                  lambda i: f"normalized f_z not unitary: defect {each[i]:.3e}")
         # Accepted at RECOVERY_TOL but not exactly unitary: use the nearest
@@ -258,8 +258,8 @@ def recover_params(jet: Jet2) -> AutParams:
     return params
 
 
-def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
-    """Max residual of the first-order boundary compatibility identity.
+def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> np.ndarray:
+    """Per-sample residuals of the first-order boundary compatibility identity.
 
     For an origin-fixing map (f, g) preserving the boundary hypersurface,
 
@@ -268,7 +268,8 @@ def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
     holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
     samples (P, dim), or (B, P, dim) for a stack of B germs, with ||z|| small
     enough to stay inside the domain of ``H``; f(z, 0) is read off the images
-    of the Siegel rows (z, 0).
+    of the Siegel rows (z, 0).  Returns ``|lhs - rhs|`` per sample, (P,) or
+    (B, P).
     """
     zs = np.asarray(zs, dtype=complex)
     us = np.asarray(us, dtype=complex)
@@ -279,11 +280,11 @@ def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> float:
     partner = (us @ jet.f_z.swapaxes(-1, -2)
                + 2j * u_dot_z[..., None] * jet.f_w[..., None, :])
     rhs = np.sum(images * partner.conj(), axis=-1)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return np.abs(lhs - rhs)
 
 
-def check_polarization(H: HoloMap, zs, chis, taus) -> float:
-    """Max residual of the polarized boundary identity on complex pairs.
+def check_polarization(H: HoloMap, zs, chis, taus) -> np.ndarray:
+    """Per-sample residuals of the polarized boundary identity on complex pairs.
 
     For each stacked sample (z, chi, tau) the partner coordinate is
     ``w = conj(tau) + 2i <z, chi>``, and the identity
@@ -292,10 +293,12 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> float:
 
     is evaluated two-sidedly on the Siegel rows (z, w) and (chi, tau), with
     g the images' last column and f the rest.  Samples are rows (P, dim) and
-    (P,), or (B, P, dim) and (B, P) for a stack of B germs.  Samples falling
-    outside the domain of ``H`` are skipped with one warning that counts them;
-    if every sample is skipped a ``ValueError`` is raised.  A pole inside the
-    domain breaks the map's own contract and propagates.
+    (P,), or (B, P, dim) and (B, P) for a stack of B germs.  Returns the
+    residual modulus of each sample inside the domain of ``H``, flattened
+    (one entry per such sample).  Samples falling outside the domain are
+    skipped with one warning that counts them; if every sample is skipped a
+    ``ValueError`` is raised.  A pole inside the domain breaks the map's own
+    contract and propagates.
     """
     zs = np.asarray(zs, dtype=complex)
     chis = np.asarray(chis, dtype=complex)
@@ -319,4 +322,4 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> float:
     right = H.evaluate(np.where(keep, np.concatenate([chis, taus[..., None]], -1), 0.0))
     cross = np.sum(left[..., :-1] * right[..., :-1].conj(), axis=-1)
     residual = left[..., -1] - np.conj(right[..., -1]) - 2j * cross
-    return float(np.max(np.abs(residual)[inside]))
+    return np.abs(residual)[inside]

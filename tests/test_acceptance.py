@@ -180,7 +180,7 @@ def test_acceptance_polarized_identity():
             tau = 0.04 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             triples.append((z, chi, tau))
         zs, chis, taus = (np.array(column) for column in zip(*triples))
-        worst = max(worst, check_polarization(H, zs, chis, taus))
+        worst = max(worst, check_polarization(H, zs, chis, taus).max())
     _verdict("polarized boundary identity", worst, 1e-9)
 
 
@@ -199,7 +199,7 @@ def test_acceptance_levi_identity():
             u = rng.standard_normal(BALL_DIM - 1) + 1j * rng.standard_normal(BALL_DIM - 1)
             pairs.append((z, u / np.linalg.norm(u)))
         zs, us = (np.array(column) for column in zip(*pairs))
-        worst = max(worst, check_levi(H, zs, us))
+        worst = max(worst, check_levi(H, zs, us).max())
     _verdict("first-order boundary identity", worst, 1e-9)
 
 

@@ -494,11 +494,14 @@ def test_recover_params_checks_its_U_once(gram_checks):
 
 
 def test_default_run_gram_check_count(gram_checks):
-    """A default dim-8 run makes 71 Gram checks (171 when members and
+    """A default dim-8 run makes 54 Gram checks (171 when members and
     factors of drawn stacks were checked again, 88 when recover_params
-    checked its U and then AutParams checked it again); 17 are recover_params'."""
+    checked its U and then AutParams checked it again, 71 when
+    ``jets.recovery_unitarity`` reduced each block through
+    ``unitarity_defect`` rather than keeping per-member defects); 17 are
+    recover_params'."""
     run(RunConfig(dim=8))
-    assert len(gram_checks) <= 75
+    assert len(gram_checks) <= 58
 
 
 def test_random_params_bounds_and_determinism():

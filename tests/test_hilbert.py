@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from siegelball.hilbert import (
+    _gram_defects,
     as_vector,
     haar_unitary,
     inner,
@@ -174,10 +175,22 @@ def test_haar_unitary_stack_is_unitary(n):
 
 
 def test_unitarity_defect_of_a_stack_is_its_worst_member():
+    """``_gram_defects`` gives each member's defect from one batched product,
+    equal to the member's own; the stack's defect is the worst of them."""
     stack = haar_unitary(3, seed=12, count=5)
     stack[3] *= 1.0 + 1e-6
     assert unitarity_defect(stack) == pytest.approx(unitarity_defect(stack[3]))
     assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 7):
+        noise = rng.standard_normal((4, 6, n, n, 2)).view(complex)[..., 0]
+        noisy = haar_unitary(n, seed=n, count=24).reshape(4, 6, n, n) + 1e-9 * noise
+        each = _gram_defects(noisy)
+        assert each.shape == (4, 6)
+        assert np.array_equal(each, [[unitarity_defect(U) for U in row] for row in noisy])
+        assert unitarity_defect(noisy) == each.max()
+        assert _gram_defects(noisy[1, 2]) == unitarity_defect(noisy[1, 2])
+    assert _gram_defects(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
 
 
 def test_unitarity_defect_matches_explicit_gram_difference():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import siegelball
-from siegelball import cli, verify
+from siegelball import JetRecoveryError, cli, verify
 from siegelball.autgroup import AutParams, as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
@@ -90,6 +90,32 @@ def test_tiny_sample_counts_pass_and_count_rows(samples):
         assert counts[name] <= samples, name
 
 
+def test_groups_return_per_sample_residuals_and_run_reduces_them(monkeypatch):
+    """Every group returns {check name: real float array}, its checks in
+    report order, and ``run`` alone reduces each array: its residual is
+    exactly ``max(initial=0)`` and its sample count the array's size, both
+    plain scalars."""
+    returned = []
+
+    def keeping(group):
+        def call(config, rng):
+            returned.append(group(config, rng))
+            return returned[-1]
+        return call
+
+    for suite, groups in verify.GROUPS.items():
+        monkeypatch.setitem(verify.GROUPS, suite, [keeping(g) for g in groups])
+    results = run(RunConfig(dim=3, seed=4, samples=20))
+    assert [name for residuals in returned for name in residuals] == list(DEFAULT_TOLS)
+    assert [r.name for r in results] == list(DEFAULT_TOLS)
+    arrays = [array for residuals in returned for array in residuals.values()]
+    for result, array in zip(results, arrays, strict=True):
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64, result.name
+        assert result.residual == float(np.max(array, initial=0.0)), result.name
+        assert result.samples == array.size, result.name
+        assert type(result.residual) is float and type(result.samples) is int
+
+
 def test_run_is_deterministic():
     config = RunConfig(dim=2, seed=9, samples=40, suites=("geometry", "examples"))
     first = run(config)
@@ -133,6 +159,14 @@ def test_run_config_validation():
         RunConfig(tol_overrides={"geometry.cayley_roundtrip": -1.0})
 
 
+def test_run_config_leaves_the_callers_overrides_alone():
+    overrides = {"geometry.cayley_roundtrip": "1e-3"}
+    config = RunConfig(tol_overrides=overrides)
+    assert overrides == {"geometry.cayley_roundtrip": "1e-3"}
+    assert config.tol_overrides == {"geometry.cayley_roundtrip": 1e-3}
+    assert config.tol_overrides is not overrides
+
+
 def test_suite_rng_is_stable_and_suite_dependent():
     config = RunConfig(dim=2, seed=5)
     a = suite_rng(config, "geometry").uniform()
@@ -150,6 +184,7 @@ def test_report_is_line_delimited_json():
     records = [json.loads(line) for line in lines]
     assert len(records) == len(results) + 1
     for record, result in zip(records, results):
+        assert list(record) == ["name", "status", "residual", "tol", "samples", "ms"]
         assert record["name"] == result.name
         assert record["status"] == result.status
         # json round-trips doubles exactly
@@ -375,6 +410,19 @@ def test_cli_bad_dimension_returns_2(capsys):
     code = cli.main(["--dim", "1", "--samples", "5", "--suite", "examples"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_check_error_propagates(monkeypatch, capsys):
+    """An error raised by a check is a fault of the package, not of the
+    configuration: it propagates, although every typed error of the package
+    is a ValueError, and is not reported as exit code 2."""
+    def failing(config, rng):
+        raise JetRecoveryError("differentiation radius 0.1 does not fit")
+
+    monkeypatch.setitem(verify.GROUPS, "jets", [failing])
+    with pytest.raises(JetRecoveryError, match="does not fit"):
+        cli.main(["--dim", "2", "--samples", "5", "--suite", "jets"])
+    assert "configuration error" not in capsys.readouterr().err
 
 
 def test_cli_writes_report_file(tmp_path, capsys):
