@@ -57,8 +57,6 @@ from .jets import (
 from .maps import (
     INFINITY,
     HoloMap,
-    LambdaSeq,
-    MultiIndexTable,
     WhitneySpec,
     homog_sum_map,
     homog_sum_norm_squared,
@@ -81,8 +79,6 @@ __all__ = [
     "INFINITY",
     "Jet2",
     "JetRecoveryError",
-    "LambdaSeq",
-    "MultiIndexTable",
     "NotOriginFixingError",
     "RunConfig",
     "SiegelPoint",

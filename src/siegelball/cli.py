@@ -1,15 +1,15 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors (unknown suite or check name, malformed tolerance).
-An error raised while the checks run is not a configuration error: it
-propagates with its traceback.
+configuration errors (unknown suite or check name, malformed tolerance), 3
+when a check raises: its traceback goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,11 +85,16 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    # A check that raises is a fault of the package, not of the configuration:
-    # its error propagates.
+    # A check that raises is a fault of the package, not of the configuration
+    # or a failed check: a crashed run gets its own exit code.
     results = []
     for config in configs:
-        for r in verify.run(config):
+        try:
+            checked = verify.run(config)
+        except Exception:
+            traceback.print_exc()
+            return 3
+        for r in checked:
             if sweeping:
                 r = replace(r, name=f"{r.name}[n={config.dim}]")
             results.append(r)

@@ -53,13 +53,16 @@ class NotOriginFixingError(ValueError):
 
 
 class JetRecoveryError(ValueError):
-    """Raised when a germ's circles do not fit inside its domain, or when its
-    jet fails a recovery validity identity (N != n is "derivative not onto")."""
+    """Raised when a germ's domain radius is not positive, or when its jet
+    fails a recovery validity identity (N != n is "derivative not onto")."""
 
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Circle radius and node count for the discrete Cauchy integrals."""
+    """Circle radius and node count for the discrete Cauchy integrals.
+
+    :func:`extract_jet2` shrinks the radius to half the germ's smallest
+    domain radius when that is smaller."""
 
     radius: float = 0.1
     nodes: int = 32
@@ -163,18 +166,19 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     """Second-order jet of an origin-fixing map germ, or of a stack of germs.
 
     Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
-    radius ``cfg.radius``: 1 + M + 5dM Siegel rows (z, w) for M = ``cfg.nodes``
-    (the diagonal circles take 2M points each), as rows (1, R, d + 1) that a
+    radius rho = min(``cfg.radius``, half the smallest domain radius of
+    ``H``): 1 + M + 5dM Siegel rows (z, w) for M = ``cfg.nodes`` (the
+    diagonal circles take 2M points each), as rows (1, R, d + 1) that a
     stack's germs share; a stack's jet fields get a leading member axis.  The
     image width N, and with it the jet's shapes, is read off the images.
-    Raises :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than
-    1e-12 from the origin, and :class:`JetRecoveryError` when the circle
-    radius does not fit inside the advertised domain radius of ``H``.
+    Raises :class:`JetRecoveryError` when a domain radius of ``H`` is not
+    positive (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is
+    farther than 1e-12 from the origin.
     """
-    radius, r = np.asarray(H.domain_radius), cfg.radius
-    _require(r < radius, JetRecoveryError, lambda i: (
-        f"differentiation radius {r} does not fit inside the "
-        f"map domain (radius {radius[i]})"))
+    radius = np.asarray(H.domain_radius)
+    _require(radius > 0, JetRecoveryError,
+             lambda i: f"map domain radius {radius[i]} is not positive")
+    r = min(cfg.radius, 0.5 * float(radius.min()))
     d, M = H.dim, cfg.nodes
     axial, diagonal = 1 + M, 1 + M + d * M
     rows, C, C2 = _circles(d, M)

@@ -4,8 +4,9 @@ Two families of holomorphic maps from the unit ball of C^n into a
 higher-dimensional ball, each squashing the whole sphere (or a piece of it)
 onto the target sphere while its derivative is nowhere onto:
 
-* the homogeneous-sum map, one output coordinate ``lambda_k z_{a_1}...z_{a_k}``
-  per ordered multi-index (a_1, ..., a_k), whose squared norm collapses by the
+* the homogeneous-sum map ``Z -> (lambda_k Z^(x)k)_k``, whose slots are the
+  coordinates ``lambda_k z_{a_1}...z_{a_k}``, one per ordered multi-index
+  (a_1, ..., a_k) in any enumeration, and whose squared norm collapses by the
   multinomial theorem to ``sum_k |lambda_k|^2 ||Z||^(2k)``;
 * the generalised Whitney map, with coordinates ``z_1^q z_k`` for q below a
   degree p (finite or infinite) plus ``z_1^p`` when p is finite, whose squared
@@ -14,7 +15,6 @@ onto the target sphere while its derivative is nowhere onto:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,9 +25,6 @@ from .hilbert import as_points, sq_norm
 
 #: Marker for an infinite Whitney degree.
 INFINITY = math.inf
-
-#: Tolerance for the normalisation flag on coefficient sequences.
-NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,147 +51,54 @@ class HoloMap:
         return self.input_dim - 1
 
 
-@dataclass(frozen=True)
-class MultiIndexTable:
-    """All ordered multi-indices over {1..n} of length 1..degree_cap.
+def homog_sum_map(coefficients, n: int, order=None) -> HoloMap:
+    """The map ``Z -> (lambda_1 Z, lambda_2 Z^(x)2, ..., lambda_K Z^(x)K)``.
 
-    ``indices`` fixes the enumeration (the bijection onto output coordinate
-    slots); the default builder uses graded lexicographic order, but any
-    permutation of it describes the same family of maps.
+    ``coefficients`` is the 1-D sequence lambda_1..lambda_K.  Each tensor
+    power is flattened row-major, so the output slots run through the ordered
+    multi-indices of lengths 1..K in graded lexicographic order; ``order``,
+    a permutation of those ``n + n^2 + ... + n^K`` slots, enumerates them
+    differently (image ``[..., order]``).  The squared output norm is
+    ``sum_k |lambda_k|^2 ||Z||^(2k)`` for every enumeration.
     """
-
-    n: int
-    degree_cap: int
-    indices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1 or self.degree_cap < 1:
-            msg = "n and degree_cap must both be >= 1"
-            raise ValueError(msg)
-        seen = set()
-        for alpha in self.indices:
-            if not alpha or len(alpha) > self.degree_cap:
-                msg = f"index {alpha} has length outside 1..{self.degree_cap}"
-                raise ValueError(msg)
-            if any(j < 1 or j > self.n for j in alpha):
-                msg = f"index {alpha} has entries outside 1..{self.n}"
-                raise ValueError(msg)
-            if alpha in seen:
-                msg = f"duplicate index {alpha}"
-                raise ValueError(msg)
-            seen.add(alpha)
-
-    @classmethod
-    def graded_lex(cls, n: int, degree_cap: int) -> "MultiIndexTable":
-        """Enumerate by length first, lexicographically within each length."""
-        indices = tuple(
-            alpha
-            for k in range(1, degree_cap + 1)
-            for alpha in itertools.product(range(1, n + 1), repeat=k)
-        )
-        return cls(n=n, degree_cap=degree_cap, indices=indices)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def is_complete(self) -> bool:
-        """True when every index of length 1..degree_cap appears."""
-        expected = sum(self.n**k for k in range(1, self.degree_cap + 1))
-        return self.size == expected
-
-
-@dataclass(frozen=True)
-class LambdaSeq:
-    """Degree coefficients (lambda_1, ..., lambda_K) of a homogeneous sum."""
-
-    values: tuple[complex, ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = tuple(complex(v) for v in self.values)
-        if not values:
-            msg = "coefficient sequence must be non-empty"
-            raise ValueError(msg)
-        if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in values):
-            msg = "coefficients must be finite"
-            raise ValueError(msg)
-        object.__setattr__(self, "values", values)
-        if self.normalized:
-            total = sum(abs(v) ** 2 for v in values)
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                msg = f"sum of |lambda_k|^2 is {total!r}, not 1"
-                raise ValueError(msg)
-
-    @classmethod
-    def unit(cls, values) -> "LambdaSeq":
-        """Scale a sequence onto the coefficient sphere and flag it."""
-        values = [complex(v) for v in values]
-        total = math.sqrt(sum(abs(v) ** 2 for v in values))
-        if total == 0.0:
-            msg = "cannot normalize the zero sequence"
-            raise ValueError(msg)
-        return cls(tuple(v / total for v in values), normalized=True)
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.values)
-
-
-def homog_sum_map(lam: LambdaSeq, table: MultiIndexTable) -> HoloMap:
-    """Map with coordinates ``lambda_|alpha| * prod_j Z_alpha_j``, one per index.
-
-    Requires the table to cover every multi-index up to its degree cap and
-    the coefficient sequence to match that cap.  The squared output norm is
-    ``sum_k |lambda_k|^2 ||Z||^(2k)`` independently of the enumeration.
-    """
-    if lam.degree_cap != table.degree_cap:
-        msg = (
-            f"coefficient sequence has degree cap {lam.degree_cap}, "
-            f"table has {table.degree_cap}"
-        )
+    coef = np.asarray(coefficients, dtype=complex)
+    if coef.ndim != 1 or coef.size == 0 or not np.isfinite(coef).all():
+        msg = "coefficients must be a non-empty 1-D sequence of finite numbers"
         raise ValueError(msg)
-    if not table.is_complete():
-        msg = "table does not cover all multi-indices up to its degree cap"
+    if n < 1:
+        msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
-    n, cap = table.n, table.degree_cap
-    # Products are built in graded-lex order, where the degree-k block is the
-    # outer product of Z with the degree-(k-1) block (the first index varies
-    # slowest, and the long axis stays innermost); ``offsets[k - 1]`` starts
-    # block k.
-    offsets = np.cumsum([0] + [n**k for k in range(1, cap + 1)])
-    coef = np.repeat(lam.values, np.diff(offsets))
-    order = np.array([_graded_lex_position(alpha, n, offsets) for alpha in table.indices])
-    if np.array_equal(order, np.arange(table.size)):
-        order = None
+    # The degree-k block is the outer product of Z with the degree-(k-1)
+    # block (the long axis stays innermost); ``offsets[k - 1]`` starts block k.
+    offsets = np.cumsum([0] + [n**k for k in range(1, coef.size + 1)])
+    size = int(offsets[-1])
+    if order is not None:
+        order = np.asarray(order)
+        if (order.dtype.kind not in "iu" or order.shape != (size,)
+                or not np.array_equal(np.sort(order), np.arange(size))):
+            msg = f"order must be a permutation of the {size} output slots"
+            raise ValueError(msg)
+    coef = np.repeat(coef, np.diff(offsets))
 
     def evaluate(Z) -> np.ndarray:
         Z = as_points(Z, n)
         lead = Z.shape[:-1]
-        out = np.empty(lead + (table.size,), dtype=complex)
+        out = np.empty(lead + (size,), dtype=complex)
         out[..., :n] = Z
-        for k in range(2, cap + 1):
+        for k in range(2, len(offsets)):
             prev = out[..., offsets[k - 2]:offsets[k - 1]]
             block = out[..., offsets[k - 1]:offsets[k]].reshape(lead + (n, n ** (k - 1)))
             np.multiply(Z[..., :, None], prev[..., None, :], out=block)
         out *= coef
         return out if order is None else out[..., order]
 
-    return HoloMap(evaluate, n, table.size)
+    return HoloMap(evaluate, n, size)
 
 
-def _graded_lex_position(alpha, n: int, offsets) -> int:
-    """Slot of the multi-index ``alpha`` in the graded-lex enumeration."""
-    rank = 0
-    for j in alpha:
-        rank = rank * n + (j - 1)
-    return int(offsets[len(alpha) - 1]) + rank
-
-
-def homog_sum_norm_squared(lam: LambdaSeq, Z):
+def homog_sum_norm_squared(coefficients, Z):
     """Closed-form squared norm ``sum_k |lambda_k|^2 ||Z||^(2k)``, per point."""
     r2 = sq_norm(as_points(Z))
-    return sum(abs(v) ** 2 * r2**k for k, v in enumerate(lam.values, start=1))
+    return sum(abs(c) ** 2 * r2**k for k, c in enumerate(coefficients, start=1))
 
 
 @dataclass(frozen=True)

@@ -489,16 +489,15 @@ def _j_polarization(config: RunConfig, rng):
 # ---------------------------------------------------------------------------
 # examples suite
 
-def _random_lambda(rng, cap: int) -> maps.LambdaSeq:
+def _random_lambda(rng, cap: int) -> np.ndarray:
     parts = rng.uniform(-1, 1, size=(cap, 2))
-    return maps.LambdaSeq(tuple(parts[:, 0] + 1j * parts[:, 1]))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _e_homog_norm_law(config: RunConfig, rng):
     n = min(config.dim, 4)
-    cap = 4
-    lam = _random_lambda(rng, cap)
-    H = maps.homog_sum_map(lam, maps.MultiIndexTable.graded_lex(n, cap))
+    lam = _random_lambda(rng, 4)
+    H = maps.homog_sum_map(lam, n)
     points = sample_ball(n, rng, config.samples, radius=0.95)
     brute = _by_blocks(lambda Z: sq_norm(H.evaluate(Z)), points)
     return {"examples.homog_norm_law":
@@ -507,9 +506,8 @@ def _e_homog_norm_law(config: RunConfig, rng):
 
 def _e_homog_sphere(config: RunConfig, rng):
     n = min(config.dim, 4)
-    cap = 4
-    lam = maps.LambdaSeq.unit(_random_lambda(rng, cap).values)
-    H = maps.homog_sum_map(lam, maps.MultiIndexTable.graded_lex(n, cap))
+    lam = _random_lambda(rng, 4)
+    H = maps.homog_sum_map(lam / np.linalg.norm(lam), n)
     points = sample_sphere(n, rng, config.samples)
     return {"examples.homog_sphere_norm":
             np.abs(_by_blocks(lambda Z: sq_norm(H.evaluate(Z)), points) - 1.0)}
@@ -552,16 +550,10 @@ def _e_shift(config: RunConfig, rng):
 
 
 def _e_enumeration(config: RunConfig, rng):
-    n, cap = 3, 3
-    lam = _random_lambda(rng, cap)
-    table = maps.MultiIndexTable.graded_lex(n, cap)
-    order = rng.permutation(table.size)
-    shuffled = maps.MultiIndexTable(
-        n=n, degree_cap=cap,
-        indices=tuple(table.indices[i] for i in order),
-    )
-    H1 = maps.homog_sum_map(lam, table)
-    H2 = maps.homog_sum_map(lam, shuffled)
+    n = 3
+    lam = _random_lambda(rng, 3)
+    H1 = maps.homog_sum_map(lam, n)
+    H2 = maps.homog_sum_map(lam, n, order=rng.permutation(H1.output_dim))
     count = min(config.samples, 200)
     Z = sample_ball(n, rng, count, radius=0.95)
     return {"examples.enumeration_invariance":

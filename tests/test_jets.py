@@ -209,9 +209,10 @@ JET_GAP_BOUNDS = {"f_z": 1.8e-15, "f_w": 1.4e-15, "g_z": 0.0, "g_w": 2.7e-15,
 @pytest.mark.parametrize("dim", [1, 3, 7])
 def test_mixed_block_accuracy_over_many_draws(dim):
     """Every jet field, f_zw included, stays at roundoff level over 200
-    default-range draws, circles reaching 0.8 of the map's domain radius.
-    Diagonal circles sampled at only cfg.nodes points alias f_zw by 6e-13 on
-    these draws at d = 1."""
+    default-range draws, where the default radius 0.1 would reach 0.8 of the
+    map's domain radius (extract_jet2 shrinks such circles to half of it).
+    Diagonal circles sampled at only cfg.nodes points aliased f_zw by 6e-13
+    on these draws at d = 1, with circles of the default radius."""
     worst = dict.fromkeys(JET_GAP_BOUNDS, 0.0)
     reach = 0.0
     for seed in range(200):
@@ -376,9 +377,18 @@ def test_extract_requires_origin_fixing():
 
 
 def test_extract_requires_radius_inside_domain():
-    H = as_holo_map(random_params(2, seed=3))
-    with pytest.raises(JetRecoveryError, match="does not fit inside"):
-        extract_jet2(H, DiffConfig(radius=H.domain_radius))
+    """The circles shrink to half the domain radius when ``cfg.radius`` does
+    not fit inside it; a domain radius that is not positive is a typed error."""
+    params = random_params(2, seed=3)
+    H = as_holo_map(params)
+    wide = extract_jet2(H, DiffConfig(radius=H.domain_radius))
+    half = extract_jet2(H, DiffConfig(radius=0.5 * H.domain_radius))
+    for field, value in zip(astuple(wide), astuple(half)):
+        assert np.array_equal(field, value)
+    assert param_distance(recover_params(wide), params) < 1e-13
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(JetRecoveryError, match="domain radius .* is not positive"):
+            extract_jet2(replace(H, domain_radius=radius))
 
 
 def _levi_pairs(rng, d=3, count=50, scale=0.04):
@@ -465,6 +475,19 @@ def test_recovery_projects_small_unitarity_gap():
 WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
 
 
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_wide_range_recovery_with_the_default_config(dim):
+    """With the default DiffConfig, wide-range germs recover singly and as a
+    20-member stack: the circles shrink to half the (smallest) domain radius."""
+    stack = random_params(dim, 31, count=20, **WIDE)
+    assert domain_radius(stack).min() < 2 * DiffConfig().radius
+    recovered = recover_params(extract_jet2(as_holo_map(stack)))
+    assert param_distance(recovered, stack).max() <= 1e-12
+    for i in range(20):
+        single = recover_params(extract_jet2(as_holo_map(stack[i])))
+        assert param_distance(single, stack[i]) <= 1e-12
+
+
 def _close(stacked, single, rel=1e-13):
     """Agreement up to roundoff: a batched product may round differently."""
     scale = max(1.0, float(np.max(np.abs(single))))
@@ -535,12 +558,12 @@ def test_stacked_recovery_names_failing_member():
 
 def test_stacked_extraction_names_failing_member():
     """The radius and origin checks of extract_jet2 name the failing member."""
-    radii = np.array([0.5, 0.05, 0.5])
+    radii = np.array([0.5, 0.0, 0.5])
     offsets = np.zeros((3, 1, 3))
     offsets[2, :, -1] = 0.5  # member 2 moves the origin to w = 0.5
     shifted = HoloMap(lambda rows: rows + offsets, 3, 3, domain_radius=radii)
     with pytest.raises(JetRecoveryError,
-                       match=r"^member 1: differentiation radius 0.1 does"):
+                       match=r"^member 1: map domain radius 0.0 is not positive"):
         extract_jet2(shifted)
     with pytest.raises(NotOriginFixingError, match=r"^member 2: not origin-fixing"):
         extract_jet2(replace(shifted, domain_radius=np.ones(3)))

@@ -1,5 +1,7 @@
 """Homogeneous-sum and Whitney coordinate maps and their norm identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,6 @@ from numpy.testing import assert_allclose
 
 from siegelball.maps import (
     INFINITY,
-    LambdaSeq,
-    MultiIndexTable,
     WhitneySpec,
     homog_sum_map,
     homog_sum_norm_squared,
@@ -23,39 +23,55 @@ def _norm2(v) -> float:
     return float(np.vdot(v, v).real)
 
 
+def _graded_lex(n: int, cap: int) -> list[tuple[int, ...]]:
+    """Ordered multi-indices over {0..n-1} of lengths 1..cap, by length first
+    and lexicographically within each length."""
+    return [alpha for k in range(1, cap + 1)
+            for alpha in itertools.product(range(n), repeat=k)]
+
+
 # ---------------------------------------------------------------------------
-# multi-index tables
+# output slots
 
 
 def test_graded_lex_order_small():
-    table = MultiIndexTable.graded_lex(2, 2)
-    assert table.indices == ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
-    assert table.size == 6
-    assert table.is_complete()
+    """Unpermuted slots run z1, z2, z1^2, z1 z2, z2 z1, z2^2: each tensor
+    power flattened row-major."""
+    a, b = 0.3 + 0.1j, -0.5j
+    out = homog_sum_map([1.0, 1.0], 2).evaluate(np.array([a, b]))
+    assert out.shape == (6,)
+    assert_allclose(out, [a, b, a * a, a * b, b * a, b * b], rtol=0, atol=0)
 
 
 def test_graded_lex_size_formula():
-    table = MultiIndexTable.graded_lex(3, 4)
-    assert table.size == 3 + 9 + 27 + 81
-    assert table.is_complete()
+    H = homog_sum_map([1.0] * 4, 3)
+    assert H.output_dim == 3 + 9 + 27 + 81 == len(_graded_lex(3, 4))
+    assert H.input_dim == 3
 
 
 def test_table_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        MultiIndexTable(n=2, degree_cap=1, indices=((1,), (1,)))
-    with pytest.raises(ValueError, match="entries outside"):
-        MultiIndexTable(n=2, degree_cap=1, indices=((3,),))
-    with pytest.raises(ValueError, match="length outside"):
-        MultiIndexTable(n=2, degree_cap=1, indices=((1, 1),))
-    with pytest.raises(ValueError, match="length outside"):
-        MultiIndexTable(n=2, degree_cap=1, indices=((),))
-    with pytest.raises(ValueError):
-        MultiIndexTable(n=0, degree_cap=1, indices=())
+    """``order`` must be an integer permutation of the output slots, and the
+    source dimension at least 1."""
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0], 2, order=[0, 2])  # a slot out of range
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0], 2, order=[-1, 0])
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0], 2, order=[1.0, 0.0])  # not integers
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0], 2, order=[[1, 0]])  # not 1-D
+    with pytest.raises(ValueError, match="dimension"):
+        homog_sum_map([1.0], 0)
+    H = homog_sum_map([1.0], 2, order=np.array([1, 0], dtype=np.uint8))
+    assert_allclose(H.evaluate(np.array([1.0, 2.0])), [2.0, 1.0], rtol=0, atol=0)
 
 
 def test_incomplete_table_detected():
-    table = MultiIndexTable(n=2, degree_cap=1, indices=((1,),))
-    assert not table.is_complete()
+    """An ``order`` that leaves out a slot is not a permutation."""
+    with pytest.raises(ValueError, match="permutation of the 6 output slots"):
+        homog_sum_map([1.0, 1.0], 2, order=np.arange(5))
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0, 1.0], 2, order=[])
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +79,26 @@ def test_incomplete_table_detected():
 
 
 def test_lambda_seq_unit_normalizes():
-    lam = LambdaSeq.unit([3.0, 4.0])
-    assert lam.normalized
-    assert sum(abs(v) ** 2 for v in lam.values) == pytest.approx(1.0)
-    assert lam.values[0] == pytest.approx(0.6)
+    """Coefficients scaled onto the unit sphere, here (3, 4) / 5, make the map
+    send the sphere to the sphere; any real or complex 1-D array-like works."""
+    Z = np.array([0.6, 0.8j])
+    for coefficients in ([0.6, 0.8], (0.6 + 0j, 0.8), np.array([3, 4]) / 5.0):
+        out = homog_sum_map(coefficients, 2).evaluate(Z)
+        assert _norm2(out) == pytest.approx(1.0, abs=1e-15)
+        assert out[0] == pytest.approx(0.36)
 
 
 def test_lambda_seq_validation():
     with pytest.raises(ValueError, match="non-empty"):
-        LambdaSeq(())
+        homog_sum_map([], 2)
     with pytest.raises(ValueError, match="finite"):
-        LambdaSeq((complex("nan"),))
-    with pytest.raises(ValueError, match="not 1"):
-        LambdaSeq((2.0,), normalized=True)
-    with pytest.raises(ValueError, match="zero sequence"):
-        LambdaSeq.unit([0.0, 0.0])
+        homog_sum_map([complex("nan")], 2)
+    with pytest.raises(ValueError, match="finite"):
+        homog_sum_map([1.0, np.inf], 2)
+    with pytest.raises(ValueError, match="1-D"):
+        homog_sum_map([[1.0, 0.5]], 2)
+    with pytest.raises(ValueError, match="1-D"):
+        homog_sum_map(1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +107,7 @@ def test_lambda_seq_validation():
 
 def test_homog_sum_degree_one_is_the_inclusion():
     """lambda = (1, 0, ...) zeroes every higher block: an isometric inclusion."""
-    lam = LambdaSeq((1.0, 0.0, 0.0))
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(2, 3))
+    H = homog_sum_map([1.0, 0.0, 0.0], 2)
     for Z in sample_ball(2, seed=3, count=50, radius=0.95):
         out = H.evaluate(Z)
         assert_allclose(out[:2], Z, atol=1e-15)
@@ -96,25 +116,22 @@ def test_homog_sum_degree_one_is_the_inclusion():
 
 def test_homog_sum_pure_degree_two():
     """lambda = (0, 1) keeps only the degree-2 block: ||H(Z)||^2 = ||Z||^4."""
-    lam = LambdaSeq((0.0, 1.0))
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(2, 2))
+    H = homog_sum_map([0.0, 1.0], 2)
     Z = np.array([0.3 + 0.1j, -0.5j])
     assert _norm2(H.evaluate(Z)) == pytest.approx(_norm2(Z) ** 2, abs=1e-14)
 
 
 def test_homog_sum_output_layout():
-    lam = LambdaSeq((2.0, 3.0))
-    table = MultiIndexTable.graded_lex(2, 2)
-    H = homog_sum_map(lam, table)
+    H = homog_sum_map([2.0, 3.0], 2)
     out = H.evaluate(np.array([1.0, 1j]))
-    # slots follow the table: z1, z2, z1^2, z1 z2, z2 z1, z2^2
+    # graded-lex slots: z1, z2, z1^2, z1 z2, z2 z1, z2^2
     assert_allclose(out, [2.0, 2j, 3.0, 3j, 3j, -3.0], atol=1e-15)
 
 
 def test_homog_sum_norm_law_random():
     rng = np.random.default_rng(2)
-    lam = LambdaSeq(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(3, 3))
+    lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    H = homog_sum_map(lam, 3)
     for Z in sample_ball(3, seed=4, count=200, radius=0.95):
         assert _norm2(H.evaluate(Z)) == pytest.approx(
             homog_sum_norm_squared(lam, Z), abs=1e-12
@@ -122,28 +139,30 @@ def test_homog_sum_norm_law_random():
 
 
 def test_homog_sum_normalized_sphere_to_sphere():
-    lam = LambdaSeq.unit([1.0, -2.0, 0.5j, 1.0])
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(4, 4))
+    lam = np.array([1.0, -2.0, 0.5j, 1.0])
+    H = homog_sum_map(lam / np.linalg.norm(lam), 4)
     for Z in sample_sphere(4, seed=5, count=100):
         assert _norm2(H.evaluate(Z)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homog_sum_requires_matching_caps():
-    lam = LambdaSeq((1.0, 1.0))
-    with pytest.raises(ValueError, match="degree cap"):
-        homog_sum_map(lam, MultiIndexTable.graded_lex(2, 3))
+    """The degree cap is the number of coefficients: a permutation of the
+    slots of another cap is rejected."""
+    assert homog_sum_map([1.0, 1.0, 1.0], 2).output_dim == 2 + 4 + 8
+    with pytest.raises(ValueError, match="permutation of the 14 output slots"):
+        homog_sum_map([1.0, 1.0, 1.0], 2, order=np.arange(6))
 
 
 def test_homog_sum_requires_complete_table():
-    lam = LambdaSeq((1.0,))
-    partial = MultiIndexTable(n=2, degree_cap=1, indices=((1,),))
-    with pytest.raises(ValueError, match="does not cover"):
-        homog_sum_map(lam, partial)
+    """An ``order`` that repeats a slot, and so misses another, is rejected."""
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0], 2, order=[0, 0])
+    with pytest.raises(ValueError, match="permutation"):
+        homog_sum_map([1.0, 1.0], 2, order=[0, 1, 2, 3, 4, 4])
 
 
 def test_homog_sum_rejects_wrong_dimension():
-    lam = LambdaSeq((1.0,))
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(2, 1))
+    H = homog_sum_map([1.0], 2)
     with pytest.raises(ValueError, match="dimension"):
         H.evaluate(np.ones(3))
 
@@ -151,14 +170,9 @@ def test_homog_sum_rejects_wrong_dimension():
 def test_enumeration_permutation_invariance():
     """The output norm cannot see the order of the multi-index slots."""
     rng = np.random.default_rng(7)
-    lam = LambdaSeq((0.5, -1j, 0.25))
-    table = MultiIndexTable.graded_lex(2, 3)
-    order = rng.permutation(table.size)
-    shuffled = MultiIndexTable(
-        n=2, degree_cap=3, indices=tuple(table.indices[i] for i in order)
-    )
-    H1 = homog_sum_map(lam, table)
-    H2 = homog_sum_map(lam, shuffled)
+    lam = [0.5, -1j, 0.25]
+    H1 = homog_sum_map(lam, 2)
+    H2 = homog_sum_map(lam, 2, order=rng.permutation(H1.output_dim))
     for Z in sample_ball(2, seed=8, count=100, radius=0.95):
         assert _norm2(H1.evaluate(Z)) == pytest.approx(
             _norm2(H2.evaluate(Z)), abs=1e-13
@@ -166,30 +180,50 @@ def test_enumeration_permutation_invariance():
 
 
 def test_homog_sum_shuffled_table_matches_per_index_products():
-    """Every output slot of a shuffled table is lambda_|alpha| times the
-    product of its coordinates, entry by entry."""
+    """Every output slot of a permuted map is lambda_|alpha| times the
+    product of the coordinates of the multi-index it enumerates, entry by
+    entry."""
     rng = np.random.default_rng(11)
-    lam = LambdaSeq((0.5, -1j, 0.25 + 0.5j, 0.7))
-    table = MultiIndexTable.graded_lex(3, 4)
-    order = rng.permutation(table.size)
-    shuffled = MultiIndexTable(
-        n=3, degree_cap=4, indices=tuple(table.indices[i] for i in order)
-    )
+    lam = [0.5, -1j, 0.25 + 0.5j, 0.7]
+    indices = _graded_lex(3, 4)
     Z = sample_ball(3, seed=12, count=25, radius=0.95)
-    for tab in (table, shuffled):
-        out = homog_sum_map(lam, tab).evaluate(Z)
-        assert out.shape == (25, tab.size)
-        for slot, alpha in enumerate(tab.indices):
-            expected = lam.values[len(alpha) - 1] * np.prod(
-                Z[:, [j - 1 for j in alpha]], axis=1)
+    for order in (np.arange(len(indices)), rng.permutation(len(indices))):
+        H = homog_sum_map(lam, 3, order=order)
+        out = H.evaluate(Z)
+        assert out.shape == (25, len(indices))
+        for slot, position in enumerate(order):
+            alpha = indices[position]
+            expected = lam[len(alpha) - 1] * np.prod(Z[:, list(alpha)], axis=1)
             assert_allclose(out[:, slot], expected, rtol=1e-14, atol=1e-16)
-        point = homog_sum_map(lam, tab).evaluate(Z[0])
-        assert_allclose(point, out[0], rtol=0.0, atol=0.0)
+        assert_allclose(H.evaluate(Z[0]), out[0], rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_homog_sum_blocks_are_einsum_tensor_powers(n):
+    """Independent oracle: block k of the image is lambda_k times Z^(x)k, built
+    by ``np.einsum`` and flattened row-major, for every cap K <= 4; a permuted
+    map's images are exactly the unpermuted ones indexed by ``order``."""
+    rng = np.random.default_rng(40 + n)
+    Z = sample_ball(n, rng, 30, radius=0.95)
+    for cap in range(1, 5):
+        lam = rng.standard_normal(cap) + 1j * rng.standard_normal(cap)
+        out = homog_sum_map(lam, n).evaluate(Z)
+        start = 0
+        for k in range(1, cap + 1):
+            operands = [arg for j in range(1, k + 1) for arg in (Z, [0, j])]
+            power = np.einsum(*operands, list(range(k + 1))).reshape(len(Z), n**k)
+            assert_allclose(out[:, start:start + n**k], lam[k - 1] * power,
+                            rtol=1e-14, atol=0)
+            start += n**k
+        assert start == out.shape[1]
+        order = rng.permutation(start)
+        permuted = homog_sum_map(lam, n, order=order).evaluate(Z)
+        assert np.array_equal(permuted, out[..., order])
 
 
 def test_homog_sum_derivative_count():
     # K >= 2 maps into a strictly larger space: nowhere-onto derivative.
-    H = homog_sum_map(LambdaSeq((1.0, 1.0)), MultiIndexTable.graded_lex(3, 2))
+    H = homog_sum_map([1.0, 1.0], 3)
     assert H.output_dim == 12 > H.input_dim
 
 
@@ -199,10 +233,9 @@ def test_homog_sum_derivative_count():
 )
 @settings(max_examples=60, deadline=None)
 def test_homog_norm_law_property(coeffs, point):
-    lam = LambdaSeq((complex(coeffs[0]), complex(coeffs[1])))
     Z = np.array([complex(point[0]), complex(point[1])])
-    H = homog_sum_map(lam, MultiIndexTable.graded_lex(2, 2))
-    assert abs(_norm2(H.evaluate(Z)) - homog_sum_norm_squared(lam, Z)) < 1e-12
+    H = homog_sum_map(coeffs, 2)
+    assert abs(_norm2(H.evaluate(Z)) - homog_sum_norm_squared(coeffs, Z)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +293,9 @@ def test_whitney_norm_identity_trivial_slice():
 
 
 def test_maps_evaluate_stacked_points_row_by_row():
-    lam = LambdaSeq((0.3 + 0.1j, -0.5, 0.2j))
+    lam = [0.3 + 0.1j, -0.5, 0.2j]
     maps = [
-        homog_sum_map(lam, MultiIndexTable.graded_lex(3, 3)),
+        homog_sum_map(lam, 3),
         whitney_map(WhitneySpec(3, 3)),
         whitney_map(WhitneySpec(INFINITY, 3, truncation=6)),
         shift_map(3),

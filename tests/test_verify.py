@@ -305,10 +305,10 @@ def _perfbench(name: str, monkeypatch):
 
 
 def test_benchmark_oracle_agrees_with_the_group_law(monkeypatch):
-    """The benchmark's closed-form oracle accepts compose and invert (default
-    and wide range) and jet recovery (default range) at the tolerances its
-    workload holds them to, on a short seeded stream at d = 1, 3, 7: a miss
-    there would fail every benchmark run."""
+    """The benchmark's closed-form oracle accepts compose, invert and jet
+    recovery, default and wide range, at the tolerances its workload holds
+    them to, on a short seeded stream at d = 1, 3, 7: a miss there would
+    fail every benchmark run."""
     oracle = _perfbench("oracle", monkeypatch)
     workloads = _perfbench("workloads", monkeypatch)
     rng = np.random.default_rng(57)
@@ -316,8 +316,7 @@ def test_benchmark_oracle_agrees_with_the_group_law(monkeypatch):
     for d, ranges in itertools.product(workloads.GROUP_DIMS, [{}, workloads.WIDE_RANGE]):
         for _ in range(4):
             p, q = (random_params(d, rng, **ranges) for _ in range(2))
-            ops = [("compose", (p, q)), ("invert", (p,))]
-            ops += [] if ranges else [("recover", (p,))]
+            ops = [("compose", (p, q)), ("invert", (p,)), ("recover", (p,))]
             for kind, args in ops:
                 out = workloads.OPERATIONS[kind](siegelball, *args)
                 gap = oracle.distance(out, workloads.ORACLES[kind](*args))
@@ -337,8 +336,7 @@ def test_benchmark_tracer_binds_package_names(monkeypatch):
     tracer = spans.Tracer(keep=0)
     with spans.instrument(siegelball, tracer):
         siegelball.jets.extract_jet2(as_holo_map(random_params(2, seed=0)))
-        table = siegelball.maps.MultiIndexTable.graded_lex(2, 2)
-        H = siegelball.maps.homog_sum_map(siegelball.maps.LambdaSeq((1.0, 0.5)), table)
+        H = siegelball.maps.homog_sum_map([1.0, 0.5], 2)
         H.evaluate(np.ones((3, 2)))
     assert tracer.counters["jets.extract_jet2.grid_points"] > 0
     assert tracer.stat("jets.extract_jet2")[0] == 1
@@ -413,16 +411,20 @@ def test_cli_bad_dimension_returns_2(capsys):
 
 
 def test_cli_check_error_propagates(monkeypatch, capsys):
-    """An error raised by a check is a fault of the package, not of the
-    configuration: it propagates, although every typed error of the package
-    is a ValueError, and is not reported as exit code 2."""
+    """An error raised by a check is a fault of the package, neither a failed
+    check (exit 1) nor a configuration error (exit 2), although every typed
+    error of the package is a ValueError: its traceback goes to stderr and
+    the run exits 3."""
     def failing(config, rng):
-        raise JetRecoveryError("differentiation radius 0.1 does not fit")
+        raise JetRecoveryError("map domain radius 0.0 is not positive")
 
     monkeypatch.setitem(verify.GROUPS, "jets", [failing])
-    with pytest.raises(JetRecoveryError, match="does not fit"):
-        cli.main(["--dim", "2", "--samples", "5", "--suite", "jets"])
-    assert "configuration error" not in capsys.readouterr().err
+    code = cli.main(["--dim", "2", "--samples", "5", "--suite", "jets"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" in err
+    assert "JetRecoveryError: map domain radius 0.0 is not positive" in err
+    assert "configuration error" not in err
 
 
 def test_cli_writes_report_file(tmp_path, capsys):
