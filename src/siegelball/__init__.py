@@ -25,7 +25,6 @@ from .autgroup import (
 )
 from .geometry import (
     CayleyPoleError,
-    DefectReport,
     SiegelPoint,
     ball_defect,
     cayley,
@@ -39,7 +38,6 @@ from .hilbert import (
     SingularMatrixError,
     haar_unitary,
     inner,
-    is_unitary,
     norm,
     unitarity_defect,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "AutomorphismPoleError",
     "CayleyPoleError",
     "CheckResult",
-    "DefectReport",
     "DiffConfig",
     "HoloMap",
     "INFINITY",
@@ -104,7 +101,6 @@ __all__ = [
     "inner",
     "inverse_cayley",
     "invert",
-    "is_unitary",
     "norm",
     "param_distance",
     "random_params",

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .geometry import (_cayley_matrices, _projective, _radial_rows, _siegel_like,
-                       siegel_rows)
+from .geometry import _cayley_matrices, _projective, _radial_rows, siegel_rows
 from .hilbert import as_points, haar_unitary, sq_norm, unitarity_defect
 from .maps import HoloMap
 
@@ -196,12 +195,12 @@ def denominator(params: AutParams, p):
     return 1.0 + (siegel_rows(p, params.dim) * _denominator_row(params, row)).sum(axis=-1)
 
 
-def apply(params: AutParams, p):
-    """Evaluate the automorphism at a SiegelPoint or on rows: a stack of B
-    members acts row by row on rows (B, n), member by member on member-major
-    rows (B, R, n).  Raises :class:`AutomorphismPoleError` when
+def apply(params: AutParams, p) -> np.ndarray:
+    """Images of Siegel rows, (n,) or (..., n), under the automorphism: a stack
+    of B members acts row by row on rows (B, n), member by member on
+    member-major rows (B, R, n).  Raises :class:`AutomorphismPoleError` when
     ``|D| <= EPS_DENOM`` at any point."""
-    return _siegel_like(p, _apply_batch(matrix(params), siegel_rows(p, params.dim)))
+    return _apply_batch(matrix(params), siegel_rows(p, params.dim))
 
 
 def _apply_batch(M: np.ndarray, rows) -> np.ndarray:
@@ -219,7 +218,7 @@ def factors(params: AutParams) -> tuple[AutParams, AutParams, AutParams]:
             _unchecked(ident.U, ident.s, ident.a, params.R))
 
 
-def factor_apply(params: AutParams, p):
+def factor_apply(params: AutParams, p) -> np.ndarray:
     """Evaluate via the factorisation omega_{U,s} o phi_a o h_R: three ``apply``."""
     omega, phi_a, h_R = factors(params)
     return apply(omega, apply(phi_a, apply(h_R, p)))

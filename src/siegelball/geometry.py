@@ -15,6 +15,11 @@ boundary hypersurface, sending P to the origin.  Its inverse is
 Both are linear-fractional, one (n+1) x (n+1) matrix each on homogeneous
 coordinates (x, 1).  The pole-checked kernel :func:`_projective` evaluates
 them and every other linear-fractional map of the package.
+
+Points are plain arrays: ball points (n,) or rows (B, n), Siegel points rows
+``(z_1, ..., z_d, w)`` of shape (n,) or (B, n).  Which side of the boundary a
+point lies on is the sign of its defect (:func:`siegel_defect`,
+:func:`ball_defect`), with :data:`DEFECT_TOL` the boundary band.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .hilbert import as_points, as_vector, sq_norm
 #: Guard threshold for denominators near a pole.
 EPS_DENOM = 1e-12
 
-#: Tolerance for classifying a point as on-boundary.
+#: Half-width of the boundary band: a point whose defect is at most this in
+#: modulus counts as on the boundary, otherwise its sign decides the side.
 DEFECT_TOL = 1e-9
 
 
@@ -39,11 +45,10 @@ class CayleyPoleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
-    """A point (z, w) of C^(n-1) x C in Siegel coordinates.
+    """A validated point (z, w) of C^(n-1) x C in Siegel coordinates.
 
-    Stacked points are plain arrays of Siegel rows ``(z_1, ..., z_d, w)`` of
-    shape (B, n); every function taking a SiegelPoint also takes rows, and
-    answers in the same form.
+    Input only: :func:`siegel_rows` accepts it as the row ``(z, w)``, and no
+    function returns one; every function answers in Siegel rows.
     """
 
     z: np.ndarray
@@ -68,35 +73,6 @@ def siegel_rows(p, dim: int | None = None) -> np.ndarray:
     with ``dim`` given, the z-part must have that dimension."""
     rows = np.append(p.z, p.w) if isinstance(p, SiegelPoint) else p
     return as_points(rows, None if dim is None else dim + 1)
-
-
-def _siegel_like(p, rows: np.ndarray):
-    """Siegel ``rows`` in the form of the input ``p``: a SiegelPoint or rows."""
-    if isinstance(p, SiegelPoint):
-        return SiegelPoint(rows[:-1], rows[-1])
-    return rows
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """Signed distance-like defect of a point plus its classification.
-
-    ``classification`` is one of ``"interior"``, ``"boundary"``,
-    ``"exterior"``, decided at tolerance ``tol`` (always :data:`DEFECT_TOL`).
-    For stacked points both fields are arrays with one entry per point.
-    """
-
-    value: float | np.ndarray
-    classification: str | np.ndarray
-    tol: float
-
-
-def _classify(value, inside) -> DefectReport:
-    cls = np.where(np.abs(value) <= DEFECT_TOL, "boundary",
-                   np.where(inside, "interior", "exterior"))
-    if np.ndim(value) == 0:
-        return DefectReport(float(value), str(cls), DEFECT_TOL)
-    return DefectReport(value, cls, DEFECT_TOL)
 
 
 def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
@@ -141,15 +117,14 @@ def _cayley_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def cayley(Z):
     """Cayley transform of ball points into Siegel coordinates.
 
-    One point Z (n,) gives a :class:`SiegelPoint`; stacked points (B, n)
-    give Siegel rows (B, n).  Raises :class:`CayleyPoleError` when
+    One point Z (n,) gives a Siegel row (n,), stacked points (B, n) give
+    rows (B, n).  Raises :class:`CayleyPoleError` when
     ``|1 + eta| <= EPS_DENOM`` for any point (the pole at the antipode -P of
     the distinguished boundary point).
     """
     Z = as_points(Z)
-    rows = _projective(_cayley_matrices(Z.shape[-1])[0], Z, error=CayleyPoleError,
+    return _projective(_cayley_matrices(Z.shape[-1])[0], Z, error=CayleyPoleError,
                        what="Cayley pole: |1 + eta|")
-    return SiegelPoint(rows[:-1], rows[-1]) if Z.ndim == 1 else rows
 
 
 def inverse_cayley(p) -> np.ndarray:
@@ -162,17 +137,17 @@ def inverse_cayley(p) -> np.ndarray:
                        error=CayleyPoleError, what="Cayley pole: |i + w|")
 
 
-def siegel_defect(p) -> DefectReport:
-    """Defect ``Im w - ||z||^2`` of Siegel points (positive = interior)."""
+def siegel_defect(p):
+    """Signed defect ``Im w - ||z||^2`` of Siegel points, positive inside: a
+    float for one point, one value per row for rows."""
     rows = siegel_rows(p)
-    value = rows[..., -1].imag - sq_norm(rows[..., :-1])
-    return _classify(value, value > 0)
+    return rows[..., -1].imag - sq_norm(rows[..., :-1])
 
 
-def ball_defect(Z) -> DefectReport:
-    """Defect ``||Z||^2 - 1`` of ball points (negative = interior)."""
-    value = sq_norm(as_points(Z)) - 1.0
-    return _classify(value, value < 0)
+def ball_defect(Z):
+    """Signed defect ``||Z||^2 - 1`` of ball points, negative inside: a float
+    for one point, one value per row for rows."""
+    return sq_norm(as_points(Z)) - 1.0
 
 
 def _unit_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -135,8 +135,3 @@ def _gram_defects(U: np.ndarray) -> np.ndarray:
     gram = U.conj().swapaxes(-1, -2) @ U
     gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1] -= 1.0  # G - I, in place
     return np.abs(gram).max(axis=(-2, -1), initial=0.0)
-
-
-def is_unitary(U) -> bool:
-    """True when every entry of ``U^H U - I`` is at most ``UNITARY_TOL`` in modulus."""
-    return unitarity_defect(U) <= UNITARY_TOL

@@ -45,6 +45,7 @@ from .autgroup import (
     random_params,
 )
 from .geometry import (
+    DEFECT_TOL,
     _radial_rows,
     _unit_rows,
     ball_defect,
@@ -241,7 +242,7 @@ def _g_cayley_roundtrip(config: RunConfig, rng):
 def _g_boundary_correspondence(config: RunConfig, rng):
     points = sample_sphere(config.dim, rng, config.samples, min_pole_dist=0.1)
     return {"geometry.boundary_correspondence":
-            np.abs(siegel_defect(cayley(points)).value)}
+            np.abs(siegel_defect(cayley(points)))}
 
 
 def _g_interior_correspondence(config: RunConfig, rng):
@@ -251,12 +252,14 @@ def _g_interior_correspondence(config: RunConfig, rng):
     exterior = sample_sphere(n, rng, config.samples - half, min_pole_dist=0.15)
     exterior *= rng.uniform(1.05, 1.5, size=(len(exterior), 1))
     points = np.concatenate([interior, exterior])
-    expected = np.repeat(["interior", "exterior"], [len(interior), len(exterior)])
+    inside = np.repeat([1.0, -1.0], [len(interior), len(exterior)])
     keep = np.abs(1.0 + points[:, -1]) > 0.05
-    points, expected = points[keep], expected[keep]
-    wrong = (ball_defect(points).classification != expected) | (
-        siegel_defect(cayley(points)).classification != expected)
-    return {"geometry.interior_correspondence": wrong.astype(float)}
+    points, inside = points[keep], inside[keep]
+    # Right side of the boundary band: -inside * ball defect and inside *
+    # Siegel defect both exceed DEFECT_TOL (NaN counts as wrong).
+    right = np.minimum(-inside * ball_defect(points),
+                       inside * siegel_defect(cayley(points))) > DEFECT_TOL
+    return {"geometry.interior_correspondence": (~right).astype(float)}
 
 
 def _g_slice_derivative(config: RunConfig, rng):
@@ -313,7 +316,7 @@ def _pair_check(config: RunConfig, rng, sample, residual, accept=None):
 def _a_boundary_invariance(config: RunConfig, rng):
     def residual(params, p):
         scale = 1.0 + np.abs(p[:, -1]) ** 2
-        return np.abs(siegel_defect(apply(params, p)).value) / scale
+        return np.abs(siegel_defect(apply(params, p))) / scale
 
     return {"autgroup.boundary_invariance": _pair_check(
         config, rng,
@@ -345,10 +348,10 @@ def _a_h_r_defect(config: RunConfig, rng):
     points, R, den = points[keep], R[keep], den[keep]
 
     def image_defect(rows, r):  # h_R = (I, 1, 0, R), one member per row
-        return siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows)).value
+        return siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows))
 
     lhs = _by_blocks(image_defect, points, R, size=_matrix_block(d))
-    rhs = siegel_defect(points).value / np.abs(den) ** 2
+    rhs = siegel_defect(points) / np.abs(den) ** 2
     return {"autgroup.h_r_defect_scaling": np.abs(lhs - rhs)}
 
 
@@ -396,7 +399,7 @@ def _a_ball_sphere(config: RunConfig, rng):
     return {"autgroup.ball_sphere_preserved": _pair_check(
         config, rng,
         lambda count: sample_sphere(config.dim, rng, count),
-        lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z)).value),
+        lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z))),
     )}
 
 

@@ -19,7 +19,6 @@ from siegelball import (
     INFINITY,
     JetRecoveryError,
     NotOriginFixingError,
-    SiegelPoint,
     WhitneySpec,
     apply,
     as_holo_map,
@@ -63,10 +62,6 @@ def _norm2(v) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _pvec(p: SiegelPoint) -> np.ndarray:
-    return np.append(p.z, p.w)
-
-
 def test_acceptance_cayley_roundtrip_identity():
     """Both composition orders of the coordinate change are the identity."""
     rng = np.random.default_rng(101)
@@ -78,25 +73,24 @@ def test_acceptance_cayley_roundtrip_identity():
     for Z in ball_side:
         back = inverse_cayley(cayley(Z))
         worst = max(worst, float(np.linalg.norm(back - Z)) / (1.0 + norm(Z)))
-    siegel_side = [SiegelPoint(row[:-1], row[-1])
-                   for row in sample_siegel_boundary(BALL_DIM, rng, SAMPLES // 2)]
+    siegel_side = list(sample_siegel_boundary(BALL_DIM, rng, SAMPLES // 2))
     for row in sample_siegel_boundary(BALL_DIM, rng, SAMPLES - SAMPLES // 2):
-        siegel_side.append(
-            SiegelPoint(row[:-1], row[-1] + 1j * rng.uniform(0.05, 1.0)))
+        row[-1] += 1j * rng.uniform(0.05, 1.0)
+        siegel_side.append(row)
     for p in siegel_side:
         back = cayley(inverse_cayley(p))
-        gap = float(np.linalg.norm(_pvec(back) - _pvec(p)))
-        worst = max(worst, gap / (1.0 + float(np.linalg.norm(_pvec(p)))))
+        gap = float(np.linalg.norm(back - p))
+        worst = max(worst, gap / (1.0 + float(np.linalg.norm(p))))
     _verdict("cayley roundtrip identity", worst, 1e-12)
 
 
 def test_acceptance_sphere_to_boundary_hypersurface():
     """The sphere lands exactly on {Im w = ||z||^2}, with e_n at the origin."""
     origin_image = cayley(np.append(np.zeros(BALL_DIM - 1), 1.0))
-    assert norm(origin_image.z) == 0.0 and origin_image.w == 0.0
+    assert norm(origin_image[:-1]) == 0.0 and origin_image[-1] == 0.0
     worst = 0.0
     for Z in sample_sphere(BALL_DIM, seed=102, count=SAMPLES, min_pole_dist=0.1):
-        worst = max(worst, abs(siegel_defect(cayley(Z)).value))
+        worst = max(worst, abs(siegel_defect(cayley(Z))))
     _verdict("sphere-to-boundary correspondence", worst, 1e-12)
 
 
@@ -107,12 +101,11 @@ def test_acceptance_automorphism_boundary_invariance():
     used = 0
     while used < SAMPLES:
         params = random_params(BALL_DIM - 1, rng)
-        row = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
-        p = SiegelPoint(row[:-1], row[-1])
+        p = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
         if abs(denominator(params, p)) <= 0.1:
             continue
         image = apply(params, p)
-        scaled = abs(siegel_defect(image).value) / (1.0 + abs(p.w) ** 2)
+        scaled = abs(siegel_defect(image)) / (1.0 + abs(p[-1]) ** 2)
         worst = max(worst, scaled)
         used += 1
     _verdict("automorphism boundary invariance", worst, 1e-10)
@@ -125,17 +118,15 @@ def test_acceptance_factorization():
     used = 0
     while used < SAMPLES:
         params = random_params(BALL_DIM - 1, rng)
-        row = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
-        p = SiegelPoint(row[:-1], row[-1])
+        p = sample_siegel_boundary(BALL_DIM, rng, 1)[0]
         if abs(denominator(params, p)) <= 0.1:
             continue
-        if abs(1.0 + params.R * p.w) <= 0.1:
+        if abs(1.0 + params.R * p[-1]) <= 0.1:
             continue
         direct = apply(params, p)
         factored = factor_apply(params, p)
-        worst = max(
-            worst, max(norm(direct.z - factored.z), abs(direct.w - factored.w))
-        )
+        gap = direct - factored
+        worst = max(worst, norm(gap[:-1]), abs(gap[-1]))
         used += 1
     _verdict("linear/translation/scalar factorization", worst, 1e-12)
 
@@ -254,16 +245,16 @@ def test_acceptance_degenerate_inputs_raise_named_errors():
     with pytest.raises(CayleyPoleError):
         cayley(antipode)
     with pytest.raises(CayleyPoleError):
-        inverse_cayley(SiegelPoint(np.zeros(d), -1j))
+        inverse_cayley(np.append(np.zeros(d), -1j))
 
     pole_params = AutParams(np.eye(d), 1.0, np.zeros(d), 1.0)
     with pytest.raises(AutomorphismPoleError):
-        apply(pole_params, SiegelPoint(np.zeros(d), -1.0))
+        apply(pole_params, np.append(np.zeros(d), -1.0))
     _, phi_a, h_R = factors(AutParams(np.eye(d), 1.0, np.append(1.0, np.zeros(d - 1)), 1.0))
     with pytest.raises(AutomorphismPoleError):
-        apply(phi_a, SiegelPoint(np.zeros(d), -1j))
+        apply(phi_a, np.append(np.zeros(d), -1j))
     with pytest.raises(AutomorphismPoleError):
-        apply(h_R, SiegelPoint(np.zeros(d), -1.0))
+        apply(h_R, np.append(np.zeros(d), -1.0))
 
     shifted = HoloMap(lambda rows: rows + np.eye(1, d + 1, d), d + 1, d + 1, 1.0)
     with pytest.raises(NotOriginFixingError):
@@ -282,9 +273,8 @@ def test_acceptance_degenerate_inputs_raise_named_errors():
         )
 
     # Near (but off) the poles everything stays finite: no NaN propagation.
-    near_pole = apply(pole_params, SiegelPoint(np.zeros(d), -1.0 + 1e-6))
-    assert np.all(np.isfinite(near_pole.z)) and np.isfinite(near_pole.w)
+    near_pole = apply(pole_params, np.append(np.zeros(d), -1.0 + 1e-6))
+    assert np.all(np.isfinite(near_pole))
     near_antipode = cayley(np.append(np.zeros(d), -1.0 + 1e-6))
-    assert np.all(np.isfinite(near_antipode.z))
-    assert np.isfinite(near_antipode.w.real) and np.isfinite(near_antipode.w.imag)
+    assert np.all(np.isfinite(near_antipode))
     print("PASS degenerate inputs: typed errors raised, all near-pole values finite")

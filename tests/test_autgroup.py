@@ -29,7 +29,7 @@ from siegelball.autgroup import (
     random_params,
 )
 from siegelball.geometry import (
-    SiegelPoint,
+    DEFECT_TOL,
     ball_defect,
     sample_siegel_boundary,
     sample_sphere,
@@ -40,13 +40,13 @@ from siegelball.hilbert import haar_unitary, norm
 from siegelball.jets import DiffConfig, extract_jet2, recover_params
 from siegelball.verify import RunConfig, run
 
-#: The wide parameter range, where jet recovery with default settings fails
-#: but the group law must still hold.
+#: The wide parameter range, where the group law and jet recovery with the
+#: default settings must both still hold.
 WIDE = {"a_max": 5.0, "r_max": 20.0, "s_min": 0.1, "s_max": 10.0}
 
 
 def _origin(d):
-    return SiegelPoint(np.zeros(d), 0.0)
+    return np.zeros(d + 1, dtype=complex)
 
 
 def _factor(which, U=None, s=1.3, a=None, R=0.0, d=2):
@@ -59,23 +59,23 @@ def _factor(which, U=None, s=1.3, a=None, R=0.0, d=2):
 
 
 def _formula_point(p):
-    """A SiegelPoint as (z, w) of Python complex numbers, for tests/formulas.py."""
-    return [complex(x) for x in p.z], complex(p.w)
+    """A Siegel row as (z, w) of Python complex numbers, for tests/formulas.py."""
+    return [complex(x) for x in p[:-1]], complex(p[-1])
 
 
 def _assert_matches(q, z, w, rel=1e-14):
-    assert_allclose(q.z, z, rtol=rel, atol=rel * np.linalg.norm(z))
-    assert abs(q.w - w) <= rel * abs(w)
+    assert_allclose(q[:-1], z, rtol=rel, atol=rel * np.linalg.norm(z))
+    assert abs(q[-1] - w) <= rel * abs(w)
 
 
 def test_denominator_hand_value():
     params = AutParams(np.eye(1), 1.0, [1.0], 0.0)
-    p = SiegelPoint([1.0], 0.0)
+    p = np.array([1.0, 0.0])
     assert denominator(params, p) == 1.0 - 2j
 
 
 def test_denominator_trivial_cases():
-    p = SiegelPoint([0.3, -0.2j], 0.1 + 0.4j)
+    p = np.array([0.3, -0.2j, 0.1 + 0.4j])
     assert denominator(identity_params(2), p) == 1.0
     assert denominator(random_params(2, seed=0), _origin(2)) == 1.0
 
@@ -87,65 +87,66 @@ def test_beta_property():
 
 def test_identity_params_act_trivially():
     ident = identity_params(3)
-    p = SiegelPoint([0.1, 0.2j, -0.3], 0.4 + 0.5j)
+    p = np.array([0.1, 0.2j, -0.3, 0.4 + 0.5j])
     q = apply(ident, p)
-    assert_allclose(q.z, p.z)
-    assert q.w == p.w
+    assert isinstance(q, np.ndarray) and q.shape == (4,)
+    assert_allclose(q[:-1], p[:-1])
+    assert q[-1] == p[-1]
 
 
 def test_every_member_fixes_origin():
     for seed in range(20):
         params = random_params(3, seed)
         image = apply(params, _origin(3))
-        assert norm(image.z) == 0.0
-        assert image.w == 0.0
+        assert norm(image[:-1]) == 0.0
+        assert image[-1] == 0.0
 
 
 def test_apply_pure_dilation():
     """(U=I, s=2, a=0, R=0) doubles z and quadruples w."""
     params = AutParams(np.eye(2), 2.0, np.zeros(2), 0.0)
-    p = SiegelPoint([0.1, 0.2j], 0.3 + 0.4j)
+    p = np.array([0.1, 0.2j, 0.3 + 0.4j])
     q = apply(params, p)
-    assert_allclose(q.z, [0.2, 0.4j])
-    assert q.w == pytest.approx(1.2 + 1.6j)
+    assert_allclose(q[:-1], [0.2, 0.4j])
+    assert q[-1] == pytest.approx(1.2 + 1.6j)
 
 
 def test_h_r_is_scalar_rescaling():
-    p = SiegelPoint([2.0], 1j)
+    p = np.array([2.0, 1j])
     q = apply(_factor(2, R=1.0, d=1), p)  # d = 1 + i
-    assert_allclose(q.z, [2.0 / (1 + 1j)])
-    assert q.w == pytest.approx(1j / (1 + 1j))
+    assert_allclose(q[:-1], [2.0 / (1 + 1j)])
+    assert q[-1] == pytest.approx(1j / (1 + 1j))
     _assert_matches(q, *formulas.h_R(1.0, *_formula_point(p)))
 
 
 def test_h_r_trivial_cases():
-    p = SiegelPoint([0.4j, -0.1], 0.2 + 0.3j)
+    p = np.array([0.4j, -0.1, 0.2 + 0.3j])
     q = apply(_factor(2, R=0.0), p)
-    assert_allclose(q.z, p.z)
-    assert q.w == p.w
-    flat = apply(_factor(2, R=0.7), SiegelPoint([0.4j, -0.1], 0.0))
-    assert_allclose(flat.z, [0.4j, -0.1])
-    assert flat.w == 0.0
+    assert_allclose(q[:-1], p[:-1])
+    assert q[-1] == p[-1]
+    flat = apply(_factor(2, R=0.7), np.array([0.4j, -0.1, 0.0]))
+    assert_allclose(flat[:-1], [0.4j, -0.1])
+    assert flat[-1] == 0.0
 
 
 def test_phi_a_trivial_cases():
-    p = SiegelPoint([0.2, 0.1j], 0.3 - 0.2j)
+    p = np.array([0.2, 0.1j, 0.3 - 0.2j])
     q = apply(_factor(1, a=np.zeros(2), R=0.9), p)
-    assert_allclose(q.z, p.z)
-    assert q.w == p.w
+    assert_allclose(q[:-1], p[:-1])
+    assert q[-1] == p[-1]
     member = _factor(1, a=np.array([0.5, -0.25j]), R=0.9)
     fixed = apply(member, _origin(2))
-    assert norm(fixed.z) == 0.0
-    assert fixed.w == 0.0
+    assert norm(fixed[:-1]) == 0.0
+    assert fixed[-1] == 0.0
     _assert_matches(apply(member, p), *formulas.phi_a([0.5, -0.25j], *_formula_point(p)))
 
 
 def test_omega_scales_parabolic_weights():
     U = haar_unitary(2, seed=0)
-    p = SiegelPoint([1.0, 1j], 2.0)
+    p = np.array([1.0, 1j, 2.0])
     q = apply(_factor(0, U=U, s=3.0, R=1.5), p)
-    assert_allclose(q.z, 3.0 * U @ p.z)
-    assert q.w == pytest.approx(9.0 * 2.0)
+    assert_allclose(q[:-1], 3.0 * U @ p[:-1])
+    assert q[-1] == pytest.approx(9.0 * 2.0)
     _assert_matches(q, *formulas.omega(U, 3.0, *_formula_point(p)))
 
 
@@ -159,14 +160,12 @@ def test_omega_defect_scaling_and_specialization():
     for _ in range(20):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         w = complex(rng.standard_normal(), rng.standard_normal())
-        p = SiegelPoint(z, w)
+        p = np.append(z, w)
         q = apply(omega, p)
-        assert siegel_defect(q).value == pytest.approx(
-            s**2 * siegel_defect(p).value, rel=1e-12
-        )
+        assert siegel_defect(q) == pytest.approx(s**2 * siegel_defect(p), rel=1e-12)
         direct_z, direct_w = formulas.omega(U, s, *_formula_point(p))
-        assert_allclose(direct_z, q.z, atol=1e-15 * s * np.linalg.norm(z))
-        assert abs(direct_w - q.w) < 1e-15 * abs(q.w)
+        assert_allclose(direct_z, q[:-1], atol=1e-15 * s * np.linalg.norm(z))
+        assert abs(direct_w - q[-1]) < 1e-15 * abs(q[-1])
 
 
 def test_factorization_matches_closed_form():
@@ -177,29 +176,30 @@ def test_factorization_matches_closed_form():
         for _ in range(30):
             z = rng.standard_normal(3) * 0.4 + 1j * rng.standard_normal(3) * 0.4
             w = complex(rng.standard_normal(), rng.standard_normal()) * 0.4
-            p = SiegelPoint(z, w)
+            p = np.append(z, w)
             if abs(denominator(params, p)) < 0.2:
                 continue
             if abs(1.0 + params.R * w) < 0.2:
                 continue
             direct = apply(params, p)
             factored = factor_apply(params, p)
-            assert_allclose(factored.z, direct.z, atol=1e-13)
-            assert abs(factored.w - direct.w) < 1e-13
+            assert_allclose(factored[:-1], direct[:-1], atol=1e-13)
+            assert abs(factored[-1] - direct[-1]) < 1e-13
 
 
 def test_factor_apply_specializations():
-    p = SiegelPoint([0.2j, 0.1], 0.15 + 0.1j)
+    p = np.array([0.2j, 0.1, 0.15 + 0.1j])
     q = factor_apply(identity_params(2), p)
-    assert_allclose(q.z, p.z)
-    assert q.w == p.w
+    assert isinstance(q, np.ndarray) and q.shape == (3,)
+    assert_allclose(q[:-1], p[:-1])
+    assert q[-1] == p[-1]
     # With a = 0 the middle stage drops out and the two-stage chain
     # omega o h_R must still match the closed form.
     params = AutParams(haar_unitary(2, seed=24), 1.4, np.zeros(2), 0.6)
     direct = apply(params, p)
     factored = factor_apply(params, p)
-    assert_allclose(factored.z, direct.z, atol=1e-14)
-    assert abs(factored.w - direct.w) < 1e-14
+    assert_allclose(factored[:-1], direct[:-1], atol=1e-14)
+    assert abs(factored[-1] - direct[-1]) < 1e-14
 
 
 def test_phi_a_inverse_is_phi_minus_a():
@@ -210,12 +210,12 @@ def test_phi_a_inverse_is_phi_minus_a():
     for _ in range(50):
         z = rng.standard_normal(2) * 0.3 + 1j * rng.standard_normal(2) * 0.3
         w = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-        p = SiegelPoint(z, w)
+        p = np.append(z, w)
         image = apply(forward, p)
         _assert_matches(image, *formulas.phi_a(list(a), *_formula_point(p)), rel=1e-13)
         back = apply(backward, image)
-        assert_allclose(back.z, p.z, atol=1e-12)
-        assert abs(back.w - p.w) < 1e-12
+        assert_allclose(back[:-1], p[:-1], atol=1e-12)
+        assert abs(back[-1] - p[-1]) < 1e-12
 
 
 def test_defect_transformation_law():
@@ -225,48 +225,47 @@ def test_defect_transformation_law():
         params = random_params(2, seed)
         z = rng.standard_normal(2) * 0.5 + 1j * rng.standard_normal(2) * 0.5
         w = complex(rng.standard_normal(), rng.standard_normal())
-        p = SiegelPoint(z, w)
+        p = np.append(z, w)
         D = denominator(params, p)
         if abs(D) < 0.2:
             continue
-        lhs = siegel_defect(apply(params, p)).value
-        rhs = params.s**2 * siegel_defect(p).value / abs(D) ** 2
+        lhs = siegel_defect(apply(params, p))
+        rhs = params.s**2 * siegel_defect(p) / abs(D) ** 2
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
 
 
 def test_h_r_defect_scaling():
-    p = SiegelPoint([0.3], 0.7 + 0.2j)
+    p = np.array([0.3, 0.7 + 0.2j])
     q = apply(_factor(2, R=0.5, d=1), p)
-    den = abs(1.0 + 0.5 * p.w) ** 2
-    assert siegel_defect(q).value == pytest.approx(siegel_defect(p).value / den)
+    den = abs(1.0 + 0.5 * p[-1]) ** 2
+    assert siegel_defect(q) == pytest.approx(siegel_defect(p) / den)
     _assert_matches(q, *formulas.h_R(0.5, *_formula_point(p)))
 
 
 def test_boundary_invariance():
-    for seed, row in enumerate(sample_siegel_boundary(4, seed=2, count=100)):
+    for seed, p in enumerate(sample_siegel_boundary(4, seed=2, count=100)):
         params = random_params(3, seed)
-        p = SiegelPoint(row[:-1], row[-1])
         if abs(denominator(params, p)) < 0.1:
             continue
         image = apply(params, p)
-        assert abs(siegel_defect(image).value) < 1e-10 * (1.0 + abs(p.w) ** 2)
+        assert abs(siegel_defect(image)) < 1e-10 * (1.0 + abs(p[-1]) ** 2)
 
 
 def test_apply_pole_raises():
     # a = 0, R = 1 puts the pole on w = -1.
     params = AutParams(np.eye(2), 1.0, np.zeros(2), 1.0)
     with pytest.raises(AutomorphismPoleError, match="pole of automorphism"):
-        apply(params, SiegelPoint(np.zeros(2), -1.0))
+        apply(params, np.append(np.zeros(2), -1.0))
 
 
 def test_phi_a_and_h_r_poles_raise():
     """The factors' poles are where the direct formulas divide by zero."""
-    on_phi_pole = SiegelPoint([0.0], -1j)
+    on_phi_pole = np.array([0.0, -1j])
     with pytest.raises(AutomorphismPoleError):
         apply(_factor(1, a=np.array([1.0]), d=1), on_phi_pole)
     with pytest.raises(ZeroDivisionError):
         formulas.phi_a([1.0], *_formula_point(on_phi_pole))
-    on_h_pole = SiegelPoint([0.0], -1.0)
+    on_h_pole = np.array([0.0, -1.0])
     with pytest.raises(AutomorphismPoleError):
         apply(_factor(2, R=1.0, d=1), on_h_pole)
     with pytest.raises(ZeroDivisionError):
@@ -326,13 +325,10 @@ def test_stacked_apply_matches_single_members(ranges):
     images = apply(stack, rows)
     factored = factor_apply(stack, rows)
     D = denominator(stack, rows)
-    for i, row in enumerate(rows):
+    for i, p in enumerate(rows):
         member = stack[i]
-        p = SiegelPoint(row[:-1], row[-1])
-        q = apply(member, p)
-        assert_allclose(images[i], np.append(q.z, q.w), rtol=1e-14, atol=1e-15)
-        f = factor_apply(member, p)
-        assert_allclose(factored[i], np.append(f.z, f.w), rtol=1e-14, atol=1e-15)
+        assert_allclose(images[i], apply(member, p), rtol=1e-14, atol=1e-15)
+        assert_allclose(factored[i], factor_apply(member, p), rtol=1e-14, atol=1e-15)
         assert D[i] == pytest.approx(denominator(member, p), abs=1e-15)
     assert_allclose(factored, images, atol=1e-12)
 
@@ -532,9 +528,9 @@ def test_as_holo_map_matches_apply():
     ws = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * 0.1
     images = H.evaluate(np.concatenate([zs, ws[:, None]], axis=1))
     for i in range(20):
-        q = apply(params, SiegelPoint(zs[i], ws[i]))
-        assert_allclose(images[i, :-1], q.z, atol=1e-14)
-        assert abs(images[i, -1] - q.w) < 1e-14
+        q = apply(params, np.append(zs[i], ws[i]))
+        assert_allclose(images[i, :-1], q[:-1], atol=1e-14)
+        assert abs(images[i, -1] - q[-1]) < 1e-14
 
 
 def test_stacked_holo_map_takes_member_major_rows():
@@ -596,11 +592,11 @@ def test_compose_pointwise_agreement():
             z *= 0.25 * radius / np.linalg.norm(z)
             w = complex(rng.standard_normal(), rng.standard_normal())
             w *= 0.25 * radius / abs(w)
-            p = SiegelPoint(z, w)
+            p = np.append(z, w)
             direct = apply(combined, p)
             chained = apply(outer, apply(inner, p))
-            assert_allclose(direct.z, chained.z, atol=1e-10)
-            assert abs(direct.w - chained.w) < 1e-10
+            assert_allclose(direct[:-1], chained[:-1], atol=1e-10)
+            assert abs(direct[-1] - chained[-1]) < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -723,10 +719,10 @@ def test_invert_roundtrip_pointwise():
             z *= 0.3 * radius / np.linalg.norm(z)
             w = complex(rng.standard_normal(), rng.standard_normal())
             w *= 0.3 * radius / abs(w)
-            p = SiegelPoint(z, w)
+            p = np.append(z, w)
             back = apply(inverse, apply(params, p))
-            assert_allclose(back.z, p.z, atol=1e-11)
-            assert abs(back.w - p.w) < 1e-11
+            assert_allclose(back[:-1], p[:-1], atol=1e-11)
+            assert abs(back[-1] - p[-1]) < 1e-11
 
 
 def _hermitian_form(d):
@@ -750,11 +746,10 @@ def test_matrix_preserves_hermitian_form():
 
 def test_matrix_acts_on_homogeneous_coordinates():
     params = random_params(3, seed=27)
-    p = SiegelPoint([0.1, -0.2j, 0.05], 0.1 + 0.2j)
-    x = matrix(params) @ np.append(p.z, [p.w, 1.0])
-    q = apply(params, p)
+    p = np.array([0.1, -0.2j, 0.05, 0.1 + 0.2j])
+    x = matrix(params) @ np.append(p, 1.0)
     assert x[-1] == pytest.approx(denominator(params, p))
-    assert_allclose(x[:-1] / x[-1], np.append(q.z, q.w), atol=1e-15)
+    assert_allclose(x[:-1] / x[-1], apply(params, p), atol=1e-15)
 
 
 @pytest.mark.parametrize("ranges", [{}, WIDE])
@@ -790,14 +785,14 @@ def test_ball_automorphism_identity_and_distinguished_point():
         assert_allclose(ball_automorphism(ident, Z), Z, atol=1e-13)
     P = np.array([0.0, 0.0, 1.0])
     image = ball_automorphism(random_params(2, seed=26), P)
-    assert abs(ball_defect(image).value) < 1e-12
+    assert abs(ball_defect(image)) < 1e-12
 
 
 def test_ball_automorphism_preserves_sphere():
     """C^-1 M C has no pole on the sphere: no point is filtered out."""
     for seed, Z in enumerate(sample_sphere(3, seed=19, count=60)):
         image = ball_automorphism(random_params(2, seed), Z)
-        assert abs(ball_defect(image).value) < 1e-9
+        assert abs(ball_defect(image)) < 1e-9
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
@@ -810,10 +805,10 @@ def test_ball_automorphism_at_the_cayley_pole(offset):
     for seed in range(10):
         params = random_params(2, seed)
         image = ball_automorphism(params, Z)
-        assert abs(ball_defect(image).value) < 1e-12
+        assert abs(ball_defect(image)) < 1e-12
         stack = random_params(2, seed, count=3)
         images = ball_automorphism(stack, np.tile(Z, (3, 1)))
-        assert np.abs(ball_defect(images).value).max() < 1e-12
+        assert np.abs(ball_defect(images)).max() < 1e-12
     # Away from -P by 1e-3 the direct formula is still well conditioned.
     near = np.append([0.6e-3, 0.8e-3j], -np.sqrt(1.0 - 1e-6))
     params = random_params(2, seed=3)
@@ -825,7 +820,7 @@ def test_ball_automorphism_at_the_cayley_pole(offset):
 def test_ball_automorphism_preserves_interior():
     params = random_params(2, seed=20)
     image = ball_automorphism(params, np.array([0.2, 0.1 + 0.3j, 0.0]))
-    assert ball_defect(image).classification == "interior"
+    assert ball_defect(image) < -DEFECT_TOL
 
 
 def test_composition_radius_positive():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from siegelball.geometry import (
+    DEFECT_TOL,
     CayleyPoleError,
     SiegelPoint,
     ball_defect,
@@ -14,56 +15,60 @@ from siegelball.geometry import (
     sample_siegel_boundary,
     sample_sphere,
     siegel_defect,
+    siegel_rows,
 )
 from siegelball.hilbert import norm
 from siegelball.jets import DiffConfig, cauchy_derivative
 
 
-def _pvec(p: SiegelPoint) -> np.ndarray:
-    return np.append(p.z, p.w)
-
-
 def test_siegel_point_basics():
+    """A SiegelPoint is a validated input: every function reads it as its
+    row (z, w) and answers in rows."""
     p = SiegelPoint([1.0, 2j], 3.0 + 1j)
     assert p.dim == 2
     assert p.z.dtype == complex
     assert p.w == 3.0 + 1j
     with pytest.raises(ValueError):
         SiegelPoint([1.0], complex(np.nan))
+    row = np.array([1.0, 2j, 3.0 + 1j])
+    assert_allclose(siegel_rows(p, 2), row, atol=0)
+    assert_allclose(inverse_cayley(p), inverse_cayley(row), atol=0)
+    assert siegel_defect(p) == siegel_defect(row) == -4.0
 
 
 def test_cayley_distinguished_point_to_origin():
     """The distinguished sphere point e_n lands on the Siegel origin."""
     P = np.array([0.0, 0.0, 1.0])
     p = cayley(P)
-    assert_allclose(p.z, 0.0, atol=0)
-    assert p.w == 0.0
+    assert p.shape == (3,)
+    assert_allclose(p[:-1], 0.0, atol=0)
+    assert p[-1] == 0.0
 
 
 def test_cayley_ball_center():
     p = cayley(np.zeros(3))
-    assert_allclose(p.z, 0.0)
-    assert p.w == 1j
+    assert_allclose(p[:-1], 0.0)
+    assert p[-1] == 1j
 
 
 def test_cayley_equatorial_sphere_point():
     """eta = i sits on the sphere and lands on the real boundary point w = 1."""
     p = cayley(np.array([0.0, 1j]))
-    assert_allclose(p.z, 0.0)
-    assert p.w == pytest.approx(1.0)
-    assert siegel_defect(p).value == pytest.approx(0.0, abs=1e-15)
+    assert_allclose(p[:-1], 0.0)
+    assert p[-1] == pytest.approx(1.0)
+    assert siegel_defect(p) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_inverse_cayley_hand_values():
-    assert_allclose(inverse_cayley(SiegelPoint([0.0, 0.0], 0.0)), [0, 0, 1.0])
-    assert_allclose(inverse_cayley(SiegelPoint([0.0, 0.0], 1j)), [0, 0, 0.0])
+    assert_allclose(inverse_cayley([0.0, 0.0, 0.0]), [0, 0, 1.0])
+    assert_allclose(inverse_cayley([0.0, 0.0, 1j]), [0, 0, 0.0])
 
 
 def test_cayley_pole_at_antipode():
     with pytest.raises(CayleyPoleError, match="Cayley pole"):
         cayley(np.array([0.0, 0.0, -1.0]))
     with pytest.raises(CayleyPoleError, match="Cayley pole"):
-        inverse_cayley(SiegelPoint([0.0, 0.0], -1j))
+        inverse_cayley([0.0, 0.0, -1j])
 
 
 def test_cayley_roundtrip_random():
@@ -81,8 +86,7 @@ def test_inverse_cayley_roundtrip_on_boundary():
     rows = sample_siegel_boundary(4, seed=11, count=100)
     assert_allclose(cayley(inverse_cayley(rows)), rows, atol=1e-12)
     for row in rows[:10]:
-        p = SiegelPoint(row[:-1], row[-1])
-        assert_allclose(_pvec(cayley(inverse_cayley(p))), row, atol=1e-12)
+        assert_allclose(cayley(inverse_cayley(row)), row, atol=1e-12)
 
 
 def test_stacked_points_match_single_points():
@@ -95,15 +99,17 @@ def test_stacked_points_match_single_points():
     assert_allclose(inverse_cayley(rows), Z, atol=1e-13)
     siegel = siegel_defect(rows)
     ball = ball_defect(Z)
+    assert siegel.shape == ball.shape == (30,)
     for i, Zi in enumerate(Z):
         p = cayley(Zi)
-        assert_allclose(rows[i], _pvec(p), atol=1e-15)
+        assert p.shape == (4,)
+        assert_allclose(rows[i], p, atol=1e-15)
         assert_allclose(inverse_cayley(rows[i]), inverse_cayley(p), atol=1e-15)
-        assert siegel.value[i] == pytest.approx(siegel_defect(p).value, abs=1e-15)
-        assert siegel.classification[i] == siegel_defect(p).classification
-        assert ball.value[i] == pytest.approx(ball_defect(Zi).value, abs=1e-15)
-        assert ball.classification[i] == ball_defect(Zi).classification
-    assert set(siegel.classification) == {"interior", "boundary", "exterior"}
+        assert siegel[i] == pytest.approx(siegel_defect(p), abs=1e-15)
+        assert ball[i] == pytest.approx(ball_defect(Zi), abs=1e-15)
+    # all three sides occur: inside (> band), on the band, outside (< -band)
+    assert (siegel > DEFECT_TOL).any() and (siegel < -DEFECT_TOL).any()
+    assert (np.abs(siegel) <= DEFECT_TOL).any()
 
 
 def test_stacked_pole_raises():
@@ -115,30 +121,33 @@ def test_stacked_pole_raises():
 
 
 def test_siegel_defect_classification():
-    interior = siegel_defect(SiegelPoint([0.0], 1j))
-    assert interior.value == pytest.approx(1.0)
-    assert interior.classification == "interior"
+    """Im w - ||z||^2: positive inside, within the band on the boundary."""
+    interior = siegel_defect([0.0, 1j])
+    assert isinstance(interior, np.float64)
+    assert interior == pytest.approx(1.0)
+    assert interior > DEFECT_TOL
 
-    on_boundary = siegel_defect(SiegelPoint([0.5], 2.0 + 0.25j))
-    assert on_boundary.value == pytest.approx(0.0, abs=1e-15)
-    assert on_boundary.classification == "boundary"
+    on_boundary = siegel_defect([0.5, 2.0 + 0.25j])
+    assert on_boundary == pytest.approx(0.0, abs=1e-15)
+    assert abs(on_boundary) <= DEFECT_TOL
 
-    outside = siegel_defect(SiegelPoint([1.0], 0.5j))
-    assert outside.value == pytest.approx(-0.5)
-    assert outside.classification == "exterior"
+    outside = siegel_defect([1.0, 0.5j])
+    assert outside == pytest.approx(-0.5)
+    assert outside < -DEFECT_TOL
 
 
 def test_ball_defect_classification():
-    assert ball_defect(np.zeros(2)).classification == "interior"
-    assert ball_defect(np.zeros(2)).value == pytest.approx(-1.0)
-    assert ball_defect([1.0, 0.0]).classification == "boundary"
-    assert ball_defect([1.1, 0.0]).classification == "exterior"
+    """||Z||^2 - 1: negative inside, within the band on the sphere."""
+    assert isinstance(ball_defect(np.zeros(2)), np.float64)
+    assert ball_defect(np.zeros(2)) == pytest.approx(-1.0)
+    assert abs(ball_defect([1.0, 0.0])) <= DEFECT_TOL
+    assert ball_defect([1.1, 0.0]) > DEFECT_TOL
 
 
 def test_sphere_maps_onto_boundary_hypersurface():
     """Defect is preserved in sign through the transform, zero on the sphere."""
     for Z in sample_sphere(5, seed=2, count=200, min_pole_dist=0.1):
-        assert abs(siegel_defect(cayley(Z)).value) < 1e-13
+        assert abs(siegel_defect(cayley(Z))) < 1e-13
 
 
 def test_interior_exterior_correspondence():
@@ -146,11 +155,11 @@ def test_interior_exterior_correspondence():
     for _ in range(100):
         Z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         Z *= rng.uniform(0.1, 0.9) / np.linalg.norm(Z)
-        assert siegel_defect(cayley(Z)).classification == "interior"
+        assert siegel_defect(cayley(Z)) > DEFECT_TOL
         Zout = Z / np.linalg.norm(Z) * rng.uniform(1.1, 1.5)
         if abs(1.0 + Zout[-1]) < 0.05:
             continue
-        assert siegel_defect(cayley(Zout)).classification == "exterior"
+        assert siegel_defect(cayley(Zout)) < -DEFECT_TOL
 
 
 def test_sample_siegel_boundary_on_hypersurface():

@@ -12,6 +12,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from siegelball.autgroup import (
@@ -23,7 +24,7 @@ from siegelball.autgroup import (
     random_params,
 )
 from siegelball.geometry import cayley, inverse_cayley
-from siegelball.hilbert import haar_unitary, is_unitary, norm, unitarity_defect
+from siegelball.hilbert import UNITARY_TOL, haar_unitary, norm, unitarity_defect
 from siegelball.jets import (
     DiffConfig,
     Jet2,
@@ -466,7 +467,7 @@ def test_recovery_projects_small_unitarity_gap():
     f_z = 1.2 * U @ np.diag([1.0 + 5e-11, 1.0 - 5e-11, 1.0])
     assert 5e-11 < unitarity_defect(f_z / 1.2) < 2e-10
     recovered = recover_params(_jet(3, f_z=f_z, g_w=1.44 + 0j))
-    assert is_unitary(recovered.U)
+    assert unitarity_defect(recovered.U) <= UNITARY_TOL
     assert np.linalg.norm(recovered.U - U, 2) < 1e-14
     assert recovered.s == pytest.approx(1.2)
 
@@ -486,6 +487,16 @@ def test_wide_range_recovery_with_the_default_config(dim):
     for i in range(20):
         single = recover_params(extract_jet2(as_holo_map(stack[i])))
         assert param_distance(single, stack[i]) <= 1e-12
+
+
+@given(st.sampled_from([1, 3, 7]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_wide_range_recovery_property(dim, seed):
+    """Any single member drawn over the wide range recovers from its default
+    jet to the bound of the stack test above."""
+    params = random_params(dim, seed, **WIDE)
+    recovered = recover_params(extract_jet2(as_holo_map(params)))
+    assert param_distance(recovered, params) <= 1e-12
 
 
 def _close(stacked, single, rel=1e-13):

@@ -325,6 +325,30 @@ def test_benchmark_oracle_agrees_with_the_group_law(monkeypatch):
     assert misses == []
 
 
+@pytest.mark.parametrize("name", ["SweepWorkload", "GroupOpsWorkload"])
+def test_benchmark_workloads_run_clean(name, monkeypatch):
+    """One warm-up and one task of each benchmark workload, at one seed, end
+    with no failed operation: a package name or signature the benchmark
+    reads that goes away fails here, not in a benchmark run."""
+    _perfbench("oracle", monkeypatch)
+    workload = getattr(_perfbench("workloads", monkeypatch), name)(siegelball, 1)
+    workload.warm_up()
+    workload.task()
+    assert workload.outcome().failed == 0
+
+
+def test_benchmark_counts_package_errors_as_typed(monkeypatch):
+    """The benchmark sorts every error class the package exports as typed."""
+    _perfbench("oracle", monkeypatch)
+    workloads = _perfbench("workloads", monkeypatch)
+    errors = [obj for obj in map(siegelball.__dict__.get, siegelball.__all__)
+              if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert errors
+    for error in errors:
+        assert workloads.error_kind(siegelball, error("x")) == "typed", error
+    assert workloads.error_kind(siegelball, ValueError("x")) == "untyped"
+
+
 def test_benchmark_tracer_binds_package_names(monkeypatch):
     """perfbench's tracer binds ``extract_jet2``'s parameters by the names
     ``H`` and ``cfg`` (reading ``H.dim`` and ``cfg.nodes``), wraps
