@@ -7,9 +7,11 @@ larger than rho is recovered from M equispaced circle samples,
 
 which is spectrally accurate (the first neglected term is the Taylor
 coefficient of order k + M).  :func:`extract_jet2` samples a map on 3d + 1
-circles of radius rho, all in one evaluation: the w-circle, one circle
-t -> t e_j along each z_j-axis, and two diagonal circles t -> (t e_j, +-t)
-per direction.  Every point lies on the polydisc max(||z||, |w|) = rho.
+circles of radius rho, all at the same M nodes and in one evaluation: the
+w-circle, one circle t -> t e_j along each z_j-axis, and two diagonal circles
+t -> (t e_j, +-t) per direction.  Every point lies on the polydisc
+max(||z||, |w|) = rho, at most half the germ's domain radius, so on every
+circle alike the alias term shrinks like (rho / domain radius)^M <= 2^-M.
 The mixed block comes from the diagonals by polarization: with
 psi_j^+-(t) = f(t e_j, +-t),
 
@@ -98,12 +100,6 @@ class Jet2:
     f_w2: np.ndarray
 
 
-# Node multiple of the diagonal circles in :func:`extract_jet2`.  A germ
-# t -> f(t e_j, +-t) can have its pole nearer than the axial ones; at the base
-# node count its order-2 coefficient aliased f_zw by up to 3e-12.
-_DIAGONAL_OVERSAMPLE = 2
-
-
 def _nodes(count: int, radius: float) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
@@ -148,18 +144,14 @@ def _require(ok, error: type, describe) -> None:
 @functools.lru_cache(maxsize=8)
 def _circles(d: int, M: int):
     """Siegel rows at radius 1 and quadrature rows of :func:`extract_jet2`;
-    cached (a few (d, M) pairs), as that is their only reader and never writes them."""
-    t, t2 = _nodes(M, 1.0), _nodes(_DIAGONAL_OVERSAMPLE * M, 1.0)
-    # Rows (z, w): origin | w-circle | z_j-circles | (t e_j, t) | (t e_j, -t),
-    # the circles of each block in direction order.
+    cached (a few (d, M) pairs), as no reader writes them."""
+    # Rows (z, w): the origin, then M nodes along each direction in turn:
+    # e_w | e_j | e_j + e_w | e_j - e_w.
     eye = np.eye(d + 1)
-    axes = eye[[d, *range(d)]]
-    diagonals = np.concatenate([eye[:d] + eye[d], eye[:d] - eye[d]])
-    rows = np.concatenate([np.zeros((1, d + 1)),
-                           (axes[:, None, :] * t[:, None]).reshape(-1, d + 1),
-                           (diagonals[:, None, :] * t2[:, None]).reshape(-1, d + 1)])
-    C2 = _coefficients(_DIAGONAL_OVERSAMPLE * M, [2])[0]
-    return rows, _coefficients(M, [1, 2]), C2
+    directions = np.concatenate([eye[d:], eye[:d], eye[:d] + eye[d], eye[:d] - eye[d]])
+    circles = directions[:, None, :] * _nodes(M, 1.0)[:, None]
+    rows = np.concatenate([np.zeros((1, d + 1)), circles.reshape(-1, d + 1)])
+    return rows, _coefficients(M, [1, 2])
 
 
 def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
@@ -167,10 +159,10 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
 
     Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
     radius rho = min(``cfg.radius``, half the smallest domain radius of
-    ``H``): 1 + M + 5dM Siegel rows (z, w) for M = ``cfg.nodes`` (the
-    diagonal circles take 2M points each), as rows (1, R, d + 1) that a
-    stack's germs share; a stack's jet fields get a leading member axis.  The
-    image width N, and with it the jet's shapes, is read off the images.
+    ``H``): 1 + M + 3dM Siegel rows (z, w) for M = ``cfg.nodes``, as rows
+    (1, R, d + 1) that a stack's germs share; a stack's jet fields get a
+    leading member axis.  The image width N, and with it the jet's shapes, is
+    read off the images.
     Raises :class:`JetRecoveryError` when a domain radius of ``H`` is not
     positive (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is
     farther than 1e-12 from the origin.
@@ -180,30 +172,27 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
              lambda i: f"map domain radius {radius[i]} is not positive")
     r = min(cfg.radius, 0.5 * float(radius.min()))
     d, M = H.dim, cfg.nodes
-    axial, diagonal = 1 + M, 1 + M + d * M
-    rows, C, C2 = _circles(d, M)
+    rows, C = _circles(d, M)
     lead = (1,) * radius.ndim  # the same rows for every member of a stack
     images = H.evaluate(r * rows.reshape(lead + rows.shape))
-    F, G, k = images[..., :-1], images[..., -1], images.shape[-1] - 1
 
-    offset = np.maximum(np.linalg.norm(F[..., 0, :], axis=-1), np.abs(G[..., 0]))
+    offset = np.maximum(np.linalg.norm(images[..., 0, :-1], axis=-1),
+                        np.abs(images[..., 0, -1]))
     _require(offset <= ORIGIN_TOL, NotOriginFixingError,
              lambda i: f"not origin-fixing: |H(0,0)| = {offset[i]:.3e}")
 
-    # Taylor coefficients times radius^k.  The axial and diagonal blocks are
-    # indexed (direction, component), transposed at the end into columns.
-    f12 = C @ F[..., 1:axial, :]
-    g12 = G[..., 1:axial] @ C.T
-    z1 = C[0] @ F[..., axial:diagonal, :].reshape(F.shape[:-2] + (d, M, k))
-    g_z1 = G[..., axial:diagonal].reshape(G.shape[:-1] + (d, M)) @ C[0]
-    # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2, read per sign
-    # and then differenced: a difference of the samples would copy them.
-    psi = C2 @ F[..., diagonal:, :].reshape(F.shape[:-2] + (2, d, C2.size, k))
-    mixed = psi[..., 0, :, :] - psi[..., 1, :, :]
-    return Jet2(f_z=z1.swapaxes(-1, -2) / r, f_w=f12[..., 0, :] / r,
-                g_z=g_z1 / r, g_w=g12[..., 0] / r, g_w2=2.0 * g12[..., 1] / r**2,
+    # Taylor coefficients of orders 1 and 2 times r^k, indexed (direction,
+    # order, component); the axial and diagonal blocks are transposed into
+    # columns at the end.
+    T = C @ images[..., 1:, :].reshape(images.shape[:-2] + (3 * d + 1, M, -1))
+    w, axial = T[..., 0, :, :], T[..., 1:d + 1, 0, :]
+    # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.
+    mixed = T[..., d + 1:2 * d + 1, 1, :-1] - T[..., 2 * d + 1:, 1, :-1]
+    return Jet2(f_z=axial[..., :-1].swapaxes(-1, -2) / r, f_w=w[..., 0, :-1] / r,
+                g_z=axial[..., -1] / r, g_w=w[..., 0, -1] / r,
+                g_w2=2.0 * w[..., 1, -1] / r**2,
                 f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2),
-                f_w2=2.0 * f12[..., 1, :] / r**2)
+                f_w2=2.0 * w[..., 1, :-1] / r**2)
 
 
 def recovery_terms(jet: Jet2):

@@ -60,6 +60,7 @@ from .hilbert import _gram_defects, sq_norm
 from .jets import (
     DiffConfig,
     Jet2,
+    _circles,
     cauchy_derivative,
     check_levi,
     check_polarization,
@@ -430,10 +431,10 @@ def _j_finite_difference(config: RunConfig, rng):
 
 def _member_blocks(params: AutParams) -> list[slice]:
     """Consecutive members of a stack, in blocks whose jet evaluations hold at
-    most 2^16 entries: 1 + M + 5dM rows of d + 2 coordinates per member (6
-    at d = 7).  2^17 would break the 2 MB traced peak of a dim-8 run."""
-    d, nodes = params.dim, DiffConfig().nodes
-    size = max(1, 2**16 // ((1 + nodes + 5 * d * nodes) * (d + 2)))
+    most 2^16 entries: the rows of the jet grid, d + 2 coordinates each, per
+    member (10 at d = 7).  2^17 would break the 2 MB traced peak of a dim-8 run."""
+    rows = len(_circles(params.dim, DiffConfig().nodes)[0])
+    size = max(1, 2**16 // (rows * (params.dim + 2)))
     return [slice(i, i + size) for i in range(0, len(params.s), size)]
 
 

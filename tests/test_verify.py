@@ -383,10 +383,12 @@ def test_cli_pass_run(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_default_sweep_passes(capsys):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_default_sweep_passes(capsys, seed):
     """The default sweep (dims 2/4/8, 1000 samples, every suite) passes all
-    81 checks at the default tolerances, with every warning an error."""
-    code = cli.main([])
+    81 checks at the default tolerances, with every warning an error, at the
+    default seed 1 and two more."""
+    code = cli.main(["--seed", str(seed)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert sum(line.startswith("PASS ") for line in lines) == 81
