@@ -47,8 +47,9 @@ def _real_in(x: np.ndarray, shape: tuple, low: float) -> bool:
     """Real (not complex) values in (low, inf), one per member."""
     if x.dtype.kind not in "fiu" or x.shape != shape:
         return False
-    ok = (low < x) & (x < np.inf)
-    return bool(ok if ok.ndim == 0 else ok.all())  # one member: no reduction
+    if not shape:  # one member: one float comparison, also False for NaN
+        return low < float(x) < np.inf
+    return bool(((low < x) & (x < np.inf)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +89,7 @@ class AutParams:
         if a.shape != U.shape[:-1]:
             msg = f"a has the wrong shape: dimension {U.shape[:-1]}, got {a.shape}"
             raise ValueError(msg)
-        if not np.isfinite(a).all():
+        if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all()
             msg = "a must be finite"
             raise ValueError(msg)
         object.__setattr__(self, "U", U)
@@ -288,10 +289,10 @@ def compose(outer: AutParams, inner: AutParams) -> AutParams:
     if outer.dim != inner.dim:
         msg = f"dimension mismatch: {outer.dim} vs {inner.dim}"
         raise ValueError(msg)
-    s_i = np.asarray(inner.s)
+    s_i = inner.s  # a float for one member, (B,) for a stack
     row = (outer.a.conj()[..., None, :] @ inner.U)[..., 0, :]  # a_o^H U_i
-    a = inner.a + s_i[..., None] * row.conj()
-    R = inner.R + s_i**2 * outer.R + 2.0 * s_i * (row * inner.a).sum(axis=-1).imag
+    a = inner.a + (row.conj().T * s_i).T  # the transposes put the member axis last
+    R = inner.R + s_i * s_i * outer.R + 2.0 * s_i * (row * inner.a).sum(axis=-1).imag
     return AutParams(outer.U @ inner.U, outer.s * inner.s, a, R)
 
 
@@ -299,6 +300,6 @@ def invert(params: AutParams) -> AutParams:
     """Parameters of the inverse (per member), the blocks of the matrix
     inverse: (U^-1, 1/s, -U^-H a / s, -R / s^2).  U^-1 is computed, not U^H:
     a drawn U is unitary only to about 1e-15, and U^H adds that defect."""
-    s, U_inv = np.asarray(params.s), np.linalg.inv(params.U)
+    s, U_inv = params.s, np.linalg.inv(params.U)
     a = (params.a.conj()[..., None, :] @ U_inv)[..., 0, :].conj()  # U^-H a
-    return AutParams(U_inv, 1.0 / s, -a / s[..., None], -params.R / s**2)
+    return AutParams(U_inv, 1.0 / s, (a.T / -s).T, -params.R / (s * s))  # -a / s per member

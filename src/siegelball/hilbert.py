@@ -8,6 +8,8 @@ first argument and conjugate-linear in the second,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: Per-entry tolerance for "is this matrix unitary" checks.
@@ -122,16 +124,25 @@ def unitarity_defect(U) -> float:
     if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         msg = f"expected a square matrix, got shape {U.shape}"
         raise ValueError(msg)
-    if U.ndim > 2:
-        U = U[tuple(0 if step == 0 and size else slice(None)
-                    for step, size in zip(U.strides[:-2], U.shape[:-2]))]
+    if U.ndim == 2:  # one matrix: no stack axes to scan
+        return float(_gram_defects(U))
+    U = U[tuple(0 if step == 0 and size else slice(None)
+                for step, size in zip(U.strides[:-2], U.shape[:-2]))]
     return float(_gram_defects(U).max(initial=0.0))
+
+
+@functools.lru_cache
+def _identity(n: int) -> np.ndarray:
+    """The complex n x n identity, shared and read-only."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def _gram_defects(U: np.ndarray) -> np.ndarray:
     """Largest entry of ``|U^H U - I|`` per matrix of a stack, (..., n, n) ->
-    (...), from one batched product."""
-    n = U.shape[-1]
+    (...), from one batched product; the identity is subtracted exactly
+    (its off-diagonal zeros leave those entries unchanged)."""
     gram = U.conj().swapaxes(-1, -2) @ U
-    gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1] -= 1.0  # G - I, in place
+    gram -= _identity(U.shape[-1])
     return np.abs(gram).max(axis=(-2, -1), initial=0.0)

@@ -277,14 +277,20 @@ def test_params_validation():
         AutParams(np.diag([1.0, 2.0]), 1.0, np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="square"):
         AutParams(np.ones((2, 3)), 1.0, np.zeros(2), 0.0)
-    with pytest.raises(ValueError, match="positive real"):
-        AutParams(np.eye(2), -1.0, np.zeros(2), 0.0)
-    with pytest.raises(ValueError, match="positive real"):
-        AutParams(np.eye(2), 1.0 + 0j, np.zeros(2), 0.0)
-    with pytest.raises(ValueError, match="real number"):
-        AutParams(np.eye(2), 1.0, np.zeros(2), 1j)
+    for bad in (0.0, -1.0, np.inf, np.nan, True, 1.0 + 0j):
+        with pytest.raises(ValueError, match="positive real"):
+            AutParams(np.eye(2), bad, np.zeros(2), 0.0)
+    for bad in (np.inf, np.nan, 1j):
+        with pytest.raises(ValueError, match="real number"):
+            AutParams(np.eye(2), 1.0, np.zeros(2), bad)
     with pytest.raises(ValueError, match="dimension"):
         AutParams(np.eye(2), 1.0, np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="a must be finite"):
+        AutParams(np.eye(2), 1.0, [0.0, np.inf], 0.0)
+    for value in (2, np.int64(2), np.float32(2.0)):
+        params = AutParams(np.eye(2), value, np.zeros(2), value)
+        assert type(params.s) is float and type(params.R) is float
+        assert params.s == params.R == 2.0
 
 
 def test_params_reject_nan_unitary():
@@ -379,6 +385,10 @@ def test_stacked_params_validation():
         AutParams(stack.U, stack.s, stack.a, stack.R + 0j)
     with pytest.raises(ValueError, match="dimension"):
         AutParams(stack.U, stack.s, stack.a[:, :1], stack.R)
+    a = stack.a.copy()
+    a[3, 1] = np.inf
+    with pytest.raises(ValueError, match="a must be finite"):
+        AutParams(stack.U, stack.s, a, stack.R)
     assert stack[1:3].s.shape == (2,)
     assert param_distance(stack[3], AutParams(stack.U[3], stack.s[3], stack.a[3],
                                               stack.R[3])) == 0.0
@@ -451,7 +461,8 @@ def test_drawn_stack_is_validated_once(gram_checks):
 
 
 def test_outside_fields_are_still_validated(gram_checks):
-    """AutParams, replace, compose and invert check the U they are given."""
+    """AutParams, replace, compose, invert and a single draw check the U they
+    are given, once per call, for stacks and for single members."""
     stack = random_params(2, seed=46, count=4)
     bad = stack.U.copy()
     bad[1] *= 1.0 + 1e-9
@@ -466,6 +477,11 @@ def test_outside_fields_are_still_validated(gram_checks):
     compose(stack, stack)
     invert(stack)
     assert len(gram_checks) == 2
+    gram_checks.clear()
+    compose(stack[0], stack[1])
+    invert(stack[2])
+    random_params(2, seed=47)
+    assert gram_checks == [(2, 2)] * 3
 
 
 def test_recover_params_checks_its_U_once(gram_checks):

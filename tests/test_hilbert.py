@@ -194,8 +194,9 @@ def test_unitarity_defect_of_a_stack_is_its_worst_member():
 
 
 def test_unitarity_defect_matches_explicit_gram_difference():
-    """The in-place G - I gives the defect max |U^H U - I| exactly, on one
-    matrix, on stacks and on broadcast stacks (checked once)."""
+    """Subtracting the cached identity gives the defect max |U^H U - I|
+    bit for bit, on one matrix, on stacks and on broadcast stacks (checked
+    once)."""
     rng = np.random.default_rng(13)
 
     def explicit(U):
