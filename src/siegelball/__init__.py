@@ -37,8 +37,6 @@ from .geometry import (
 from .hilbert import (
     SingularMatrixError,
     haar_unitary,
-    inner,
-    norm,
     unitarity_defect,
 )
 from .jets import (
@@ -98,10 +96,8 @@ __all__ = [
     "homog_sum_map",
     "homog_sum_norm_squared",
     "identity_params",
-    "inner",
     "inverse_cayley",
     "invert",
-    "norm",
     "param_distance",
     "random_params",
     "recover_params",

@@ -92,8 +92,11 @@ def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
         lead = (1,) * (x.ndim - M.ndim) + M.shape[:-2]  # np.broadcast_shapes is slow
         y = np.empty(tuple(m if n == 1 else n for n, m in zip(x.shape[:-2], lead))
                      + x.shape[-2:], complex)
-        for i in range(0, x.shape[-2], rows):
-            np.matmul(x[..., i:i + rows, :], Mt, out=y[..., i:i + rows, :])
+        i, count = 0, x.shape[-2]
+        while i < count:  # no last block of one row: gemv is threaded from 64 x 64 on
+            j = i + rows - (rows > 1 and count - i == rows + 1)
+            np.matmul(x[..., i:j, :], Mt, out=y[..., i:j, :])
+            i = j
     den = y[..., -1:]
     closest = np.abs(den).min(initial=np.inf)
     if closest <= EPS_DENOM:

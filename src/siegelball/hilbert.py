@@ -1,9 +1,10 @@
-"""Complex vectors, the Hermitian inner product, and unitary matrices.
+"""Complex vectors, squared norms and unitary matrices.
 
-Convention used throughout the package: ``inner(u, v)`` is linear in its
-first argument and conjugate-linear in the second,
+Convention used throughout the package: the Hermitian inner product
+``<u, v>`` is linear in its first argument and conjugate-linear in the
+second,
 
-    inner(u, v) = sum_k u_k * conj(v_k).
+    <u, v> = sum_k u_k * conj(v_k).
 """
 
 from __future__ import annotations
@@ -57,22 +58,6 @@ def sq_norm(u: np.ndarray):
     # Real and imaginary parts as one float axis: no complex-sized temporaries.
     v = np.ascontiguousarray(u, dtype=complex).view(float)
     return np.einsum("...i,...i->...", v, v)
-
-
-def inner(u, v) -> complex:
-    """Hermitian inner product, linear in ``u``, conjugate-linear in ``v``."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        msg = f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}"
-        raise ValueError(msg)
-    # np.vdot conjugates its *first* argument.
-    return complex(np.vdot(v, u))
-
-
-def norm(u) -> float:
-    """Euclidean norm ``sqrt(inner(u, u))``."""
-    return float(np.linalg.norm(as_vector(u)))
 
 
 def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:

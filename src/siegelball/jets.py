@@ -7,13 +7,13 @@ larger than rho is recovered from M equispaced circle samples,
 
 which is spectrally accurate (the first neglected term is the Taylor
 coefficient of order k + M).  :func:`extract_jet2` samples a map on 3d + 1
-circles of radius rho, all at the same M nodes and in one evaluation: the
-w-circle, one circle t -> t e_j along each z_j-axis, and two diagonal circles
-t -> (t e_j, +-t) per direction.  Every point lies on the polydisc
-max(||z||, |w|) = rho, at most half the germ's domain radius, so on every
-circle alike the alias term shrinks like (rho / domain radius)^M <= 2^-M.
-The mixed block comes from the diagonals by polarization: with
-psi_j^+-(t) = f(t e_j, +-t),
+circles of radius rho, all at the same M nodes, in calls of whole circles
+of bounded size: the w-circle, one circle t -> t e_j along each z_j-axis,
+and two diagonal circles t -> (t e_j, +-t) per direction.  Every point lies
+on the polydisc max(||z||, |w|) = rho, at most half the germ's domain
+radius, so on every circle alike the alias term shrinks like
+(rho / domain radius)^M <= 2^-M.  The mixed block comes from the diagonals
+by polarization: with psi_j^+-(t) = f(t e_j, +-t),
 
     psi_j^+-''(0) = f_{z_j z_j}(0) +- 2 f_{z_j w}(0) + f_ww(0),
 
@@ -141,28 +141,44 @@ def _require(ok, error: type, describe) -> None:
         raise error(describe(i) if i == () else f"member {i}: {describe(i)}")
 
 
+#: Most image entries, members x rows x (d + 2) projective coordinates, of one
+#: evaluation in :func:`extract_jet2` (0.5 MB of complex numbers).
+_EVALUATION_ENTRIES = 2**15
+
+
 @functools.lru_cache(maxsize=8)
 def _circles(d: int, M: int):
-    """Siegel rows at radius 1 and quadrature rows of :func:`extract_jet2`;
-    cached (a few (d, M) pairs), as no reader writes them."""
-    # Rows (z, w): the origin, then M nodes along each direction in turn:
-    # e_w | e_j | e_j + e_w | e_j - e_w.
+    """The circles of :func:`extract_jet2` and its quadrature rows; cached (a
+    few (d, M) pairs), as no reader writes them.
+
+    The nodes are 0, for the origin, then the M unit nodes t, as (Re t, Im t)
+    rows (M + 1, 2).  The 3d + 1 directions v = e_w | e_j | e_j + e_w |
+    e_j - e_w come as the real (2, 2 (3d + 1)(d + 1)) matrix that takes
+    (Re t, Im t) to the complex rows t v, viewed as pairs of reals: numpy
+    makes a call's rows in one real product at about half the cost of a
+    complex outer product.  The grid itself, 1 + M (3d + 1) rows, is never
+    cached: :func:`extract_jet2` builds it call by call."""
     eye = np.eye(d + 1)
     directions = np.concatenate([eye[d:], eye[:d], eye[:d] + eye[d], eye[:d] - eye[d]])
-    circles = directions[:, None, :] * _nodes(M, 1.0)[:, None]
-    rows = np.concatenate([np.zeros((1, d + 1)), circles.reshape(-1, d + 1)])
-    return rows, _coefficients(M, [1, 2])
+    lines = np.zeros((2, 3 * d + 1, d + 1, 2))
+    lines[0, ..., 0] = lines[1, ..., 1] = directions
+    nodes = np.append(0.0, _nodes(M, 1.0)).view(float).reshape(-1, 2)
+    return nodes, lines.reshape(2, -1), _coefficients(M, [1, 2])
 
 
 def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     """Second-order jet of an origin-fixing map germ, or of a stack of germs.
 
-    Evaluates ``H`` once, on the origin and the module's 3d + 1 circles of
-    radius rho = min(``cfg.radius``, half the smallest domain radius of
-    ``H``): 1 + M + 3dM Siegel rows (z, w) for M = ``cfg.nodes``, as rows
+    Evaluates ``H`` on the origin and the module's 3d + 1 circles of radius
+    rho = min(``cfg.radius``, half the smallest domain radius of ``H``):
+    1 + M + 3dM Siegel rows (z, w) for M = ``cfg.nodes``, as rows
     (1, R, d + 1) that a stack's germs share; a stack's jet fields get a
-    leading member axis.  The image width N, and with it the jet's shapes, is
-    read off the images.
+    leading member axis.  The rows go in calls of whole circles, node-major
+    within a call and the origin first, each call at most 2^15 image entries
+    (members x rows x (d + 2)) or one circle, and each call's images are
+    reduced to Taylor coefficients before the next: one call for a single
+    germ up to d = 17.
+    The image width N, and with it the jet's shapes, is read off the images.
     Raises :class:`JetRecoveryError` when a domain radius of ``H`` is not
     positive (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is
     farther than 1e-12 from the origin.
@@ -172,27 +188,38 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
              lambda i: f"map domain radius {radius[i]} is not positive")
     r = min(cfg.radius, 0.5 * float(radius.min()))
     d, M = H.dim, cfg.nodes
-    rows, C = _circles(d, M)
+    nodes, lines, C = _circles(d, M)
+    count, width = 3 * d + 1, 2 * (d + 1)  # circles; reals per row
     lead = (1,) * radius.ndim  # the same rows for every member of a stack
-    images = H.evaluate(r * rows.reshape(lead + rows.shape))
-
-    offset = np.maximum(np.linalg.norm(images[..., 0, :-1], axis=-1),
-                        np.abs(images[..., 0, -1]))
-    _require(offset <= ORIGIN_TOL, NotOriginFixingError,
-             lambda i: f"not origin-fixing: |H(0,0)| = {offset[i]:.3e}")
-
+    # Whole circles per call, with room for the origin's row.
+    per_call = max(1, (_EVALUATION_ENTRIES // (radius.size * (d + 2)) - 1) // M)
     # Taylor coefficients of orders 1 and 2 times r^k, indexed (direction,
     # order, component); the axial and diagonal blocks are transposed into
     # columns at the end.
-    T = C @ images[..., 1:, :].reshape(images.shape[:-2] + (3 * d + 1, M, -1))
-    w, axial = T[..., 0, :, :], T[..., 1:d + 1, 0, :]
+    for start in range(0, count, per_call):
+        k, first = min(per_call, count - start), int(start == 0)
+        # Node-major rows rho t v: t = 0 gives k origin rows, and only the
+        # first call keeps one.
+        rows = (r * nodes) @ lines[:, start * width:(start + k) * width]
+        rows = rows.view(complex).reshape(-1, d + 1)[k - first:]
+        images = H.evaluate(rows.reshape(lead + rows.shape))
+        if first:
+            offset = np.maximum(np.sqrt(sq_norm(images[..., 0, :-1])),
+                                np.abs(images[..., 0, -1]))
+            _require(offset <= ORIGIN_TOL, NotOriginFixingError,
+                     lambda i: f"not origin-fixing: |H(0,0)| = {offset[i]:.3e}")
+            T = np.empty(images.shape[:-2] + (count, 2, images.shape[-1]),
+                         dtype=complex)
+        circles = images[..., first:, :].reshape(images.shape[:-2] + (M, k, -1))
+        np.matmul(C, circles.swapaxes(-3, -2), out=T[..., start:start + k, :, :])
+        del images, circles  # before the next call evaluates
+    # Order 1 on the w-circle and the z_j-axes; order 2 on the w-circle.
+    order1, w2 = T[..., :d + 1, 0, :] / r, 2.0 * T[..., 0, 1, :] / r**2
     # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.
     mixed = T[..., d + 1:2 * d + 1, 1, :-1] - T[..., 2 * d + 1:, 1, :-1]
-    return Jet2(f_z=axial[..., :-1].swapaxes(-1, -2) / r, f_w=w[..., 0, :-1] / r,
-                g_z=axial[..., -1] / r, g_w=w[..., 0, -1] / r,
-                g_w2=2.0 * w[..., 1, -1] / r**2,
-                f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2),
-                f_w2=2.0 * w[..., 1, :-1] / r**2)
+    return Jet2(f_z=order1[..., 1:, :-1].swapaxes(-1, -2), f_w=order1[..., 0, :-1],
+                g_z=order1[..., 1:, -1], g_w=order1[..., 0, -1], g_w2=w2[..., -1],
+                f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2), f_w2=w2[..., :-1])
 
 
 def recovery_terms(jet: Jet2):

@@ -60,7 +60,6 @@ from .hilbert import _gram_defects, sq_norm
 from .jets import (
     DiffConfig,
     Jet2,
-    _circles,
     cauchy_derivative,
     check_levi,
     check_polarization,
@@ -429,22 +428,17 @@ def _j_finite_difference(config: RunConfig, rng):
             np.concatenate([np.abs(e - f).ravel() for e, f in zip(exact, fd)])}
 
 
-def _member_blocks(params: AutParams) -> list[slice]:
-    """Consecutive members of a stack, in blocks whose jet evaluations hold at
-    most 2^16 entries: the rows of the jet grid, d + 2 coordinates each, per
-    member (10 at d = 7).  2^17 would break the 2 MB traced peak of a dim-8 run."""
-    rows = len(_circles(params.dim, DiffConfig().nodes)[0])
-    size = max(1, 2**16 // (rows * (params.dim + 2)))
-    return [slice(i, i + size) for i in range(0, len(params.s), size)]
-
-
 def _j_recovery(config: RunConfig, rng):
+    """Recovery of 100 draws, in blocks of members whose jets and projective
+    matrices stay small: 50 / 14 / 3 members at d = 7 / 15 / 31."""
     stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
+    size = max(1, _matrix_block(stack.dim) // 8)
     blocks = []
-    for block in _member_blocks(stack):
-        jet = extract_jet2(as_holo_map(stack[block]))
+    for start in range(0, len(stack.s), size):
+        block = stack[start:start + size]
+        jet = extract_jet2(as_holo_map(block))
         _, U, R = recovery_terms(jet)
-        blocks.append((param_distance(recover_params(jet), stack[block]),
+        blocks.append((param_distance(recover_params(jet), block),
                        np.abs(R.imag), _gram_defects(U)))
     names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
     return dict(zip(names, map(np.concatenate, zip(*blocks))))
@@ -454,14 +448,10 @@ def _j_normalized_f_w2(config: RunConfig, rng):
     """The jet of h_R against its closed form: f_w2 = 0, g_w2 = -2R, f_zw = -R I."""
     d = config.dim - 1
     R = rng.uniform(-2, 2, 10)
-    h_R = replace(identity_params(d, len(R)), R=R)
-    blocks = []
-    for block in _member_blocks(h_R):
-        jet = extract_jet2(as_holo_map(h_R[block]))
-        blocks.append(np.maximum.reduce([
-            np.linalg.norm(jet.f_w2, axis=-1), np.abs(jet.g_w2 + 2.0 * R[block]),
-            np.abs(jet.f_zw + R[block, None, None] * np.eye(d)).max(axis=(-2, -1))]))
-    return {"jets.normalized_f_w2": np.concatenate(blocks)}
+    jet = extract_jet2(as_holo_map(replace(identity_params(d, len(R)), R=R)))
+    return {"jets.normalized_f_w2": np.maximum.reduce([
+        np.linalg.norm(jet.f_w2, axis=-1), np.abs(jet.g_w2 + 2.0 * R),
+        np.abs(jet.f_zw + R[:, None, None] * np.eye(d)).max(axis=(-2, -1))])}
 
 
 def _j_levi(config: RunConfig, rng):
@@ -471,9 +461,7 @@ def _j_levi(config: RunConfig, rng):
     stack = random_params(d, rng, count=autos)
     zs = _radial_rows(rng, autos * per_auto, d, 0.05).reshape(autos, per_auto, d)
     us = _unit_rows(rng, autos * per_auto, d).reshape(autos, per_auto, d)
-    return {"jets.levi_identity": np.concatenate([
-        check_levi(as_holo_map(stack[block]), zs[block], us[block])
-        for block in _member_blocks(stack)])}
+    return {"jets.levi_identity": check_levi(as_holo_map(stack), zs, us)}
 
 
 def _j_polarization(config: RunConfig, rng):
@@ -484,10 +472,8 @@ def _j_polarization(config: RunConfig, rng):
     zs = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
     chis = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
     taus = _cscalars(rng, autos * per_auto, 0.04).reshape(autos, per_auto)
-    return {"jets.polarization_identity": np.concatenate([
-        check_polarization(as_holo_map(stack[block]), zs[block], chis[block],
-                           taus[block])
-        for block in _member_blocks(stack)])}
+    return {"jets.polarization_identity":
+            check_polarization(as_holo_map(stack), zs, chis, taus)}
 
 
 # ---------------------------------------------------------------------------

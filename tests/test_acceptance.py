@@ -31,9 +31,7 @@ from siegelball import (
     factors,
     homog_sum_map,
     homog_sum_norm_squared,
-    inner,
     inverse_cayley,
-    norm,
     param_distance,
     random_params,
     recover_params,
@@ -72,7 +70,7 @@ def test_acceptance_cayley_roundtrip_identity():
     ])
     for Z in ball_side:
         back = inverse_cayley(cayley(Z))
-        worst = max(worst, float(np.linalg.norm(back - Z)) / (1.0 + norm(Z)))
+        worst = max(worst, float(np.linalg.norm(back - Z)) / (1.0 + np.linalg.norm(Z)))
     siegel_side = list(sample_siegel_boundary(BALL_DIM, rng, SAMPLES // 2))
     for row in sample_siegel_boundary(BALL_DIM, rng, SAMPLES - SAMPLES // 2):
         row[-1] += 1j * rng.uniform(0.05, 1.0)
@@ -87,7 +85,7 @@ def test_acceptance_cayley_roundtrip_identity():
 def test_acceptance_sphere_to_boundary_hypersurface():
     """The sphere lands exactly on {Im w = ||z||^2}, with e_n at the origin."""
     origin_image = cayley(np.append(np.zeros(BALL_DIM - 1), 1.0))
-    assert norm(origin_image[:-1]) == 0.0 and origin_image[-1] == 0.0
+    assert np.linalg.norm(origin_image[:-1]) == 0.0 and origin_image[-1] == 0.0
     worst = 0.0
     for Z in sample_sphere(BALL_DIM, seed=102, count=SAMPLES, min_pole_dist=0.1):
         worst = max(worst, abs(siegel_defect(cayley(Z))))
@@ -126,7 +124,7 @@ def test_acceptance_factorization():
         direct = apply(params, p)
         factored = factor_apply(params, p)
         gap = direct - factored
-        worst = max(worst, norm(gap[:-1]), abs(gap[-1]))
+        worst = max(worst, np.linalg.norm(gap[:-1]), abs(gap[-1]))
         used += 1
     _verdict("linear/translation/scalar factorization", worst, 1e-12)
 
@@ -142,7 +140,7 @@ def test_acceptance_parameter_recovery():
         jet = extract_jet2(as_holo_map(params))
         recovered = recover_params(jet)
         worst_dist = max(worst_dist, param_distance(recovered, params))
-        r_complex = (-0.5 * jet.g_w2 + 1j * norm(jet.f_w) ** 2) / jet.g_w
+        r_complex = (-0.5 * jet.g_w2 + 1j * np.linalg.norm(jet.f_w) ** 2) / jet.g_w
         worst_im_r = max(worst_im_r, abs(r_complex.imag))
         worst_unitary = max(
             worst_unitary, unitarity_defect(jet.f_z / np.sqrt(jet.g_w.real))

@@ -36,7 +36,7 @@ from siegelball.geometry import (
     siegel_defect,
 )
 from siegelball import autgroup, hilbert
-from siegelball.hilbert import haar_unitary, norm
+from siegelball.hilbert import haar_unitary
 from siegelball.jets import DiffConfig, extract_jet2, recover_params
 from siegelball.verify import RunConfig, run
 
@@ -98,7 +98,7 @@ def test_every_member_fixes_origin():
     for seed in range(20):
         params = random_params(3, seed)
         image = apply(params, _origin(3))
-        assert norm(image[:-1]) == 0.0
+        assert np.linalg.norm(image[:-1]) == 0.0
         assert image[-1] == 0.0
 
 
@@ -136,7 +136,7 @@ def test_phi_a_trivial_cases():
     assert q[-1] == p[-1]
     member = _factor(1, a=np.array([0.5, -0.25j]), R=0.9)
     fixed = apply(member, _origin(2))
-    assert norm(fixed[:-1]) == 0.0
+    assert np.linalg.norm(fixed[:-1]) == 0.0
     assert fixed[-1] == 0.0
     _assert_matches(apply(member, p), *formulas.phi_a([0.5, -0.25j], *_formula_point(p)))
 
@@ -519,7 +519,7 @@ def test_default_run_gram_check_count(gram_checks):
 def test_random_params_bounds_and_determinism():
     for seed in range(10):
         params = random_params(4, seed, a_max=0.7, r_max=1.5)
-        assert norm(params.a) <= 0.7
+        assert np.linalg.norm(params.a) <= 0.7
         assert abs(params.R) <= 1.5
         assert 0.5 <= params.s <= 2.0
     assert param_distance(random_params(4, 9), random_params(4, 9)) == 0.0

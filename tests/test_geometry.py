@@ -17,7 +17,6 @@ from siegelball.geometry import (
     siegel_defect,
     siegel_rows,
 )
-from siegelball.hilbert import norm
 from siegelball.jets import DiffConfig, cauchy_derivative
 
 
@@ -168,7 +167,7 @@ def test_sample_siegel_boundary_on_hypersurface():
     assert points.shape == (50, 4)  # rows (z_1, z_2, z_3, w)
     for row in points:
         # one rounding ulp of slack: norm squares a square root
-        assert row[-1].imag == pytest.approx(norm(row[:-1]) ** 2, abs=5e-16)
+        assert row[-1].imag == pytest.approx(np.linalg.norm(row[:-1]) ** 2, abs=5e-16)
     with pytest.raises(ValueError):
         sample_siegel_boundary(1, seed=0, count=1)
 
@@ -191,7 +190,7 @@ def test_sampler_arrays_shapes_and_pole_distance(count):
 def test_sample_sphere_unit_norm_and_pole_distance():
     points = sample_sphere(3, seed=4, count=100, min_pole_dist=0.3)
     for Z in points:
-        assert norm(Z) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(Z) == pytest.approx(1.0, abs=1e-14)
         assert abs(1.0 + Z[-1]) > 0.3
 
 
@@ -206,7 +205,7 @@ def test_sample_sphere_rejects_unreachable_pole_distance(min_pole_dist):
 
 def test_sample_ball_stays_inside_radius():
     for Z in sample_ball(3, seed=6, count=100, radius=0.7):
-        assert norm(Z) <= 0.7 + 1e-15
+        assert np.linalg.norm(Z) <= 0.7 + 1e-15
 
 
 def test_samplers_deterministic():

@@ -1,8 +1,7 @@
-"""Tests for the inner-product conventions and unitary sampling."""
+"""Tests for vector coercion, squared norms and unitary sampling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from siegelball.hilbert import (
@@ -10,55 +9,22 @@ from siegelball.hilbert import (
     _gram_defects,
     as_vector,
     haar_unitary,
-    inner,
-    norm,
     sq_norm,
     unitarity_defect,
 )
 
-# Strategy for small complex vectors of a fixed dimension.
-cvec3 = st.lists(
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    min_size=3,
-    max_size=3,
-)
-
-
-def test_inner_first_slot_linear():
-    # <i u, v> = i <u, v>: the first slot carries the plain factor.
-    assert inner([1j], [1.0]) == 1j
-    assert inner([1.0], [1j]) == -1j
-
-
-def test_inner_hand_value():
-    u = np.array([1.0 + 2j, 3.0])
-    v = np.array([1j, 1.0])
-    # sum u_k conj(v_k) = (1+2j)(-1j) + 3 = 2 - 1j + 3
-    assert_allclose(inner(u, v), 5.0 - 1j)
-
-
-def test_inner_on_basis_vectors():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert inner(e1, e1) == 1.0
-    assert inner(e1, e2) == 0.0
-
 
 def test_norm_hand_value():
-    assert norm([3.0, 4j]) == pytest.approx(5.0)
-    assert norm(np.zeros(4)) == 0.0
+    """``sq_norm`` by hand: ||(3, 4i)||^2 = 25."""
+    assert sq_norm(np.array([3.0, 4j])) == 25.0
+    assert sq_norm(np.zeros(4)) == 0.0
 
 
 def test_norm_unitary_invariance():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     U = haar_unitary(3, seed=6)
-    assert norm(U @ u) == pytest.approx(norm(u), rel=1e-13)
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        inner([1.0, 2.0], [1.0])
+    assert np.linalg.norm(U @ u) == pytest.approx(np.linalg.norm(u), rel=1e-13)
 
 
 def test_as_vector_rejects_matrices_and_nonfinite():
@@ -68,27 +34,6 @@ def test_as_vector_rejects_matrices_and_nonfinite():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError, match="finite"):
         as_vector([np.inf, 0.0])
-
-
-@given(cvec3, cvec3, cvec3, st.complex_numbers(max_magnitude=5, allow_nan=False,
-                                               allow_infinity=False))
-@settings(max_examples=100, deadline=None)
-def test_inner_linearity_first_argument(u, v, t, alpha):
-    lhs = inner(alpha * np.asarray(u) + np.asarray(v), t)
-    rhs = alpha * inner(u, t) + inner(v, t)
-    assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-
-
-@given(cvec3, cvec3)
-@settings(max_examples=100, deadline=None)
-def test_inner_conjugate_symmetry(u, v):
-    assert abs(inner(u, v) - np.conj(inner(v, u))) <= 1e-12 * (1 + abs(inner(u, v)))
-
-
-@given(cvec3, cvec3)
-@settings(max_examples=100, deadline=None)
-def test_cauchy_schwarz(u, v):
-    assert abs(inner(u, v)) <= norm(u) * norm(v) * (1.0 + 1e-12) + 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])

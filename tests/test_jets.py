@@ -24,7 +24,7 @@ from siegelball.autgroup import (
     random_params,
 )
 from siegelball.geometry import cayley, inverse_cayley
-from siegelball.hilbert import UNITARY_TOL, haar_unitary, norm, unitarity_defect
+from siegelball.hilbert import UNITARY_TOL, haar_unitary, unitarity_defect
 from siegelball.jets import (
     DiffConfig,
     Jet2,
@@ -148,7 +148,7 @@ def test_jet_of_translation_family():
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a *= 0.8 / np.linalg.norm(a)
     jet = extract_jet2(as_holo_map(AutParams(np.eye(2), 1.0, a, 0.0)))
-    a2 = norm(a) ** 2
+    a2 = np.linalg.norm(a) ** 2
     assert_allclose(jet.f_z, np.eye(2), atol=1e-12)
     assert_allclose(jet.f_w, a, atol=1e-12)
     assert abs(jet.g_w - 1.0) < 1e-12
@@ -334,6 +334,71 @@ def test_stack_extraction_peak_memory():
     assert peak <= 2 * 6 * (1 + 32 + 3 * 7 * 32) * (7 + 2) * 16
 
 
+@pytest.mark.parametrize(("dim", "count"), [(63, None), (31, 3), (7, 10)])
+def test_extraction_calls_hold_whole_circles(dim, count):
+    """Past 2^15 image entries (members x rows x (d + 2)) the grid goes in
+    several calls: each holds whole circles, rho t v at all M nodes t for
+    its directions v, and stays within the budget unless it is one circle;
+    the calls take the directions in turn, and the origin comes once, first.
+    A stack's calls keep the shared (1, R, d + 1) rows, and the jet still
+    recovers the parameters."""
+    params = random_params(dim, 6, count=count)
+    H = as_holo_map(params)
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return H.evaluate(rows)
+
+    jet = extract_jet2(replace(H, evaluate=counting))
+    M, members = 32, 1 if count is None else count
+    assert len(calls) > 1
+    if count is not None:
+        assert all(rows.shape[:1] == (1,) for rows in calls)
+        calls = [rows[0] for rows in calls]
+    assert not calls[0][0].any()
+    assert all(len(rows) * members * (dim + 2) <= 2**15 or len(rows) == M
+               for rows in calls)
+
+    rho = min(0.1, 0.5 * np.min(H.domain_radius))
+    eye = np.eye(dim + 1)
+    directions = np.concatenate([eye[dim:], eye[:dim], eye[:dim] + eye[dim],
+                                 eye[:dim] - eye[dim]])
+    index = {tuple(v): i for i, v in enumerate(directions)}
+    nodes = np.exp(2j * np.pi * np.arange(M) / M)
+    seen = 0
+    for rows in [calls[0][1:]] + calls[1:]:
+        x = rows / rho
+        assert len(x) % M == 0 and not (np.abs(x).max(axis=1) == 0).any()
+        # Every direction's first nonzero coordinate is 1, so t is x's.
+        t = x[np.arange(len(x)), np.argmax(np.abs(x) > 0.5, axis=1)]
+        node = np.round(np.angle(t) * M / (2 * np.pi)).astype(int) % M
+        assert_allclose(t, nodes[node], rtol=0, atol=1e-15)
+        v = x / t[:, None]
+        assert_allclose(v, np.round(v.real), rtol=0, atol=1e-15)
+        line = [index[tuple(u)] for u in np.round(v.real)]
+        lines = range(seen, seen + len(x) // M)
+        assert sorted(zip(line, node)) == [(v, n) for v in lines for n in range(M)]
+        seen = lines.stop
+    assert seen == 3 * dim + 1
+    assert np.all(param_distance(recover_params(jet), params) < 1e-8)
+
+
+def test_single_germ_extraction_peak_memory():
+    """A single d = 63 germ is evaluated in calls of at most 2^15 image
+    entries, each reduced before the next: the traced peak of extract_jet2
+    stays at most 4 MB (19.1 MB with the whole 6081-row grid in one call)."""
+    H = as_holo_map(random_params(63, 5))
+    extract_jet2(H)  # fills the cached directions and quadrature rows
+    tracemalloc.start()
+    try:
+        extract_jet2(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_recovery_roundtrip(dim):
     for seed in range(5):
@@ -417,7 +482,7 @@ def test_recovery_rejects_complex_r():
 def test_recovery_accepts_compensated_imaginary_part():
     # g_w2 = 2i||f_w||^2 is exactly the translation member: R comes out 0.
     a = np.array([0.6, 0.0], dtype=complex)
-    jet = _jet(f_w=a, g_w2=2j * norm(a) ** 2)
+    jet = _jet(f_w=a, g_w2=2j * np.linalg.norm(a) ** 2)
     recovered = recover_params(jet)
     assert recovered.R == pytest.approx(0.0, abs=1e-12)
     assert_allclose(recovered.a, a, atol=1e-12)

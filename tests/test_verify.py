@@ -268,8 +268,8 @@ def test_normalized_jet_check_sees_a_wrong_jet(monkeypatch, field):
 
 
 def test_default_run_peak_memory():
-    """The jets groups evaluate in member blocks: the traced peak of a dim-8
-    run stays at most 2 MB (1.29 MB before the groups were stacked)."""
+    """The jet layer bounds each evaluation: the traced peak of a dim-8 run
+    stays at most 2 MB (1.29 MB before the groups were stacked)."""
     run(RunConfig(dim=8, samples=4))  # caches and lazy imports
     tracemalloc.start()
     try:
@@ -278,6 +278,22 @@ def test_default_run_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_jets_suite_peak_memory_at_dim_32():
+    """The jet layer evaluates a germ in bounded calls and the recovery check
+    takes its draws in blocks sized by d alone: the traced peak of a dim-32
+    jets suite stays at most 6 MB (9.9 MB with the whole grid per call)."""
+    config = RunConfig(dim=32, samples=100, suites=("jets",))
+    run(config)  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        results = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.status == "pass" for r in results)
+    assert peak <= 6e6
 
 
 def test_default_run_keeps_one_core_busy():
