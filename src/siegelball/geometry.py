@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_points, as_vector, sq_norm
+from .hilbert import as_points, sq_norm
 
 #: Guard threshold for denominators near a pole.
 EPS_DENOM = 1e-12
@@ -55,7 +55,11 @@ class SiegelPoint:
     w: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z", as_vector(self.z))
+        z = as_points(self.z)
+        if z.ndim != 1:
+            msg = f"expected a one-dimensional vector, got shape {z.shape}"
+            raise ValueError(msg)
+        object.__setattr__(self, "z", z)
         w = complex(self.w)
         if not (np.isfinite(w.real) and np.isfinite(w.imag)):
             msg = "w must be finite"
@@ -78,32 +82,36 @@ def siegel_rows(p, dim: int | None = None) -> np.ndarray:
 def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
     """The linear-fractional map ``x -> (M x~)[:-1] / (M x~)[-1]``, x~ = (x, 1).
 
-    ``x`` is one point (m,) or rows (..., m); ``M`` is one (m+1) x (m+1)
-    matrix for all rows, one per row, or one per member against member-major
-    rows (B, R, m), or rows (1, R, m) shared by every member.  The images are
-    a view into the one product array.  Raises ``error`` when any
-    ``|(M x~)[-1]| <= EPS_DENOM``; ``what`` names it.
+    ``M`` is one (m+1) x (m+1) matrix or a stack.  Rows (..., R, m) with
+    ``x.ndim >= M.ndim`` share one matrix, are member-major (B, R, m), or are
+    shared by every member, (1, R, m).  One point (m,), a stack on rows (B, m)
+    and one point against a stack have one matrix per row: they go as
+    member-major rows of one, (..., 1, m).  Every product splits its R rows
+    evenly into the fewest blocks of at most max(48, 2^16 // (m+1)^2) rows.
+    The images are a view into the one product array.  Raises ``error``,
+    named by ``what``, when any ``|(M x~)[-1]| <= EPS_DENOM``.
     """
     x = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-    if x.ndim < M.ndim:  # one matrix per row
-        y = (M @ x[..., None])[..., 0]
-    else:  # blocks of <= 2^16 multiply-adds: larger ones wake a spinning BLAS thread
-        rows, Mt = max(1, 2**16 // M.shape[-1] ** 2), M.swapaxes(-1, -2)
-        lead = (1,) * (x.ndim - M.ndim) + M.shape[:-2]  # np.broadcast_shapes is slow
-        y = np.empty(tuple(m if n == 1 else n for n, m in zip(x.shape[:-2], lead))
-                     + x.shape[-2:], complex)
-        i, count = 0, x.shape[-2]
-        while i < count:  # no last block of one row: gemv is threaded from 64 x 64 on
-            j = i + rows - (rows > 1 and count - i == rows + 1)
-            np.matmul(x[..., i:j, :], Mt, out=y[..., i:j, :])
-            i = j
+    single = x.ndim < M.ndim
+    if single:  # member-major rows of one, with M's leading axes
+        x = x.reshape((1,) * (M.ndim - x.ndim - 1) + x.shape[:-1] + (1, x.shape[-1]))
+    lead = (1,) * (x.ndim - M.ndim) + M.shape[:-2]  # np.broadcast_shapes is slow
+    y = np.empty(tuple(m if n == 1 else n for n, m in zip(x.shape[:-2], lead))
+                 + x.shape[-2:], complex)
+    # 2^16 multiply-adds stay on the calling thread (up to 36 x 36 matrices, the
+    # cap is above the floor); the even split keeps blocks off one-row gemv.
+    count = x.shape[-2]
+    blocks = max(1, -(-count // max(48, 2**16 // M.shape[-1] ** 2)))
+    for k in range(blocks):
+        i, j = count * k // blocks, count * (k + 1) // blocks
+        np.matmul(x[..., i:j, :], M.swapaxes(-1, -2), out=y[..., i:j, :])
     den = y[..., -1:]
     closest = np.abs(den).min(initial=np.inf)
     if closest <= EPS_DENOM:
         msg = f"{what} = {closest:.3e}"
         raise error(msg)
     y *= 1.0 / den  # whole rows: numpy buffers a strided in-place product
-    return y[..., :-1]
+    return y[..., 0, :-1] if single else y[..., :-1]
 
 
 @functools.cache

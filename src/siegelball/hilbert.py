@@ -16,9 +16,6 @@ import numpy as np
 #: Per-entry tolerance for "is this matrix unitary" checks.
 UNITARY_TOL = 1e-12
 
-#: Largest condition number of a derivative accepted by ``jets.recover_params``.
-COND_MAX = 1e8
-
 
 class SingularMatrixError(ValueError):
     """A singular or ill-conditioned linear system.  The package no longer
@@ -38,15 +35,6 @@ def as_points(u, dim: int | None = None) -> np.ndarray:
         raise ValueError(msg)
     if not np.isfinite(arr).all():
         msg = "point coordinates must be finite"
-        raise ValueError(msg)
-    return arr
-
-
-def as_vector(u) -> np.ndarray:
-    """Coerce ``u`` to a finite one-dimensional complex array."""
-    arr = as_points(u)
-    if arr.ndim != 1:
-        msg = f"expected a one-dimensional vector, got shape {arr.shape}"
         raise ValueError(msg)
     return arr
 

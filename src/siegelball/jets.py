@@ -40,11 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import AutParams, _unchecked
-from .hilbert import COND_MAX, UNITARY_TOL, _gram_defects, sq_norm, unitarity_defect
+from .hilbert import UNITARY_TOL, _gram_defects, sq_norm, unitarity_defect
 from .maps import HoloMap
 
 #: Tolerance for the validity checks in :func:`recover_params`.
 RECOVERY_TOL = 1e-8
+
+#: Largest condition number of a derivative accepted by :func:`recover_params`.
+COND_MAX = 1e8
 
 #: How exactly a map must fix the origin before jet extraction.
 ORIGIN_TOL = 1e-12

@@ -1,9 +1,14 @@
 """Cayley transform, defects, and the boundary samplers."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from siegelball import geometry
+from siegelball.autgroup import apply, as_holo_map, domain_radius, matrix, random_params
 from siegelball.geometry import (
     DEFECT_TOL,
     CayleyPoleError,
@@ -17,7 +22,7 @@ from siegelball.geometry import (
     siegel_defect,
     siegel_rows,
 )
-from siegelball.jets import DiffConfig, cauchy_derivative
+from siegelball.jets import DiffConfig, cauchy_derivative, extract_jet2
 
 
 def test_siegel_point_basics():
@@ -33,6 +38,15 @@ def test_siegel_point_basics():
     assert_allclose(siegel_rows(p, 2), row, atol=0)
     assert_allclose(inverse_cayley(p), inverse_cayley(row), atol=0)
     assert siegel_defect(p) == siegel_defect(row) == -4.0
+
+
+def test_siegel_point_rejects_matrices_and_nonfinite():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SiegelPoint(np.eye(2), 1j)
+    with pytest.raises(ValueError, match="finite"):
+        SiegelPoint([1.0, np.nan], 1j)
+    with pytest.raises(ValueError, match="finite"):
+        SiegelPoint([np.inf, 0.0], 1j)
 
 
 def test_cayley_distinguished_point_to_origin():
@@ -230,3 +244,92 @@ def test_cayley_slice_is_holomorphic():
     step = 1e-5
     fd = np.subtract(*phi(np.array([step, -step]))) / (2 * step)
     assert np.max(np.abs(analytic - fd)) < 1e-6
+
+
+class _RecordingNumpy:
+    """numpy for ``geometry``'s namespace, with ``matmul`` recording the row
+    count of every product the projective kernel makes."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, M, **kwargs):
+        self.rows.append(x.shape[-2])
+        return np.matmul(x, M, **kwargs)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(geometry, "np", recorder)
+    return recorder.rows
+
+
+def test_large_germ_extraction_makes_few_products(products):
+    """A single d = 127 germ: each evaluation call of R rows is at most
+    ceil(R / 48) kernel products (2^16 multiply-adds alone would cap a block
+    at 3 rows, thousands of products per germ)."""
+    H = as_holo_map(random_params(127, 3))
+    calls = []
+
+    def counting(rows):
+        before = len(products)
+        images = H.evaluate(rows)
+        calls.append((rows.shape[-2], products[before:]))
+        return images
+
+    extract_jet2(replace(H, evaluate=counting))
+    assert len(calls) > 1
+    for R, blocks in calls:
+        assert sum(blocks) == R
+        assert len(blocks) <= math.ceil(R / 48)
+
+
+@pytest.mark.parametrize("count", [2, 3, 47, 48, 49, 95, 97, 200])
+def test_products_split_evenly_without_one_row_blocks(products, count):
+    """At d = 255 (a 257 x 257 matrix) a product of R > 1 rows goes in the
+    fewest blocks of at most 48 rows, sizes within one of each other, so no
+    block is a single row handed to gemv."""
+    Z = sample_ball(256, seed=4, count=count, radius=0.5)
+    cayley(Z)
+    assert sum(products) == count
+    assert len(products) == math.ceil(count / 48)
+    assert min(products) >= 2 and max(products) - min(products) <= 1
+
+
+@pytest.mark.parametrize("dim", [31, 34])
+def test_germ_products_below_the_floor_stay_on_one_thread(products, dim):
+    """Up to (d + 2) = 36 the 2^16 cap is above the 48-row floor: every
+    product of a single germ's extraction stays within 2^16 multiply-adds,
+    the size OpenBLAS keeps on the calling thread."""
+    extract_jet2(as_holo_map(random_params(dim, 3)))
+    assert products and max(products) * (dim + 2) ** 2 <= 2**16
+
+
+def _images(M, x):
+    """``(M x~)[:-1] / (M x~)[-1]`` through the per-row product
+    ``(M @ x~[..., None])[..., 0]``, scaled as the kernel scales it."""
+    y = (M @ np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1)[..., None])[..., 0]
+    y *= 1.0 / y[..., -1:]
+    return y[..., :-1]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 63, 127])
+def test_rows_of_one_matrix_each_match_per_row_products(dim):
+    """One point against a stack, a stack on rows and one point on one
+    matrix are evaluated as member-major rows of one: the images are
+    bit-identical to per-row matrix-vector products, with the layout's
+    shape, on both sides of the 64 x 64 size from which gemv is threaded."""
+    stack, single = random_params(dim, 5, count=4), random_params(dim, 6)
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((4, dim + 1)) + 1j * rng.standard_normal((4, dim + 1))
+    x *= 0.25 * min(np.min(domain_radius(stack)), domain_radius(single)) / np.abs(x).max()
+    for params, rows, shape in [(stack, x[0], (4, dim + 1)),
+                                (stack, x, (4, dim + 1)),
+                                (single, x[0], (dim + 1,))]:
+        images = apply(params, rows)
+        assert images.shape == shape
+        assert np.array_equal(images, _images(matrix(params), rows))

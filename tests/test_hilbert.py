@@ -1,4 +1,4 @@
-"""Tests for vector coercion, squared norms and unitary sampling."""
+"""Tests for squared norms, the Gram check and unitary sampling."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from siegelball.hilbert import (
     UNITARY_TOL,
     _gram_defects,
-    as_vector,
     haar_unitary,
     sq_norm,
     unitarity_defect,
@@ -25,15 +24,6 @@ def test_norm_unitary_invariance():
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     U = haar_unitary(3, seed=6)
     assert np.linalg.norm(U @ u) == pytest.approx(np.linalg.norm(u), rel=1e-13)
-
-
-def test_as_vector_rejects_matrices_and_nonfinite():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        as_vector(np.eye(2))
-    with pytest.raises(ValueError, match="finite"):
-        as_vector([1.0, np.nan])
-    with pytest.raises(ValueError, match="finite"):
-        as_vector([np.inf, 0.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
