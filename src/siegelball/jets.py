@@ -24,8 +24,9 @@ origin-fixing boundary automorphism from its second-order jet:
     s = sqrt(g_w(0)),  U = f_z(0)/s,  a = f_z(0)^(-1) f_w(0),
     R = (-g_ww(0)/2 + i ||f_w(0)||^2) / g_w(0),
 
-with the imaginary parts of g_w and R vanishing identically for maps that
-preserve the boundary hypersurface (checked numerically, not assumed).
+with g_z and the imaginary parts of g_w and R vanishing identically for
+maps that preserve the boundary hypersurface (checked numerically, not
+assumed).
 One code path serves a germ and a stack of germs (a leading member axis); a
 failed check on a stack names the first failing member.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +243,9 @@ def recover_params(jet: Jet2) -> AutParams:
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity (and, on a stack, the first failing member): f_z
     must be square, N = n, and finite and invertible ("derivative not onto",
-    the paper's hypothesis); g_w must be real and positive; U = f_z / sqrt(g_w)
+    the paper's hypothesis); g_w must be real and positive; g_z must vanish to
+    ``RECOVERY_TOL``, as a germ that preserves the boundary keeps its tangent
+    plane {Im w = 0}; U = f_z / sqrt(g_w)
     must be unitary to ``RECOVERY_TOL``, and invertibility and unitarity are
     read only when U is not unitary to ``hilbert.UNITARY_TOL`` (U is then
     replaced by its polar factor); and R must be real (:func:`recovery_terms`).
@@ -255,6 +257,9 @@ def recover_params(jet: Jet2) -> AutParams:
     g_w = np.asarray(jet.g_w, dtype=complex)
     _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
              lambda i: f"g_w not positive real: {g_w[i]}")
+    tilt = np.abs(jet.g_z).max(axis=-1, initial=0.0)
+    _require(tilt <= RECOVERY_TOL, JetRecoveryError,
+             lambda i: f"g_z not zero: |g_z| = {tilt[i]:.3e}")
     s, U, R = recovery_terms(jet)
     defect = unitarity_defect(U)  # AutParams reuses it: one Gram check per call
     if not defect <= UNITARY_TOL:  # rare, or NaN: find the members at fault
@@ -281,7 +286,7 @@ def recover_params(jet: Jet2) -> AutParams:
     return params
 
 
-def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> np.ndarray:
+def check_levi(H: HoloMap, zs, us) -> np.ndarray:
     """Per-sample residuals of the first-order boundary compatibility identity.
 
     For an origin-fixing map (f, g) preserving the boundary hypersurface,
@@ -291,12 +296,12 @@ def check_levi(H: HoloMap, zs, us, cfg: DiffConfig = DiffConfig()) -> np.ndarray
     holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
     samples (P, dim), or (B, P, dim) for a stack of B germs, with ||z|| small
     enough to stay inside the domain of ``H``; f(z, 0) is read off the images
-    of the Siegel rows (z, 0).  Returns ``|lhs - rhs|`` per sample, (P,) or
-    (B, P).
+    of the Siegel rows (z, 0), and the jet is :func:`extract_jet2`'s default.
+    Returns ``|lhs - rhs|`` per sample, (P,) or (B, P).
     """
     zs = np.asarray(zs, dtype=complex)
     us = np.asarray(us, dtype=complex)
-    jet = extract_jet2(H, cfg)
+    jet = extract_jet2(H)
     images = H.evaluate(np.concatenate([zs, 0 * zs[..., :1]], axis=-1))[..., :-1]
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
     lhs = np.conj(jet.g_w)[..., None] * np.sum(zs * us.conj(), axis=-1)
@@ -316,12 +321,11 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> np.ndarray:
 
     is evaluated two-sidedly on the Siegel rows (z, w) and (chi, tau), with
     g the images' last column and f the rest.  Samples are rows (P, dim) and
-    (P,), or (B, P, dim) and (B, P) for a stack of B germs.  Returns the
-    residual modulus of each sample inside the domain of ``H``, flattened
-    (one entry per such sample).  Samples falling outside the domain are
-    skipped with one warning that counts them; if every sample is skipped a
-    ``ValueError`` is raised.  A pole inside the domain breaks the map's own
-    contract and propagates.
+    (P,), or (B, P, dim) and (B, P) for a stack of B germs.  Returns
+    ``|lhs - rhs|`` per sample, (P,) or (B, P), as :func:`check_levi` does.
+    Raises ``ValueError`` counting the samples whose rows reach outside the
+    domain of ``H``; a pole inside the domain breaks the map's own contract
+    and propagates.
     """
     zs = np.asarray(zs, dtype=complex)
     chis = np.asarray(chis, dtype=complex)
@@ -331,18 +335,10 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> np.ndarray:
                                np.linalg.norm(chis, axis=-1), np.abs(taus)])
     inside = reach < np.asarray(H.domain_radius)[..., None]
     if not inside.all():
-        warnings.warn(
-            f"{np.count_nonzero(~inside)} of {inside.size} polarization samples "
-            "outside map domain; skipped",
-            stacklevel=2,
-        )
-    if not inside.any():
-        msg = "all polarization samples fell outside the map domain"
+        msg = (f"{np.count_nonzero(~inside)} of {inside.size} polarization "
+               "samples outside the map domain")
         raise ValueError(msg)
-    # Skipped samples are evaluated at the origin: a stack keeps its rows.
-    keep = inside[..., None]
-    left = H.evaluate(np.where(keep, np.concatenate([zs, ws[..., None]], -1), 0.0))
-    right = H.evaluate(np.where(keep, np.concatenate([chis, taus[..., None]], -1), 0.0))
+    left = H.evaluate(np.concatenate([zs, ws[..., None]], axis=-1))
+    right = H.evaluate(np.concatenate([chis, taus[..., None]], axis=-1))
     cross = np.sum(left[..., :-1] * right[..., :-1].conj(), axis=-1)
-    residual = left[..., -1] - np.conj(right[..., -1]) - 2j * cross
-    return np.abs(residual)[inside]
+    return np.abs(left[..., -1] - np.conj(right[..., -1]) - 2j * cross)

@@ -196,11 +196,12 @@ def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
 
 
-def finite_difference_jet2(H: maps.HoloMap, step: float = 1e-5) -> Jet2:
-    """Independent second-order jet oracle using central differences, from one
-    evaluation of ``H`` on Siegel rows.  A stack of germs shares the stencil
-    as rows (1, S, d + 1), and its jet fields gain a leading member axis."""
-    d = H.dim
+def finite_difference_jet2(H: maps.HoloMap) -> Jet2:
+    """Independent second-order jet oracle using central differences of step
+    1e-5, from one evaluation of ``H`` on Siegel rows.  A stack of germs
+    shares the stencil as rows (1, S, d + 1), and its jet fields gain a
+    leading member axis."""
+    d, step = H.dim, 1e-5
     h = step * np.eye(d, d + 1, dtype=complex)  # step e_j, one row per z_j
     v = step * np.eye(1, d + 1, d, dtype=complex)  # step e_w
     # Stencil: the origin, +-h, +-v and the four corners of each z_j/w square.

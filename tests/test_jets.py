@@ -553,27 +553,77 @@ def test_polarization_reduces_to_vanishing_on_the_slice():
     assert residual < 1e-15
 
 
-def test_polarization_skips_out_of_domain_samples():
+def test_polarization_raises_on_out_of_domain_samples():
+    """One sample of two reaching outside the germ's domain raises, counted;
+    without it the in-domain sample alone passes."""
     H = as_holo_map(random_params(2, seed=1, a_max=1.0, r_max=2.0))
     big = np.array([5.0, 0.0], dtype=complex)
     small = np.array([0.01, 0.0], dtype=complex)
-    with pytest.warns(UserWarning, match="outside map domain"):
-        residuals = check_polarization(
+    outside = "polarization samples outside the map domain$"
+    with pytest.raises(ValueError, match="^1 of 2 " + outside):
+        check_polarization(
             H, np.array([big, small]), np.array([big, small]), np.array([0.0, 0.01]))
-    assert residuals.shape == (1,)  # the in-domain sample only
+    residuals = check_polarization(H, small[None], small[None], np.array([0.01]))
+    assert residuals.shape == (1,)
     assert residuals.max() < 1e-9
-    with pytest.raises(ValueError, match="all polarization samples"):
-        with pytest.warns(UserWarning):
-            check_polarization(H, big[None], big[None], np.zeros(1))
 
 
-def test_polarization_warns_once_with_skipped_count():
+def test_polarization_counts_out_of_domain_samples():
+    """The count runs over every sample, of one germ or of all members of a
+    stack."""
     H = as_holo_map(random_params(2, seed=1))
     zs = np.array([[5.0, 0.0], [0.01, 0.0], [0.0, 7.0], [6.0, 6.0]])
-    with pytest.warns(UserWarning) as record:
+    outside = "polarization samples outside the map domain$"
+    with pytest.raises(ValueError, match="^3 of 4 " + outside):
         check_polarization(H, zs, zs, np.full(4, 0.01))
-    assert len(record) == 1
-    assert "3 of 4 polarization samples outside map domain" in str(record[0].message)
+    zs = np.full((3, 4, 2), 0.01, dtype=complex)
+    zs[1, 2] = [5.0, 0.0]
+    with pytest.raises(ValueError, match="^1 of 12 " + outside):
+        check_polarization(as_holo_map(random_params(2, seed=3, count=3)),
+                           zs, zs, np.full((3, 4), 0.01))
+
+
+@pytest.mark.parametrize("count", [None, 20])
+def test_levi_and_polarization_return_one_residual_per_sample(count):
+    """On the same samples both checks return (P,) for a germ and (B, P) for
+    a stack."""
+    H = as_holo_map(random_params(3, seed=14, count=count))
+    lead = () if count is None else (count,)
+    rng = np.random.default_rng(15)
+
+    def rows(*shape):
+        z = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+        return 0.02 * z / np.abs(z).max()
+
+    zs, us, chis, taus = rows(9, 3), rows(9, 3), rows(9, 3), rows(9)
+    levi = check_levi(H, zs, us)
+    polarization = check_polarization(H, zs, chis, taus)
+    assert levi.shape == polarization.shape == lead + (9,)
+    assert max(levi.max(), polarization.max()) < 1e-10
+
+
+def _tilted_germ(c):
+    """(z, w) -> (z, w + c z_1) on C^3, or a stack with one c per member: it
+    fixes the origin with f_z = I and g_w = 1, but for c != 0 it tilts the
+    tangent plane {Im w = 0} of the boundary."""
+    c = np.asarray(c, dtype=complex)[..., None, None]
+    e_w = np.array([0.0, 0.0, 1.0])
+    return HoloMap(lambda rows: rows + c * rows[..., :1] * e_w, 3, 3,
+                   domain_radius=np.ones(c.shape[:-2]))
+
+
+@pytest.mark.parametrize("c", [0.1, 0.1j])
+def test_recovery_rejects_a_tilted_tangent_plane(c):
+    """g_z != 0: the germ does not preserve the boundary, alone or as member 1
+    of a stack, although its other recovery terms are the identity's."""
+    tilted = r"g_z not zero: \|g_z\| = 1\.000e-01$"
+    with pytest.raises(JetRecoveryError, match="^" + tilted):
+        recover_params(extract_jet2(_tilted_germ(c)))
+    with pytest.raises(JetRecoveryError, match="^member 1: " + tilted):
+        recover_params(extract_jet2(_tilted_germ([0.0, c, 0.0])))
+    untilted = recover_params(extract_jet2(_tilted_germ([0.0, 0.0, 0.0])))
+    identity = AutParams(np.eye(2), 1.0, np.zeros(2), 0.0)
+    assert param_distance(untilted, identity).max() < 1e-14
 
 
 def test_recovery_projects_small_unitarity_gap():
@@ -655,13 +705,13 @@ def test_stacked_jets_match_single_members(dim, ranges):
             _close(field[i], value)
         for field, value in zip(astuple(recovered), astuple(recover_params(single))):
             _close(field[i], value)
-        levi.append(check_levi(H_i, zs[i], us[i], cfg).max())
-        polarization.append(check_polarization(H_i, zs[i], chis[i], taus[i]).max())
+        levi.append(check_levi(H_i, zs[i], us[i]).max())
+        polarization.append(check_polarization(H_i, zs[i], chis[i], taus[i]))
     # Both residuals sit at roundoff; pairing a member with another member's
     # samples or jet would leave one of order |z|^2.
-    assert check_levi(H, zs, us, cfg).max() == pytest.approx(max(levi), abs=1e-15)
-    assert check_polarization(H, zs, chis, taus).max() == pytest.approx(
-        max(polarization), abs=1e-15)
+    assert check_levi(H, zs, us).max() == pytest.approx(max(levi), abs=1e-15)
+    assert_allclose(check_polarization(H, zs, chis, taus), polarization,
+                    rtol=0, atol=1e-15)
 
 
 def test_stacked_recovery_names_failing_member():

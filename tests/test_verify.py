@@ -242,9 +242,9 @@ def test_stacked_finite_difference_oracle_matches_single_members():
     """A stack of germs shares one stencil: each member's oracle jet equals
     the oracle run on that member alone."""
     stack = random_params(3, seed=47, count=5)
-    stacked = finite_difference_jet2(as_holo_map(stack), step=1e-3)
+    stacked = finite_difference_jet2(as_holo_map(stack))
     for i in range(5):
-        single = finite_difference_jet2(as_holo_map(stack[i]), step=1e-3)
+        single = finite_difference_jet2(as_holo_map(stack[i]))
         for field in dataclasses.fields(single):
             value = getattr(single, field.name)
             assert np.shape(getattr(stacked, field.name)) == (5, *np.shape(value))
