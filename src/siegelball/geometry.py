@@ -175,25 +175,19 @@ def _radial_rows(rng: np.random.Generator, count: int, n: int,
     return _unit_rows(rng, count, n) * (scale * rng.uniform(size=(count, 1)))
 
 
-def sample_siegel_boundary(
-    n: int,
-    seed,
-    count: int,
-    rho_max: float = 1.0,
-    t_max: float = 1.0,
-) -> np.ndarray:
+def sample_siegel_boundary(n: int, seed, count: int) -> np.ndarray:
     """Deterministic samples on the boundary hypersurface ``Im w = ||z||^2``.
 
     ``n`` is the ball dimension; the result is ``count`` Siegel rows (z, w)
-    of shape (count, n), with ``||z|| <= rho_max`` and ``w = t + i ||z||^2``,
-    ``|t| <= t_max``.
+    of shape (count, n), with ``||z|| <= 1`` and ``w = t + i ||z||^2``,
+    ``|t| <= 1``.
     """
     if n < 2:
         msg = f"ball dimension must be >= 2, got {n}"
         raise ValueError(msg)
     rng = np.random.default_rng(seed)
-    z = _radial_rows(rng, count, n - 1, rho_max)
-    t = rng.uniform(-t_max, t_max, count)
+    z = _radial_rows(rng, count, n - 1, 1.0)
+    t = rng.uniform(-1.0, 1.0, count)
     return np.concatenate([z, (t + 1j * sq_norm(z))[:, None]], axis=1)
 
 

@@ -24,9 +24,9 @@ origin-fixing boundary automorphism from its second-order jet:
     s = sqrt(g_w(0)),  U = f_z(0)/s,  a = f_z(0)^(-1) f_w(0),
     R = (-g_ww(0)/2 + i ||f_w(0)||^2) / g_w(0),
 
-with g_z and the imaginary parts of g_w and R vanishing identically for
-maps that preserve the boundary hypersurface (checked numerically, not
-assumed).
+with U unitary, and g_z and the imaginary parts of g_w and R vanishing
+identically, for maps that preserve the boundary hypersurface (checked
+numerically, not assumed).
 One code path serves a germ and a stack of germs (a leading member axis); a
 failed check on a stack names the first failing member.
 """
@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,7 +44,8 @@ from .autgroup import AutParams, _unchecked
 from .hilbert import UNITARY_TOL, _gram_defects, sq_norm, unitarity_defect
 from .maps import HoloMap
 
-#: Tolerance for the validity checks in :func:`recover_params`.
+#: Bound on Im g_w, |g_z| and Im R in :func:`recover_params`; U is held to
+#: ``hilbert.UNITARY_TOL``, as every :class:`AutParams` is.
 RECOVERY_TOL = 1e-8
 
 #: Largest condition number of a derivative accepted by :func:`recover_params`.
@@ -64,21 +66,17 @@ class JetRecoveryError(ValueError):
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Circle radius and node count for the discrete Cauchy integrals.
+    """Circle radius for the discrete Cauchy integrals, all at M = ``nodes`` = 32.
 
     :func:`extract_jet2` shrinks the radius to half the germ's smallest
     domain radius when that is smaller."""
 
     radius: float = 0.1
-    nodes: int = 32
+    nodes: ClassVar[int] = 32
 
     def __post_init__(self):
         if not (self.radius > 0 and np.isfinite(self.radius)):
             msg = f"radius must be positive and finite, got {self.radius}"
-            raise ValueError(msg)
-        n = self.nodes
-        if n < 8 or (n & (n - 1)) != 0:
-            msg = f"nodes must be a power of two >= 8, got {n}"
             raise ValueError(msg)
 
 
@@ -116,10 +114,10 @@ def _coefficients(count: int, orders) -> np.ndarray:
 def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
     """Order-th derivative at 0 of a scalar- or array-valued function.
 
-    ``phi`` is called once, on the array t (M,) of the M = ``cfg.nodes``
-    circle points of radius ``cfg.radius``, and returns its samples with the
-    node axis first, (M, ...); any evaluation failure propagates.  Requires
-    ``order <= nodes / 2`` so the wanted coefficient is alias-free.
+    ``phi`` is called once, on the array t (M,) of the M = 32 circle points
+    of radius ``cfg.radius``, and returns its samples with the node axis
+    first, (M, ...); any evaluation failure propagates.  Requires
+    ``order <= M / 2`` so the wanted coefficient is alias-free.
     """
     if order < 0:
         msg = f"derivative order must be >= 0, got {order}"
@@ -181,21 +179,23 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     (members x rows x (d + 2)) or one circle, and each call's images are
     reduced to Taylor coefficients before the next: one call for a single
     germ up to d = 17.
-    The image width N, and with it the jet's shapes, is read off the images.
-    Raises :class:`JetRecoveryError` when a domain radius of ``H`` is not
-    positive (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is
-    farther than 1e-12 from the origin.
+    The image width N, and with it the jet's shapes, is read off the images;
+    an empty stack gives jets with an empty member axis.  Raises
+    :class:`JetRecoveryError` when a domain radius of ``H`` is not positive
+    (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is farther
+    than 1e-12 from the origin.
     """
     radius = np.asarray(H.domain_radius)
     _require(radius > 0, JetRecoveryError,
              lambda i: f"map domain radius {radius[i]} is not positive")
-    r = min(cfg.radius, 0.5 * float(radius.min()))
+    r = min(cfg.radius, 0.5 * float(radius.min(initial=np.inf)))
     d, M = H.dim, cfg.nodes
     nodes, lines, C = _circles(d, M)
     count, width = 3 * d + 1, 2 * (d + 1)  # circles; reals per row
     lead = (1,) * radius.ndim  # the same rows for every member of a stack
-    # Whole circles per call, with room for the origin's row.
-    per_call = max(1, (_EVALUATION_ENTRIES // (radius.size * (d + 2)) - 1) // M)
+    # Whole circles per call, with room for the origin's row (an empty stack
+    # is budgeted as one germ).
+    per_call = max(1, (_EVALUATION_ENTRIES // max(1, radius.size) // (d + 2) - 1) // M)
     # Taylor coefficients of orders 1 and 2 times r^k, indexed (direction,
     # order, component); the axial and diagonal blocks are transposed into
     # columns at the end.
@@ -213,7 +213,7 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
                      lambda i: f"not origin-fixing: |H(0,0)| = {offset[i]:.3e}")
             T = np.empty(images.shape[:-2] + (count, 2, images.shape[-1]),
                          dtype=complex)
-        circles = images[..., first:, :].reshape(images.shape[:-2] + (M, k, -1))
+        circles = images[..., first:, :].reshape(T.shape[:-3] + (M, k, T.shape[-1]))
         np.matmul(C, circles.swapaxes(-3, -2), out=T[..., start:start + k, :, :])
         del images, circles  # before the next call evaluates
     # Order 1 on the w-circle and the z_j-axes; order 2 on the w-circle.
@@ -242,13 +242,12 @@ def recover_params(jet: Jet2) -> AutParams:
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity (and, on a stack, the first failing member): f_z
-    must be square, N = n, and finite and invertible ("derivative not onto",
-    the paper's hypothesis); g_w must be real and positive; g_z must vanish to
-    ``RECOVERY_TOL``, as a germ that preserves the boundary keeps its tangent
-    plane {Im w = 0}; U = f_z / sqrt(g_w)
-    must be unitary to ``RECOVERY_TOL``, and invertibility and unitarity are
-    read only when U is not unitary to ``hilbert.UNITARY_TOL`` (U is then
-    replaced by its polar factor); and R must be real (:func:`recovery_terms`).
+    must be square, N = n; g_w must be positive, and Im g_w and g_z vanish
+    to ``RECOVERY_TOL`` (a germ that preserves the boundary keeps its tangent
+    plane {Im w = 0}); U = f_z / sqrt(g_w) must be unitary to ``UNITARY_TOL``,
+    the bar of :class:`AutParams` ("derivative not onto", the paper's
+    hypothesis, when f_z is not finite or cond(f_z) > ``COND_MAX``); and R
+    must be real to ``RECOVERY_TOL`` (:func:`recovery_terms`).
     """
     k, d = np.shape(jet.f_z)[-2:]
     if k != d:
@@ -262,7 +261,7 @@ def recover_params(jet: Jet2) -> AutParams:
              lambda i: f"g_z not zero: |g_z| = {tilt[i]:.3e}")
     s, U, R = recovery_terms(jet)
     defect = unitarity_defect(U)  # AutParams reuses it: one Gram check per call
-    if not defect <= UNITARY_TOL:  # rare, or NaN: find the members at fault
+    if not defect <= UNITARY_TOL:  # or NaN: name the failure and the member
         f_z = np.asarray(jet.f_z, dtype=complex)
         finite = np.isfinite(f_z).all(axis=(-2, -1))
         safe = np.where(finite[..., None, None], f_z, np.eye(U.shape[-1]))
@@ -270,20 +269,25 @@ def recover_params(jet: Jet2) -> AutParams:
         _require(cond <= COND_MAX, JetRecoveryError,
                  lambda i: f"derivative not onto: cond(f_z) = {cond[i]:.3e}")
         each = _gram_defects(U)
-        _require(each <= RECOVERY_TOL, JetRecoveryError,
+        _require(each <= UNITARY_TOL, JetRecoveryError,
                  lambda i: f"normalized f_z not unitary: defect {each[i]:.3e}")
-        # Accepted at RECOVERY_TOL but not exactly unitary: use the nearest
-        # unitary, the polar factor, so that AutParams accepts it.
-        u, _, vh = np.linalg.svd(U)
-        U = np.where((each > UNITARY_TOL)[..., None, None], u @ vh, U)
-        defect = None
-    # f_z is s times a matrix unitary to RECOVERY_TOL: cond(f_z) is about 1.
+    # f_z is s times a matrix unitary to UNITARY_TOL: cond(f_z) is about 1.
     a = np.linalg.solve(jet.f_z, np.asarray(jet.f_w)[..., None])[..., 0]
     _require(np.abs(R.imag) <= RECOVERY_TOL, JetRecoveryError,
              lambda i: f"R not real: Im R = {R.imag[i]:.3e}")
     params = _unchecked(U, s, a, R.real)
     params.__post_init__(defect)  # every check but a second Gram product
     return params
+
+
+def _require_inside(H: HoloMap, reach, what: str) -> None:
+    """Raise ``ValueError`` counting the ``what`` samples whose rows reach,
+    (P,) or (B, P), is not inside the domain radius of ``H`` (per member)."""
+    inside = reach < np.asarray(H.domain_radius)[..., None]
+    if not inside.all():
+        msg = (f"{np.count_nonzero(~inside)} of {inside.size} {what} "
+               "samples outside the map domain")
+        raise ValueError(msg)
 
 
 def check_levi(H: HoloMap, zs, us) -> np.ndarray:
@@ -294,13 +298,15 @@ def check_levi(H: HoloMap, zs, us) -> np.ndarray:
         conj(g_w(0)) <z, u> = <f(z, 0), f_z(0) u + 2i <u, z> f_w(0)>
 
     holds for all z near 0 and all u.  ``zs`` and ``us`` are stacked
-    samples (P, dim), or (B, P, dim) for a stack of B germs, with ||z|| small
-    enough to stay inside the domain of ``H``; f(z, 0) is read off the images
-    of the Siegel rows (z, 0), and the jet is :func:`extract_jet2`'s default.
-    Returns ``|lhs - rhs|`` per sample, (P,) or (B, P).
+    samples (P, dim), or (B, P, dim) for a stack of B germs; f(z, 0) is read
+    off the images of the Siegel rows (z, 0), and the jet is
+    :func:`extract_jet2`'s default.  Returns ``|lhs - rhs|`` per sample, (P,)
+    or (B, P).  Raises ``ValueError`` counting the samples whose ||z|| is not
+    inside the domain of ``H``, as :func:`check_polarization` does.
     """
     zs = np.asarray(zs, dtype=complex)
     us = np.asarray(us, dtype=complex)
+    _require_inside(H, np.linalg.norm(zs, axis=-1), "levi")
     jet = extract_jet2(H)
     images = H.evaluate(np.concatenate([zs, 0 * zs[..., :1]], axis=-1))[..., :-1]
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
@@ -333,11 +339,7 @@ def check_polarization(H: HoloMap, zs, chis, taus) -> np.ndarray:
     ws = np.conj(taus) + 2j * np.sum(zs * chis.conj(), axis=-1)
     reach = np.maximum.reduce([np.linalg.norm(zs, axis=-1), np.abs(ws),
                                np.linalg.norm(chis, axis=-1), np.abs(taus)])
-    inside = reach < np.asarray(H.domain_radius)[..., None]
-    if not inside.all():
-        msg = (f"{np.count_nonzero(~inside)} of {inside.size} polarization "
-               "samples outside the map domain")
-        raise ValueError(msg)
+    _require_inside(H, reach, "polarization")
     left = H.evaluate(np.concatenate([zs, ws[..., None]], axis=-1))
     right = H.evaluate(np.concatenate([chis, taus[..., None]], axis=-1))
     cross = np.sum(left[..., :-1] * right[..., :-1].conj(), axis=-1)

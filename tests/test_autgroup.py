@@ -327,7 +327,11 @@ def test_stacked_apply_matches_single_members(ranges):
     stack = random_params(3, seed=40, count=50, **ranges)
     assert stack.U.shape == (50, 3, 3) and stack.s.shape == (50,)
     assert stack.a.shape == (50, 3) and stack.R.shape == (50,)
-    rows = sample_siegel_boundary(4, seed=41, count=50, rho_max=0.05, t_max=0.05)
+    # Boundary rows with ||z|| <= 0.05 and |Re w| <= 0.05: the default draw, scaled.
+    rows = sample_siegel_boundary(4, seed=41, count=50)
+    rows[:, :-1] *= 0.05
+    rows[:, -1] = (0.05 * rows[:, -1].real
+                   + 1j * np.linalg.norm(rows[:, :-1], axis=1) ** 2)
     images = apply(stack, rows)
     factored = factor_apply(stack, rows)
     D = denominator(stack, rows)

@@ -195,9 +195,9 @@ def test_sampler_arrays_shapes_and_pole_distance(count):
     ball = sample_ball(5, seed=15, count=count, radius=0.7)
     assert ball.shape == (count, 5)
     assert np.all(np.linalg.norm(ball, axis=1) <= 0.7 + 1e-15)
-    boundary = sample_siegel_boundary(5, seed=16, count=count, rho_max=0.5)
+    boundary = sample_siegel_boundary(5, seed=16, count=count)
     assert boundary.shape == (count, 5)
-    assert np.all(np.linalg.norm(boundary[:, :-1], axis=1) <= 0.5 + 1e-15)
+    assert np.all(np.linalg.norm(boundary[:, :-1], axis=1) <= 1.0 + 1e-15)
     assert np.all(np.abs(boundary[:, -1].real) <= 1.0)
 
 

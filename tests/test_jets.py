@@ -41,29 +41,29 @@ from siegelball.verify import finite_difference_jet2
 
 
 def test_diff_config_validation():
-    DiffConfig(radius=0.2, nodes=16)  # fine
+    """The radius is the one field; M = 32 nodes is a constant."""
+    assert DiffConfig(radius=0.2).nodes == DiffConfig().nodes == 32
     with pytest.raises(ValueError, match="radius"):
         DiffConfig(radius=0.0)
     with pytest.raises(ValueError, match="radius"):
         DiffConfig(radius=float("inf"))
-    with pytest.raises(ValueError, match="power of two"):
-        DiffConfig(nodes=12)
-    with pytest.raises(ValueError, match="power of two"):
-        DiffConfig(nodes=4)
+    with pytest.raises(TypeError, match="nodes"):
+        DiffConfig(nodes=16)
 
 
 def test_cauchy_derivative_of_exp():
     # Every derivative of exp at 0 equals 1.  A unit-ish circle keeps the
     # k!/rho^k roundoff amplification small for the higher orders.
-    cfg = DiffConfig(radius=0.5, nodes=64)
+    cfg = DiffConfig(radius=0.5)
     for order in range(7):
         value = cauchy_derivative(np.exp, order, cfg)
         assert abs(value - 1.0) < 1e-10, f"order {order}: {value}"
 
 
 def test_cauchy_derivative_geometric_series():
-    """f(t) = 1/(1-t) has f'''(0) = 6; the circle must stay off the pole."""
-    cfg = DiffConfig(radius=0.5, nodes=64)
+    """f(t) = 1/(1-t) has f'''(0) = 6; the circle must stay off the pole.
+    The alias term is 3! rho^32 (about 1e-16 at rho = 0.3, 1.4e-9 at 0.5)."""
+    cfg = DiffConfig(radius=0.3)
     value = cauchy_derivative(lambda t: 1.0 / (1.0 - t), 3, cfg)
     assert abs(value - 6.0) < 1e-10
 
@@ -85,7 +85,7 @@ def test_cauchy_derivative_array_valued():
 def test_cauchy_derivative_calls_phi_once_on_every_node():
     """phi gets all M circle nodes in one call and answers node axis first;
     samples along another axis are refused."""
-    cfg = DiffConfig(radius=0.3, nodes=16)
+    cfg = DiffConfig(radius=0.3)
     calls = []
 
     def phi(t):
@@ -93,10 +93,10 @@ def test_cauchy_derivative_calls_phi_once_on_every_node():
         return np.stack([np.exp(t), t**3], axis=-1)
 
     assert_allclose(cauchy_derivative(phi, 3, cfg), [1.0, 6.0], atol=1e-10)
-    assert len(calls) == 1 and calls[0].shape == (16,)
-    assert len(np.unique(calls[0])) == 16
+    assert len(calls) == 1 and calls[0].shape == (32,)
+    assert len(np.unique(calls[0])) == 32
     assert_allclose(np.abs(calls[0]), 0.3, rtol=1e-15)
-    with pytest.raises(ValueError, match="16 samples on axis 0"):
+    with pytest.raises(ValueError, match="32 samples on axis 0"):
         cauchy_derivative(lambda t: np.stack([t, t**2]), 1, cfg)
 
 
@@ -104,7 +104,7 @@ def test_cauchy_derivative_order_limits():
     with pytest.raises(ValueError, match="order"):
         cauchy_derivative(np.exp, -1)
     with pytest.raises(ValueError, match="exceeds nodes/2"):
-        cauchy_derivative(np.exp, 17, DiffConfig(nodes=32))
+        cauchy_derivative(np.exp, 17)
 
 
 def test_jet_of_identity():
@@ -583,6 +583,36 @@ def test_polarization_counts_out_of_domain_samples():
                            zs, zs, np.full((3, 4), 0.01))
 
 
+def test_levi_counts_out_of_domain_samples():
+    """Levi evaluates the rows (z, 0): a sample whose ||z|| is outside the
+    germ's domain raises, counted over every sample of one germ or of all
+    members of a stack; without it the in-domain sample alone passes."""
+    H = as_holo_map(random_params(2, seed=1, a_max=1.0, r_max=2.0))
+    zs = np.array([[5.0, 0.0], [0.01, 0.0]], dtype=complex)
+    outside = "levi samples outside the map domain$"
+    with pytest.raises(ValueError, match="^1 of 2 " + outside):
+        check_levi(H, zs, zs)
+    assert check_levi(H, zs[1:], zs[1:]).max() < 1e-10
+    zs = np.full((3, 4, 2), 0.01, dtype=complex)
+    zs[1, 2] = [5.0, 0.0]
+    with pytest.raises(ValueError, match="^1 of 12 " + outside):
+        check_levi(as_holo_map(random_params(2, seed=3, count=3)), zs, zs)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_empty_stacks_pass_through_the_jet_layer(dim):
+    """A stack of no germs gives jets, recovered parameters and Levi
+    residuals with an empty member axis, as apply and compose take it."""
+    H = as_holo_map(random_params(dim, 1, count=0))
+    jet = extract_jet2(H)
+    assert jet.f_z.shape == jet.f_zw.shape == (0, dim, dim)
+    assert jet.f_w.shape == jet.g_z.shape == (0, dim) and jet.g_w.shape == (0,)
+    recovered = recover_params(jet)
+    assert recovered.U.shape == (0, dim, dim) and recovered.s.shape == (0,)
+    zs = np.zeros((0, 5, dim), dtype=complex)
+    assert check_levi(H, zs, zs).shape == (0, 5)
+
+
 @pytest.mark.parametrize("count", [None, 20])
 def test_levi_and_polarization_return_one_residual_per_sample(count):
     """On the same samples both checks return (P,) for a germ and (B, P) for
@@ -626,14 +656,22 @@ def test_recovery_rejects_a_tilted_tangent_plane(c):
     assert param_distance(untilted, identity).max() < 1e-14
 
 
-def test_recovery_projects_small_unitarity_gap():
-    """A jet accepted at the recovery tolerance but not unitary to
-    UNITARY_TOL recovers, with U replaced by its polar factor."""
+def test_recovery_rejects_small_unitarity_gap():
+    """U is held to UNITARY_TOL, the bar of AutParams: a normalized f_z
+    5e-11 to 2e-10 off unitary, well inside RECOVERY_TOL, is rejected, alone
+    and as member 1 of 3, while its unitary neighbours recover."""
     U = haar_unitary(3, seed=5)
     # U times a positive definite Hermitian factor: its polar factor is U.
     f_z = 1.2 * U @ np.diag([1.0 + 5e-11, 1.0 - 5e-11, 1.0])
     assert 5e-11 < unitarity_defect(f_z / 1.2) < 2e-10
-    recovered = recover_params(_jet(3, f_z=f_z, g_w=1.44 + 0j))
+    bad, good = _jet(3, f_z=f_z, g_w=1.44 + 0j), _jet(3, f_z=1.2 * U, g_w=1.44 + 0j)
+    not_unitary = "normalized f_z not unitary: defect "
+    with pytest.raises(JetRecoveryError, match="^" + not_unitary):
+        recover_params(bad)
+    members = [astuple(jet) for jet in (good, bad, good)]
+    with pytest.raises(JetRecoveryError, match="^member 1: " + not_unitary):
+        recover_params(Jet2(*map(np.stack, zip(*members))))
+    recovered = recover_params(good)
     assert unitarity_defect(recovered.U) <= UNITARY_TOL
     assert np.linalg.norm(recovered.U - U, 2) < 1e-14
     assert recovered.s == pytest.approx(1.2)
