@@ -44,6 +44,7 @@ from .jets import (
     Jet2,
     JetRecoveryError,
     NotOriginFixingError,
+    automorphism_jet2,
     cauchy_derivative,
     check_levi,
     check_polarization,
@@ -81,6 +82,7 @@ __all__ = [
     "WhitneySpec",
     "apply",
     "as_holo_map",
+    "automorphism_jet2",
     "ball_automorphism",
     "ball_defect",
     "cauchy_derivative",

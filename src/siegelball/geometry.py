@@ -222,6 +222,9 @@ def sample_ball(n: int, seed, count: int, radius: float = 0.9) -> np.ndarray:
     if n < 1:
         msg = f"dimension must be >= 1, got {n}"
         raise ValueError(msg)
+    if not 0.0 < radius < np.inf:  # also NaN
+        msg = f"radius must be positive and finite, got {radius!r}"
+        raise ValueError(msg)
     rng = np.random.default_rng(seed)
     r = radius * rng.uniform(size=(count, 1)) ** (1.0 / (2 * n))
     return _unit_rows(rng, count, n) * r

@@ -225,15 +225,29 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
                 f_zw=mixed.swapaxes(-1, -2) / (2.0 * r**2), f_w2=w2[..., :-1])
 
 
+def automorphism_jet2(params: AutParams) -> Jet2:
+    """The exact 2-jet of an automorphism (U, s, a, R), or of a stack: from
+    1/D = 1 + 2i<z, a> - beta w + O(2), beta = R - i ||a||^2, f_z = sU,
+    f_w = sUa, g_z = 0, g_w = s^2, g_ww = -2 beta s^2, f_ww = -2 beta sUa and
+    f_zw = sU(-beta I + 2i a a^H) = 2i f_w a^H - beta sU."""
+    s, beta = np.asarray(params.s), np.asarray(params.beta)
+    sU = s[..., None, None] * params.U
+    f_w = (sU @ params.a[..., None])[..., 0]
+    f_zw = 2j * f_w[..., :, None] * params.a.conj()[..., None, :]
+    f_zw -= beta[..., None, None] * sU
+    return Jet2(f_z=sU, f_w=f_w, g_z=np.zeros_like(f_w), g_w=s**2 + 0j,
+                g_w2=-2.0 * beta * s**2, f_zw=f_zw, f_w2=-2.0 * beta[..., None] * f_w)
+
+
 def recovery_terms(jet: Jet2):
     """Per member with Re g_w > 0: s = sqrt(Re g_w), U = f_z / s and the complex
     R = (-g_ww/2 + i ||f_w||^2) / g_w.  For a boundary automorphism's jet U is
     unitary and R real, which :func:`recover_params` checks."""
     g_w = np.asarray(jet.g_w)
     s = np.sqrt(g_w.real)
-    with np.errstate(invalid="ignore"):  # inf / s: a NaN U, rejected as not onto
+    with np.errstate(invalid="ignore"):  # inf: NaN U or R, rejected as not onto or real
         U = np.asarray(jet.f_z, dtype=complex) / s[..., None, None]
-    R = (-0.5 * np.asarray(jet.g_w2) + 1j * sq_norm(np.asarray(jet.f_w))) / g_w
+        R = (-0.5 * np.asarray(jet.g_w2) + 1j * sq_norm(np.asarray(jet.f_w))) / g_w
     return s, U, R
 
 

@@ -138,12 +138,13 @@ def whitney_map(spec: WhitneySpec) -> HoloMap:
     n = spec.n
     powers = np.arange(spec.power_count)
     finite = spec.p != INFINITY
-    out_dim = spec.power_count * (n - 1) + (1 if finite else 0)
+    width = spec.power_count * (n - 1)  # the mixed coordinates
+    out_dim = width + (1 if finite else 0)
 
     def evaluate(Z) -> np.ndarray:
         Z = as_points(Z, n)
-        z1pow = Z[..., :1] ** powers
-        mixed = (z1pow[..., :, None] * Z[..., None, 1:]).reshape(Z.shape[:-1] + (-1,))
+        mixed = Z[..., :1, None] ** powers[:, None] * Z[..., None, 1:]
+        mixed = mixed.reshape(Z.shape[:-1] + (width,))
         if finite:
             return np.concatenate([mixed, Z[..., :1] ** int(spec.p)], axis=-1)
         return mixed

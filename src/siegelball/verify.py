@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import zlib
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -59,7 +60,7 @@ from .geometry import (
 from .hilbert import _gram_defects, sq_norm
 from .jets import (
     DiffConfig,
-    Jet2,
+    automorphism_jet2,
     cauchy_derivative,
     check_levi,
     check_polarization,
@@ -85,11 +86,11 @@ DEFAULT_TOLS = {
     "autgroup.invert_two_sided": 1e-8,
     "autgroup.ball_sphere_preserved": 1e-9,
     "jets.cauchy_monomials": 1e-13,
-    "jets.jet_finite_difference": 1e-4,
+    "jets.closed_form_jet": 1e-12,
     "jets.recovery_params": 1e-8,
     "jets.recovery_im_r": 1e-9,
     "jets.recovery_unitarity": 1e-9,
-    "jets.normalized_f_w2": 1e-9,
+    "jets.normalized_f_w2": 1e-12,
     "jets.levi_identity": 1e-9,
     "jets.polarization_identity": 1e-9,
     "examples.homog_norm_law": 1e-12,
@@ -112,12 +113,13 @@ class RunConfig:
     tol_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 2:
-            msg = f"ball dimension must be >= 2, got {self.dim}"
-            raise ValueError(msg)
-        if self.samples < 1:
-            msg = f"sample count must be >= 1, got {self.samples}"
-            raise ValueError(msg)
+        for name, what, low in (("dim", "ball dimension", 2), ("seed", "seed", 0),
+                                ("samples", "sample count", 1)):
+            value = getattr(self, name)
+            integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integer and value >= low):
+                msg = f"{what} must be an integer >= {low}, got {value!r}"
+                raise ValueError(msg)
         self.suites = tuple(self.suites)
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
@@ -194,33 +196,6 @@ def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
 def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per row ``||back - x|| / (1 + ||x||)``."""
     return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
-
-
-def finite_difference_jet2(H: maps.HoloMap) -> Jet2:
-    """Independent second-order jet oracle using central differences of step
-    1e-5, from one evaluation of ``H`` on Siegel rows.  A stack of germs
-    shares the stencil as rows (1, S, d + 1), and its jet fields gain a
-    leading member axis."""
-    d, step = H.dim, 1e-5
-    h = step * np.eye(d, d + 1, dtype=complex)  # step e_j, one row per z_j
-    v = step * np.eye(1, d + 1, d, dtype=complex)  # step e_w
-    # Stencil: the origin, +-h, +-v and the four corners of each z_j/w square.
-    rows = np.concatenate([0 * v, h, -h, v, -v, h + v, h - v, -h + v, -h - v])
-    lead = (1,) * np.ndim(H.domain_radius)  # the same rows for every member
-    images = H.evaluate(rows.reshape(lead + rows.shape))
-    F, G = images[..., :-1], images[..., -1]
-    cuts = np.cumsum([1, d, d, 1, 1, d, d, d])
-    f0, fz_hi, fz_lo, fw_hi, fw_lo, pp, pm, mp, mm = np.split(F, cuts, axis=-2)
-    g0, gz_hi, gz_lo, gw_hi, gw_lo = np.split(G, cuts, axis=-1)[:5]
-    return Jet2(
-        f_z=(fz_hi - fz_lo).swapaxes(-1, -2) / (2 * step),
-        f_w=(fw_hi - fw_lo)[..., 0, :] / (2 * step),
-        g_z=(gz_hi - gz_lo) / (2 * step),
-        g_w=(gw_hi - gw_lo)[..., 0] / (2 * step),
-        g_w2=(gw_hi - 2 * g0 + gw_lo)[..., 0] / step**2,
-        f_zw=(pp - pm - mp + mm).swapaxes(-1, -2) / (4 * step**2),
-        f_w2=(fw_hi - 2 * f0 + fw_lo)[..., 0, :] / step**2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +395,22 @@ def _j_cauchy_monomials(config: RunConfig, rng):
     return {"jets.cauchy_monomials": np.concatenate(gaps)}
 
 
+def _closed_form_gaps(params: AutParams) -> np.ndarray:
+    """Per member of a stack, the largest |e - c| / (1 + |c|) over every entry
+    of its extracted jet e against the closed form c of automorphism_jet2."""
+    pairs = zip(astuple(extract_jet2(as_holo_map(params))),
+                astuple(automorphism_jet2(params)))
+    return np.max([(np.abs(e - c) / (1.0 + np.abs(c))).reshape(len(c), -1).max(axis=1)
+                   for e, c in pairs], axis=0)
+
+
 def _j_finite_difference(config: RunConfig, rng):
+    """Closed-form gaps of the stack omega, phi_a, h_R, H; the name is kept, as
+    perfbench names its metric ``verify.jets.finite_difference.s`` after it."""
     base = random_params(config.dim - 1, rng, count=1)
     members = (*factors(base), base)  # omega, phi_a, h_R and their product: one stack
-    H = as_holo_map(AutParams(*map(np.concatenate, zip(*map(astuple, members)))))
-    exact, fd = astuple(extract_jet2(H)), astuple(finite_difference_jet2(H))
-    return {"jets.jet_finite_difference":
-            np.concatenate([np.abs(e - f).ravel() for e, f in zip(exact, fd)])}
+    stack = AutParams(*map(np.concatenate, zip(*map(astuple, members))))
+    return {"jets.closed_form_jet": _closed_form_gaps(stack)}
 
 
 def _j_recovery(config: RunConfig, rng):
@@ -446,13 +430,11 @@ def _j_recovery(config: RunConfig, rng):
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
-    """The jet of h_R against its closed form: f_w2 = 0, g_w2 = -2R, f_zw = -R I."""
-    d = config.dim - 1
+    """The jets of 10 draws of h_R against their closed form, as in
+    :func:`_j_finite_difference`."""
     R = rng.uniform(-2, 2, 10)
-    jet = extract_jet2(as_holo_map(replace(identity_params(d, len(R)), R=R)))
-    return {"jets.normalized_f_w2": np.maximum.reduce([
-        np.linalg.norm(jet.f_w2, axis=-1), np.abs(jet.g_w2 + 2.0 * R),
-        np.abs(jet.f_zw + R[:, None, None] * np.eye(d)).max(axis=(-2, -1))])}
+    return {"jets.normalized_f_w2":
+            _closed_form_gaps(replace(identity_params(config.dim - 1, len(R)), R=R))}
 
 
 def _j_levi(config: RunConfig, rng):
@@ -512,9 +494,6 @@ def _e_whitney_norm_law(config: RunConfig, rng):
     gaps = []
     for spec in specs:
         Z = sample_ball(n, rng, per_spec, radius=0.9)
-        if spec.p == maps.INFINITY:
-            big = np.abs(Z[:, 0]) > 0.5
-            Z[big, 0] *= 0.5 / np.abs(Z[big, 0])
         lhs, rhs = maps.whitney_norm_identity(spec, Z)
         gaps.append(np.abs(lhs - rhs))
     return {"examples.whitney_norm_law": np.concatenate(gaps)}

@@ -63,3 +63,17 @@ def factored(U, s, a, R, z, w):
 def ball_automorphism(U, s, a, R, Z):
     """The automorphism conjugated by the Cayley transform."""
     return inverse_cayley(*automorphism(U, s, a, R, *cayley(Z)))
+
+
+def jet2(U, s, a, R):
+    """The 2-jet of ``automorphism`` at the origin as (f_z, f_w, g_z, g_w,
+    g_ww, f_zw, f_ww), f_z[i][j] = d f_i / d z_j, from the expansion
+    1/D = 1 + 2i <z, a> - beta w + (second order), beta = R - i ||a||^2:
+    f_zw = sU (-beta I + 2i a a^H) and f_ww = -2 beta sUa."""
+    beta = R - 1j * _inner(a, a)
+    sU = [[s * x for x in row] for row in U]
+    f_w = [_dot(row, a) for row in sU]
+    f_zw = [[2j * x * y.conjugate() - beta * u for y, u in zip(a, row)]
+            for x, row in zip(f_w, sU)]
+    return (sU, f_w, [0] * len(a), s * s, -2 * beta * s * s, f_zw,
+            [-2 * beta * x for x in f_w])

@@ -222,6 +222,14 @@ def test_sample_ball_stays_inside_radius():
         assert np.linalg.norm(Z) <= 0.7 + 1e-15
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+def test_sample_ball_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    """A NaN radius would give NaN rows and a negative one a mirrored ball:
+    the sampler raises instead, as sample_sphere does for its pole distance."""
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        sample_ball(3, 0, 2, radius=radius)
+
+
 def test_samplers_deterministic():
     a = sample_sphere(4, seed=10, count=5)
     b = sample_sphere(4, seed=10, count=5)

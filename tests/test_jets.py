@@ -3,12 +3,14 @@
 The hand-computed jets of the three generator families are the ground truth
 here: the linear member has first-order data only, the scalar family has
 g_ww = -2R and a mixed block -R I, and the translation-like family carries
-all the second-order structure (2i||a||^2 terms).
+all the second-order structure (2i||a||^2 terms).  Every automorphism's jet
+is held to ``jets.automorphism_jet2``, its closed form; germs with no closed
+form (the rectangular and Whitney germs) to central finite differences.
 """
 
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from siegelball.jets import (
     Jet2,
     JetRecoveryError,
     NotOriginFixingError,
+    automorphism_jet2,
     cauchy_derivative,
     check_levi,
     check_polarization,
@@ -37,7 +40,56 @@ from siegelball.jets import (
     recover_params,
 )
 from siegelball.maps import WhitneySpec, shift_map, whitney_map
-from siegelball.verify import finite_difference_jet2
+
+
+def finite_difference_jet2(H: HoloMap) -> Jet2:
+    """Independent second-order jet oracle using central differences of step
+    1e-5, from one evaluation of ``H`` on Siegel rows.  A stack of germs
+    shares the stencil as rows (1, S, d + 1), and its jet fields gain a
+    leading member axis."""
+    d, step = H.dim, 1e-5
+    h = step * np.eye(d, d + 1, dtype=complex)  # step e_j, one row per z_j
+    v = step * np.eye(1, d + 1, d, dtype=complex)  # step e_w
+    # Stencil: the origin, +-h, +-v and the four corners of each z_j/w square.
+    rows = np.concatenate([0 * v, h, -h, v, -v, h + v, h - v, -h + v, -h - v])
+    lead = (1,) * np.ndim(H.domain_radius)  # the same rows for every member
+    images = H.evaluate(rows.reshape(lead + rows.shape))
+    F, G = images[..., :-1], images[..., -1]
+    cuts = np.cumsum([1, d, d, 1, 1, d, d, d])
+    f0, fz_hi, fz_lo, fw_hi, fw_lo, pp, pm, mp, mm = np.split(F, cuts, axis=-2)
+    g0, gz_hi, gz_lo, gw_hi, gw_lo = np.split(G, cuts, axis=-1)[:5]
+    return Jet2(
+        f_z=(fz_hi - fz_lo).swapaxes(-1, -2) / (2 * step),
+        f_w=(fw_hi - fw_lo)[..., 0, :] / (2 * step),
+        g_z=(gz_hi - gz_lo) / (2 * step),
+        g_w=(gw_hi - gw_lo)[..., 0] / (2 * step),
+        g_w2=(gw_hi - 2 * g0 + gw_lo)[..., 0] / step**2,
+        f_zw=(pp - pm - mp + mm).swapaxes(-1, -2) / (4 * step**2),
+        f_w2=(fw_hi - 2 * f0 + fw_lo)[..., 0, :] / step**2,
+    )
+
+
+def test_finite_difference_oracle_on_linear_member():
+    """The oracle itself is validated against a map whose jet is known."""
+    U = haar_unitary(2, seed=6)
+    jet = finite_difference_jet2(as_holo_map(AutParams(U, 1.5, np.zeros(2), 0.0)))
+    assert np.max(np.abs(jet.f_z - 1.5 * U)) < 1e-6
+    assert abs(jet.g_w - 2.25) < 1e-6
+    assert np.max(np.abs(jet.f_w)) < 1e-6
+
+
+def test_stacked_finite_difference_oracle_matches_single_members():
+    """A stack of germs shares one stencil: each member's oracle jet equals
+    the oracle run on that member alone."""
+    stack = random_params(3, seed=47, count=5)
+    stacked = finite_difference_jet2(as_holo_map(stack))
+    for i in range(5):
+        single = finite_difference_jet2(as_holo_map(stack[i]))
+        for field in fields(single):
+            value = getattr(single, field.name)
+            assert np.shape(getattr(stacked, field.name)) == (5, *np.shape(value))
+            assert_allclose(getattr(stacked, field.name)[i], value,
+                            rtol=1e-12, atol=1e-12, err_msg=field.name)
 
 
 def test_diff_config_validation():
@@ -168,23 +220,6 @@ def test_jet_matches_finite_differences():
         assert gap < 1e-4, f"{name}: finite-difference gap {gap:.3e}"
 
 
-def _closed_form_jet(params) -> Jet2:
-    """The 2-jet of H = (sU(z + aw), s^2 w) / D, D = 1 - 2i<z,a> + beta w,
-    from the expansion 1/D = 1 + 2i<z,a> - beta w + (second order)."""
-    d = params.dim
-    sU = params.s * params.U
-    beta = params.beta
-    return Jet2(
-        f_z=sU,
-        f_w=sU @ params.a,
-        g_z=np.zeros(d, dtype=complex),
-        g_w=params.s**2 + 0j,
-        g_w2=-2.0 * beta * params.s**2,
-        f_zw=sU @ (-beta * np.eye(d) + 2j * np.outer(params.a, np.conj(params.a))),
-        f_w2=-2.0 * beta * (sU @ params.a),
-    )
-
-
 @pytest.mark.parametrize("dim", [1, 3, 7])
 def test_extracted_jet_matches_closed_form(dim):
     """The jet read off the batched evaluator's circle grids equals the
@@ -192,7 +227,7 @@ def test_extracted_jet_matches_closed_form(dim):
     for seed in range(5):
         params = random_params(dim, seed)
         jet = extract_jet2(as_holo_map(params))
-        expected = _closed_form_jet(params)
+        expected = automorphism_jet2(params)
         for name in ("f_z", "f_w", "g_z", "g_w", "g_w2", "f_zw", "f_w2"):
             gap = np.max(np.abs(np.atleast_1d(getattr(jet, name))
                                 - np.atleast_1d(getattr(expected, name))))
@@ -220,7 +255,7 @@ def test_mixed_block_accuracy_over_many_draws(dim):
         params = random_params(dim, seed)
         H = as_holo_map(params)
         reach = max(reach, DiffConfig().radius / H.domain_radius)
-        jet, expected = extract_jet2(H), _closed_form_jet(params)
+        jet, expected = extract_jet2(H), automorphism_jet2(params)
         for name in worst:
             gap = np.abs(np.asarray(getattr(jet, name)) - getattr(expected, name))
             worst[name] = max(worst[name], float(gap.max()))
@@ -456,17 +491,22 @@ def test_recovery_rejects_nan_derivative():
         recover_params(replace(jet, f_z=f_z))
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, complex(np.inf, np.inf),
+                                 complex(0.0, np.inf)])
 def test_recovery_rejects_non_finite_member_without_warning(bad):
-    """A member whose f_z is inf or NaN is a typed "derivative not onto";
-    no RuntimeWarning escapes on the way."""
-    jet = extract_jet2(as_holo_map(random_params(3, 24, count=6)))
-    f_z = jet.f_z.copy()
-    f_z[4] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(JetRecoveryError, match=r"^member 4: derivative not onto"):
-            recover_params(replace(jet, f_z=f_z))
+    """A germ, or member 4 of a stack of 6, whose f_z is not finite is a typed
+    "derivative not onto", and one whose f_w or g_w2 is not finite a typed "R
+    not real"; no RuntimeWarning escapes on the way."""
+    failures = {"f_z": "derivative not onto", "f_w": "R not real", "g_w2": "R not real"}
+    for count, member in ((None, ""), (6, "member 4: ")):
+        jet = extract_jet2(as_holo_map(random_params(3, 24, count=count)))
+        for name, failure in failures.items():
+            value = np.array(getattr(jet, name), dtype=complex)
+            value[... if count is None else 4] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(JetRecoveryError, match=f"^{member}{failure}"):
+                    recover_params(replace(jet, **{name: value}))
 
 
 def test_recovery_rejects_non_unitary_derivative():
@@ -711,6 +751,19 @@ def _close(stacked, single, rel=1e-13):
     """Agreement up to roundoff: a batched product may round differently."""
     scale = max(1.0, float(np.max(np.abs(single))))
     assert np.max(np.abs(np.asarray(stacked) - single)) <= rel * scale
+
+
+@pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_closed_form_jet_of_a_stack_is_each_members(dim, ranges):
+    """automorphism_jet2 of a 20-member stack gives each member the closed
+    form of that member alone, with its shapes."""
+    stack = random_params(dim, 41, count=20, **ranges)
+    jet = automorphism_jet2(stack)
+    for i in range(20):
+        for field, value in zip(astuple(jet), astuple(automorphism_jet2(stack[i]))):
+            assert np.shape(field[i]) == np.shape(value)
+            _close(field[i], value)
 
 
 @pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])

@@ -1,5 +1,5 @@
-"""Forward error of the projective kernel and the group law against an
-independent oracle.
+"""Forward error of the projective kernel, the group law and the closed-form
+2-jet against an independent oracle.
 
 Every linear-fractional map of the package runs through one matrix kernel,
 and ``compose`` and ``invert`` work on the parameters in closed form.  The
@@ -8,6 +8,8 @@ at 40 digits on the very same float inputs, so the relative forward error
 ``||computed - exact|| / ||exact||`` is measured, not float64 against
 float64.
 """
+
+from dataclasses import astuple
 
 import formulas
 import mpmath
@@ -24,6 +26,7 @@ from siegelball.autgroup import (
     invert,
     random_params,
 )
+from siegelball.jets import automorphism_jet2
 from siegelball.geometry import (
     cayley,
     inverse_cayley,
@@ -157,3 +160,40 @@ def test_group_law_forward_error_against_mpmath(d, ranges):
     print(f"d={d} {'wide' if ranges else 'default'} range, worst relative error: "
           + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
     assert all(v <= GROUP_REL_TOL for v in worst.values()), worst
+
+
+#: Draws per (d, range) in the closed-form jet oracle.
+JET_DRAWS = 20
+
+#: Worst |e - c| / (1 + |c|) measured over every jet entry, d = 1, 3, 7,
+#: stacks and single members: 1.8e-16 at the default range and 1.6e-15 at
+#: the wide range (d = 7).  The bound leaves a margin of about 6 over the worst.
+JET_REL_TOL = 1e-14
+
+
+def _entries(value):
+    """The scalars of an mpmath scalar, list or list of lists, in order."""
+    return [x for v in value for x in _entries(v)] if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("ranges", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_closed_form_jet_against_mpmath(d, ranges):
+    """Every entry of ``automorphism_jet2``, for the members of a stack and
+    for the same members on their own, equals the 2-jet of the direct
+    formula at 40 digits to within JET_REL_TOL (1 + |entry|)."""
+    stack = random_params(d, seed=110 + d, count=JET_DRAWS, **ranges)
+    stacked = astuple(automorphism_jet2(stack))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i in range(JET_DRAWS):
+            member = stack[i]
+            exact = formulas.jet2(_mp(member.U), mpmath.mpf(member.s), _mp(member.a),
+                                  mpmath.mpf(member.R))
+            single = astuple(automorphism_jet2(member))
+            for jet in ([field[i] for field in stacked], single):
+                for field, value in zip(jet, exact):
+                    for e, c in zip(np.ravel(field), _entries(value)):
+                        worst = max(worst, float(abs(_mp(e) - c) / (1 + abs(c))))
+    print(f"d={d} {'wide' if ranges else 'default'} range, worst jet gap {worst:.1e}")
+    assert worst <= JET_REL_TOL

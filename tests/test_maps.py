@@ -314,6 +314,17 @@ def test_maps_evaluate_stacked_points_row_by_row():
             whitney_norm_identity(WhitneySpec(3, 3), Zi), abs=1e-15)
 
 
+@pytest.mark.parametrize("p", [1, 2, INFINITY])
+def test_whitney_map_takes_zero_rows(p):
+    """No points give (0, output_dim) images and two empty sides of the norm
+    identity, as for the other maps."""
+    spec = WhitneySpec(p, 3, truncation=4 if p == INFINITY else None)
+    H = whitney_map(spec)
+    assert H.evaluate(np.zeros((0, 3))).shape == (0, H.output_dim)
+    lhs, rhs = whitney_norm_identity(spec, np.zeros((0, 3)))
+    assert lhs.shape == rhs.shape == (0,)
+
+
 def test_whitney_output_dimension():
     assert whitney_map(WhitneySpec(3, 4)).output_dim == 3 * 3 + 1
     assert whitney_map(WhitneySpec(INFINITY, 4, truncation=5)).output_dim == 6 * 3

@@ -15,19 +15,17 @@ import pytest
 
 import siegelball
 from siegelball import JetRecoveryError, cli, verify
-from siegelball.autgroup import AutParams, as_holo_map, random_params
+from siegelball.autgroup import as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
     SUITE_NAMES,
     CheckResult,
     RunConfig,
-    finite_difference_jet2,
     report,
     run,
     suite_rng,
     summarize,
 )
-from siegelball.hilbert import haar_unitary
 
 
 def test_default_tolerances_cover_all_suites():
@@ -159,6 +157,16 @@ def test_run_config_validation():
         RunConfig(tol_overrides={"geometry.cayley_roundtrip": -1.0})
 
 
+@pytest.mark.parametrize("field, value", [("dim", 3.0), ("samples", 10.5),
+                                          ("samples", True), ("seed", 1.5)])
+def test_run_config_rejects_counts_that_are_not_integers(field, value):
+    """A float or a bool dimension, sample count or seed is a ValueError at
+    construction (the CLI's exit 2), not a TypeError inside a run."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunConfig(**{field: value})
+    assert RunConfig(dim=np.int64(3), samples=np.int64(10)).dim == 3
+
+
 def test_run_config_leaves_the_callers_overrides_alone():
     overrides = {"geometry.cayley_roundtrip": "1e-3"}
     config = RunConfig(tol_overrides=overrides)
@@ -229,27 +237,19 @@ def test_summarize_counts_failures():
     assert summary["failures"] == 1
 
 
-def test_finite_difference_oracle_on_linear_member():
-    """The oracle itself is validated against a map whose jet is known."""
-    U = haar_unitary(2, seed=6)
-    jet = finite_difference_jet2(as_holo_map(AutParams(U, 1.5, np.zeros(2), 0.0)))
-    assert np.max(np.abs(jet.f_z - 1.5 * U)) < 1e-6
-    assert abs(jet.g_w - 2.25) < 1e-6
-    assert np.max(np.abs(jet.f_w)) < 1e-6
+@pytest.mark.parametrize("field", ["f_w", "g_w2", "f_zw", "f_w2"])
+def test_closed_form_jet_check_sees_a_relative_error_of_1e_10(monkeypatch, field):
+    """``jets.closed_form_jet`` fails when one field of every extracted jet
+    is off by a relative 1e-10, far inside the old finite-difference bar."""
+    extract = verify.extract_jet2
 
+    def scaled(H):
+        jet = extract(H)
+        return dataclasses.replace(jet, **{field: getattr(jet, field) * (1 + 1e-10)})
 
-def test_stacked_finite_difference_oracle_matches_single_members():
-    """A stack of germs shares one stencil: each member's oracle jet equals
-    the oracle run on that member alone."""
-    stack = random_params(3, seed=47, count=5)
-    stacked = finite_difference_jet2(as_holo_map(stack))
-    for i in range(5):
-        single = finite_difference_jet2(as_holo_map(stack[i]))
-        for field in dataclasses.fields(single):
-            value = getattr(single, field.name)
-            assert np.shape(getattr(stacked, field.name)) == (5, *np.shape(value))
-            np.testing.assert_allclose(getattr(stacked, field.name)[i], value,
-                                       rtol=1e-12, atol=1e-12, err_msg=field.name)
+    monkeypatch.setattr(verify, "extract_jet2", scaled)
+    results = {r.name: r for r in run(RunConfig(dim=3, samples=10, suites=("jets",)))}
+    assert results["jets.closed_form_jet"].status == "fail"
 
 
 @pytest.mark.parametrize("field", ["g_w2", "f_zw"])
@@ -351,6 +351,20 @@ def test_benchmark_workloads_run_clean(name, monkeypatch):
     workload.warm_up()
     workload.task()
     assert workload.outcome().failed == 0
+
+
+def test_benchmark_group_metrics_name_check_groups(monkeypatch):
+    """Every ``verify.<suite>.<group>.s`` metric in BENCHMARK.json's per-layer
+    list is named after a group of ``verify.GROUPS`` by perfbench's rule: a
+    renamed group fails here, not only in a traced benchmark run."""
+    spans = _perfbench("spans", monkeypatch)
+    path = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    listed = {metric["name"] for metric in json.loads(path.read_text())["per_layer"]
+              if metric["name"].startswith("verify.") and metric["name"].endswith(".s")}
+    groups = {f"verify.{suite}.{spans.group_name(fn)}.s"
+              for suite, fns in verify.GROUPS.items() for fn in fns}
+    assert listed
+    assert listed <= groups, sorted(listed - groups)
 
 
 def test_benchmark_counts_package_errors_as_typed(monkeypatch):
