@@ -109,6 +109,9 @@ class AutParams:
             raise IndexError(msg)
         return _unchecked(U, self.s[index], self.a[index], self.R[index])
 
+    def __len__(self) -> int:  # members of a stack; one member has none
+        return len(self.s)
+
     @property
     def dim(self) -> int:
         """Dimension of the z-part the automorphism acts on."""

@@ -71,7 +71,7 @@ def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
     starts = [k * n - k * (k - 1) // 2 for k in range(n)]  # x_k has length n - k
     g = rng.standard_normal((n * (n + 1) // 2, batch, 2))
     x = g.view(complex)[..., 0]  # x_0, ..., x_{n-1} one after another, batch last
-    norm = np.sqrt(np.add.reduceat(np.einsum("ibc,ibc->ib", g, g), starts, axis=0))
+    norm = np.sqrt(np.add.reduceat(x.real**2 + x.imag**2, starts, axis=0))
     head = x[starts]
     modulus = np.abs(head)
     phase = head / modulus

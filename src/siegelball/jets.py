@@ -143,8 +143,13 @@ def _require(ok, error: type, describe) -> None:
 
 
 #: Most image entries, members x rows x (d + 2) projective coordinates, of one
-#: evaluation in :func:`extract_jet2` (0.5 MB of complex numbers).
+#: evaluation in :func:`extract_jet2` (0.5 MB); ``verify`` sizes its blocks by it.
 _EVALUATION_ENTRIES = 2**15
+
+
+def _member_entries(d: int) -> int:
+    """Entries one germ holds in extract_jet2: a one-circle call or its orders 1-2."""
+    return (d + 2) * max(DiffConfig.nodes + 1, 2 * (3 * d + 1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -256,8 +261,9 @@ def recover_params(jet: Jet2) -> AutParams:
 
     Validity checks, each raising :class:`JetRecoveryError` with the name of
     the failed identity (and, on a stack, the first failing member): f_z
-    must be square, N = n; g_w must be positive, and Im g_w and g_z vanish
-    to ``RECOVERY_TOL`` (a germ that preserves the boundary keeps its tangent
+    must be square, N = n; f_zw and f_w2, which no formula reads, must be
+    finite; g_w must be positive, and Im g_w and g_z vanish to
+    ``RECOVERY_TOL`` (a germ that preserves the boundary keeps its tangent
     plane {Im w = 0}); U = f_z / sqrt(g_w) must be unitary to ``UNITARY_TOL``,
     the bar of :class:`AutParams` ("derivative not onto", the paper's
     hypothesis, when f_z is not finite or cond(f_z) > ``COND_MAX``); and R
@@ -267,6 +273,9 @@ def recover_params(jet: Jet2) -> AutParams:
     if k != d:
         msg = f"derivative not onto: f_z is {k} x {d}"
         raise JetRecoveryError(msg)
+    for name, axes in (("f_zw", (-2, -1)), ("f_w2", -1)):
+        finite = np.isfinite(getattr(jet, name)).all(axis=axes)
+        _require(finite, JetRecoveryError, lambda _, name=name: f"{name} not finite")
     g_w = np.asarray(jet.g_w, dtype=complex)
     _require((g_w.real > 0) & (np.abs(g_w.imag) <= RECOVERY_TOL), JetRecoveryError,
              lambda i: f"g_w not positive real: {g_w[i]}")

@@ -28,7 +28,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
-from . import maps
+from . import jets, maps
 from .autgroup import (
     AutParams,
     apply,
@@ -57,7 +57,7 @@ from .geometry import (
     sample_sphere,
     siegel_defect,
 )
-from .hilbert import _gram_defects, sq_norm
+from .hilbert import UNITARY_TOL, _gram_defects, sq_norm
 from .jets import (
     DiffConfig,
     automorphism_jet2,
@@ -89,7 +89,7 @@ DEFAULT_TOLS = {
     "jets.closed_form_jet": 1e-12,
     "jets.recovery_params": 1e-8,
     "jets.recovery_im_r": 1e-9,
-    "jets.recovery_unitarity": 1e-9,
+    "jets.recovery_unitarity": UNITARY_TOL,
     "jets.normalized_f_w2": 1e-12,
     "jets.levi_identity": 1e-9,
     "jets.polarization_identity": 1e-9,
@@ -169,22 +169,20 @@ def _small_rows(rng, count: int, d: int, scale) -> np.ndarray:
                             _cscalars(rng, count, scale)])
 
 
-def _by_blocks(fn, *arrays, size: int = 100) -> np.ndarray:
-    """``fn`` on consecutive blocks of at most ``size`` rows of each array, joined.
-
-    Keeps wide intermediates (one output coordinate per multi-index, or one
-    matrix per row) to a block's worth of memory.
-    """
-    count = max(1, -(-len(arrays[0]) // size))
-    blocks = zip(*(np.array_split(array, count) for array in arrays))
-    return np.concatenate([fn(*block) for block in blocks])
+def _block(entries: int) -> int:
+    """Items per block when one holds ``entries`` complex entries (a (d + 2)^2
+    matrix, an output row, ``jets._member_entries``): 2^15 over that, at least 1."""
+    return max(1, jets._EVALUATION_ENTRIES // entries)
 
 
-def _matrix_block(d: int) -> int:
-    """Members per block whose (d + 2) x (d + 2) projective matrices hold at
-    most 2^15 entries, near 0.5 MB: 3640 / 1310 / 404 at d = 1 / 3 / 7.
-    A dim-8 run stays under its 2 MB traced peak."""
-    return 2**15 // (d + 2) ** 2
+def _by_blocks(fn, entries: int, *arrays) -> dict:
+    """``fn`` on the rows of arrays (or AutParams stacks) split evenly into the fewest
+    blocks of :func:`_block` items, its ``{check: residuals}`` dicts joined by check."""
+    total = len(arrays[0])
+    count = -(-total // _block(entries)) or 1
+    edges = [total * k // count for k in range(count + 1)]
+    results = [fn(*(array[i:j] for array in arrays)) for i, j in zip(edges, edges[1:])]
+    return {name: np.concatenate([r[name] for r in results]) for name in results[0]}
 
 
 def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
@@ -259,25 +257,26 @@ def _g_slice_derivative(config: RunConfig, rng):
 
 def _a_origin_fixed(config: RunConfig, rng):
     d = config.dim - 1
-    count = min(config.samples, 200)
-    images = apply(random_params(d, rng, count=count), np.zeros((count, d + 1)))
-    return {"autgroup.origin_fixed": _siegel_gap(images, 0.0)}
+    return _by_blocks(lambda params: {"autgroup.origin_fixed": _siegel_gap(
+        apply(params, np.zeros((len(params), d + 1))), 0.0)},
+        (d + 2) ** 2, random_params(d, rng, count=min(config.samples, 200)))
 
 
 def _pair_check(config: RunConfig, rng, sample, residual, accept=None):
-    """Residuals of pairs of one fresh random automorphism and one point.
+    """Residuals of the accepted pairs of one fresh random automorphism and one point.
 
-    Pairs are drawn in blocks until ``config.samples`` pass
-    ``accept(params, points)`` (a mask over the rows; without it every pair
-    passes) or ``10 * config.samples`` were tried; ``residual(params, points)``
-    runs on each block's accepted pairs, one residual per pair.  A block
-    holds :func:`_matrix_block` members: 1 / 1 / 3 blocks of the default
-    1000 pairs at n = 2 / 4 / 8.  Returns the accepted pairs' residuals.
+    Pairs are drawn in blocks of :func:`_block` members, one (d + 2)^2 matrix
+    each, until ``config.samples`` pass ``accept(params, points)`` (a mask over
+    the rows; without it every pair passes) or ``10 * config.samples`` were
+    tried: 1 / 1 / 3 blocks of the default 1000 pairs at n = 2 / 4 / 8.  The
+    draw sizes set the generator's stream, so this loop is not
+    :func:`_by_blocks`.  ``residual(params, points)`` runs on each block's
+    accepted pairs, one residual per pair.
     """
     d, want = config.dim - 1, config.samples
     blocks, used, tried = [], 0, 0
     while used < want and tried < 10 * want:
-        batch = min(want - used, 10 * want - tried, _matrix_block(d))
+        batch = min(want - used, 10 * want - tried, _block((d + 2) ** 2))
         params = random_params(d, rng, count=batch)
         points = sample(batch)
         if accept is not None:
@@ -319,16 +318,14 @@ def _a_h_r_defect(config: RunConfig, rng):
     d = config.dim - 1
     points = _small_rows(rng, config.samples, d, 1.0)
     R = rng.uniform(-2.0, 2.0, config.samples)
-    den = 1.0 + R * points[:, -1]
-    keep = np.abs(den) > 0.3
-    points, R, den = points[keep], R[keep], den[keep]
+    keep = np.abs(1.0 + R * points[:, -1]) > 0.3
 
-    def image_defect(rows, r):  # h_R = (I, 1, 0, R), one member per row
-        return siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows))
+    def residual(rows, r):  # h_R = (I, 1, 0, R), one member per row
+        lhs = siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows))
+        rhs = siegel_defect(rows) / np.abs(1.0 + r * rows[:, -1]) ** 2
+        return {"autgroup.h_r_defect_scaling": np.abs(lhs - rhs)}
 
-    lhs = _by_blocks(image_defect, points, R, size=_matrix_block(d))
-    rhs = siegel_defect(points) / np.abs(den) ** 2
-    return {"autgroup.h_r_defect_scaling": np.abs(lhs - rhs)}
+    return _by_blocks(residual, (d + 2) ** 2, points[keep], R[keep])
 
 
 def _a_compose_pointwise(config: RunConfig, rng):
@@ -410,31 +407,30 @@ def _j_finite_difference(config: RunConfig, rng):
     base = random_params(config.dim - 1, rng, count=1)
     members = (*factors(base), base)  # omega, phi_a, h_R and their product: one stack
     stack = AutParams(*map(np.concatenate, zip(*map(astuple, members))))
-    return {"jets.closed_form_jet": _closed_form_gaps(stack)}
+    return _by_blocks(lambda block: {"jets.closed_form_jet": _closed_form_gaps(block)},
+                      jets._member_entries(stack.dim), stack)
 
 
 def _j_recovery(config: RunConfig, rng):
-    """Recovery of 100 draws, in blocks of members whose jets and projective
-    matrices stay small: 50 / 14 / 3 members at d = 7 / 15 / 31."""
-    stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
-    size = max(1, _matrix_block(stack.dim) // 8)
-    blocks = []
-    for start in range(0, len(stack.s), size):
-        block = stack[start:start + size]
+    """Recovery of 100 draws, in blocks of members: 50 + 50 at d = 7."""
+    def residuals(block):
         jet = extract_jet2(as_holo_map(block))
         _, U, R = recovery_terms(jet)
-        blocks.append((param_distance(recover_params(jet), block),
-                       np.abs(R.imag), _gram_defects(U)))
-    names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
-    return dict(zip(names, map(np.concatenate, zip(*blocks))))
+        return {"jets.recovery_params": param_distance(recover_params(jet), block),
+                "jets.recovery_im_r": np.abs(R.imag),
+                "jets.recovery_unitarity": _gram_defects(U)}
+
+    stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
+    return _by_blocks(residuals, jets._member_entries(stack.dim), stack)
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
     """The jets of 10 draws of h_R against their closed form, as in
     :func:`_j_finite_difference`."""
     R = rng.uniform(-2, 2, 10)
-    return {"jets.normalized_f_w2":
-            _closed_form_gaps(replace(identity_params(config.dim - 1, len(R)), R=R))}
+    h_R = replace(identity_params(config.dim - 1, len(R)), R=R)
+    return _by_blocks(lambda block: {"jets.normalized_f_w2": _closed_form_gaps(block)},
+                      jets._member_entries(h_R.dim), h_R)
 
 
 def _j_levi(config: RunConfig, rng):
@@ -472,9 +468,9 @@ def _e_homog_norm_law(config: RunConfig, rng):
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam, n)
     points = sample_ball(n, rng, config.samples, radius=0.95)
-    brute = _by_blocks(lambda Z: sq_norm(H.evaluate(Z)), points)
-    return {"examples.homog_norm_law":
-            np.abs(brute - maps.homog_sum_norm_squared(lam, points))}
+    return _by_blocks(lambda Z: {"examples.homog_norm_law": np.abs(
+        sq_norm(H.evaluate(Z)) - maps.homog_sum_norm_squared(lam, Z))}, H.output_dim,
+        points)
 
 
 def _e_homog_sphere(config: RunConfig, rng):
@@ -482,8 +478,8 @@ def _e_homog_sphere(config: RunConfig, rng):
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam / np.linalg.norm(lam), n)
     points = sample_sphere(n, rng, config.samples)
-    return {"examples.homog_sphere_norm":
-            np.abs(_by_blocks(lambda Z: sq_norm(H.evaluate(Z)), points) - 1.0)}
+    return _by_blocks(lambda Z: {"examples.homog_sphere_norm": np.abs(
+        sq_norm(H.evaluate(Z)) - 1.0)}, H.output_dim, points)
 
 
 def _e_whitney_norm_law(config: RunConfig, rng):

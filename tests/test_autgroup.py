@@ -393,7 +393,9 @@ def test_stacked_params_validation():
     a[3, 1] = np.inf
     with pytest.raises(ValueError, match="a must be finite"):
         AutParams(stack.U, stack.s, a, stack.R)
-    assert stack[1:3].s.shape == (2,)
+    assert stack[1:3].s.shape == (2,) and len(stack[1:3]) == 2
+    with pytest.raises(TypeError):
+        len(stack[3])  # one member has no member axis
     assert param_distance(stack[3], AutParams(stack.U[3], stack.s[3], stack.a[3],
                                               stack.R[3])) == 0.0
 

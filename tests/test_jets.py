@@ -496,8 +496,10 @@ def test_recovery_rejects_nan_derivative():
 def test_recovery_rejects_non_finite_member_without_warning(bad):
     """A germ, or member 4 of a stack of 6, whose f_z is not finite is a typed
     "derivative not onto", and one whose f_w or g_w2 is not finite a typed "R
-    not real"; no RuntimeWarning escapes on the way."""
-    failures = {"f_z": "derivative not onto", "f_w": "R not real", "g_w2": "R not real"}
+    not real"; f_zw and f_w2, which no recovery formula reads, are named when
+    they are not finite.  No RuntimeWarning escapes on the way."""
+    failures = {"f_z": "derivative not onto", "f_w": "R not real", "g_w2": "R not real",
+                "f_zw": "f_zw not finite", "f_w2": "f_w2 not finite"}
     for count, member in ((None, ""), (6, "member 4: ")):
         jet = extract_jet2(as_holo_map(random_params(3, 24, count=count)))
         for name, failure in failures.items():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import siegelball
-from siegelball import JetRecoveryError, cli, verify
+from siegelball import JetRecoveryError, cli, jets, maps, verify
 from siegelball.autgroup import as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
@@ -281,9 +281,10 @@ def test_default_run_peak_memory():
 
 
 def test_jets_suite_peak_memory_at_dim_32():
-    """The jet layer evaluates a germ in bounded calls and the recovery check
-    takes its draws in blocks sized by d alone: the traced peak of a dim-32
-    jets suite stays at most 6 MB (9.9 MB with the whole grid per call)."""
+    """The jet layer evaluates a germ in bounded calls, and verify hands it
+    blocks of germs of at most 2^15 entries, by what one germ holds there
+    (``jets._member_entries``): the traced peak of a dim-32 jets suite stays
+    at most 6 MB (9.9 MB with the whole grid per call)."""
     config = RunConfig(dim=32, samples=100, suites=("jets",))
     run(config)  # caches and lazy imports
     tracemalloc.start()
@@ -294,6 +295,53 @@ def test_jets_suite_peak_memory_at_dim_32():
         tracemalloc.stop()
     assert all(r.status == "pass" for r in results)
     assert peak <= 6e6
+
+
+def test_every_block_fits_the_jet_layer_budget(monkeypatch):
+    """Every block a dim-8 run and a dim-32 jets suite hand to extract_jet2,
+    apply or a homogeneous-sum evaluator holds at most 2^15 complex entries:
+    its items times what one item holds, ``jets._member_entries`` per germ,
+    (d + 2)^2 per automorphism member and the output width per point."""
+    blocks = []
+    extract, act, homog = verify.extract_jet2, verify.apply, maps.homog_sum_map
+
+    def recorded_extract(H):
+        members = np.size(H.domain_radius)
+        blocks.append(("extract_jet2", members * jets._member_entries(H.dim)))
+        return extract(H)
+
+    def recorded_apply(params, p):
+        blocks.append(("apply", np.size(params.s) * (params.dim + 2) ** 2))
+        return act(params, p)
+
+    def recorded_homog(*args, **kwargs):
+        H = homog(*args, **kwargs)
+
+        def evaluate(Z):
+            blocks.append(("homog_sum_map", len(Z) * H.output_dim))
+            return H.evaluate(Z)
+
+        return dataclasses.replace(H, evaluate=evaluate)
+
+    monkeypatch.setattr(verify, "extract_jet2", recorded_extract)
+    monkeypatch.setattr(verify, "apply", recorded_apply)
+    monkeypatch.setattr(maps, "homog_sum_map", recorded_homog)
+    run(RunConfig(dim=8))
+    run(RunConfig(dim=32, samples=100, suites=("jets",)))
+    assert {kind for kind, _ in blocks} == {"extract_jet2", "apply", "homog_sum_map"}
+    assert [block for block in blocks if block[1] > 2**15] == []
+
+
+def test_blocks_hold_one_member_past_the_budget():
+    """Past d = 179 one (d + 2)^2 projective matrix alone passes 2^15 entries:
+    a block then holds one member, so the pair checks and h_R still finish
+    (a cap of zero members would draw nothing, forever)."""
+    config = RunConfig(dim=181, samples=2)
+    rng = suite_rng(config, "autgroup")
+    for group in (verify._a_origin_fixed, verify._a_boundary_invariance,
+                  verify._a_h_r_defect):
+        for name, residuals in group(config, rng).items():
+            assert residuals.max(initial=0.0) <= DEFAULT_TOLS[name], name
 
 
 def test_default_run_keeps_one_core_busy():
