@@ -90,17 +90,14 @@ def haar_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
 def unitarity_defect(U) -> float:
     """Largest entry of ``|U^H U - I|`` over a matrix or a stack (..., n, n).
 
-    0 for exactly unitary matrices (and for an empty stack).  A broadcast
-    stack repeats one matrix along its zero-stride axes: it is checked once.
+    0 for exactly unitary matrices (and for an empty stack).
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         msg = f"expected a square matrix, got shape {U.shape}"
         raise ValueError(msg)
-    if U.ndim == 2:  # one matrix: no stack axes to scan
+    if U.ndim == 2:  # one matrix: no stack axes to reduce
         return float(_gram_defects(U))
-    U = U[tuple(0 if step == 0 and size else slice(None)
-                for step, size in zip(U.strides[:-2], U.shape[:-2]))]
     return float(_gram_defects(U).max(initial=0.0))
 
 

@@ -3,7 +3,8 @@
 Four suites (``geometry``, ``autgroup``, ``jets``, ``examples``) re-run the
 package's defining identities on seeded random data.  Every check group in
 :data:`GROUPS` returns ``{check name: per-sample residual array}``, one
-entry per check in report order and one residual per sample it used, and
+entry per check in report order and one residual per sample it used, from
+:func:`_check`, which applies every accept mask and splits every block, and
 :func:`run` alone reduces them: each check yields a :class:`CheckResult`
 with the largest residual (0 for no samples), the tolerance it was held
 to, the array's size as its sample count and the group's wall time.
@@ -24,13 +25,14 @@ import math
 import numbers
 import time
 import zlib
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from . import jets, maps
 from .autgroup import (
     AutParams,
+    _unchecked,
     apply,
     as_holo_map,
     ball_automorphism,
@@ -175,14 +177,26 @@ def _block(entries: int) -> int:
     return max(1, jets._EVALUATION_ENTRIES // entries)
 
 
-def _by_blocks(fn, entries: int, *arrays) -> dict:
-    """``fn`` on the rows of arrays (or AutParams stacks) split evenly into the fewest
-    blocks of :func:`_block` items, its ``{check: residuals}`` dicts joined by check."""
+def _check(name, residual, entries: int, *arrays, keep=None) -> dict:
+    """``residual`` on the rows of arrays (or AutParams stacks) that the mask
+    ``keep(*arrays)`` accepts (all without it), in the fewest even blocks of
+    :func:`_block` items: ``{name: residuals}`` in row order, or one array per
+    name of a tuple of names."""
+    mask = slice(None) if keep is None else keep(*arrays)
+    arrays = [a[mask] for a in arrays]
     total = len(arrays[0])
     count = -(-total // _block(entries)) or 1
     edges = [total * k // count for k in range(count + 1)]
-    results = [fn(*(array[i:j] for array in arrays)) for i, j in zip(edges, edges[1:])]
-    return {name: np.concatenate([r[name] for r in results]) for name in results[0]}
+    blocks = [residual(*(a[i:j] for a in arrays)) for i, j in zip(edges, edges[1:])]
+    if isinstance(name, str):
+        return {name: np.concatenate(blocks)}
+    return {each: np.concatenate(parts) for each, parts in zip(name, zip(*blocks))}
+
+
+def _h_r(d: int, R) -> AutParams:
+    """The stack h_R = (I, 1, 0, R), one member per entry of R, without a Gram check."""
+    ident = identity_params(d, len(R))
+    return _unchecked(ident.U, ident.s, ident.a, R)
 
 
 def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
@@ -225,15 +239,18 @@ def _g_interior_correspondence(config: RunConfig, rng):
     interior = sample_ball(n, rng, half, radius=0.95)
     exterior = sample_sphere(n, rng, config.samples - half, min_pole_dist=0.15)
     exterior *= rng.uniform(1.05, 1.5, size=(len(exterior), 1))
-    points = np.concatenate([interior, exterior])
     inside = np.repeat([1.0, -1.0], [len(interior), len(exterior)])
-    keep = np.abs(1.0 + points[:, -1]) > 0.05
-    points, inside = points[keep], inside[keep]
-    # Right side of the boundary band: -inside * ball defect and inside *
-    # Siegel defect both exceed DEFECT_TOL (NaN counts as wrong).
-    right = np.minimum(-inside * ball_defect(points),
-                       inside * siegel_defect(cayley(points))) > DEFECT_TOL
-    return {"geometry.interior_correspondence": (~right).astype(float)}
+
+    def residual(points, inside):
+        # Right side of the boundary band: -inside * ball defect and inside *
+        # Siegel defect both exceed DEFECT_TOL (NaN counts as wrong).
+        right = np.minimum(-inside * ball_defect(points),
+                           inside * siegel_defect(cayley(points))) > DEFECT_TOL
+        return (~right).astype(float)
+
+    return _check("geometry.interior_correspondence", residual, n,
+                  np.concatenate([interior, exterior]), inside,
+                  keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
 
 
 def _g_slice_derivative(config: RunConfig, rng):
@@ -257,35 +274,28 @@ def _g_slice_derivative(config: RunConfig, rng):
 
 def _a_origin_fixed(config: RunConfig, rng):
     d = config.dim - 1
-    return _by_blocks(lambda params: {"autgroup.origin_fixed": _siegel_gap(
-        apply(params, np.zeros((len(params), d + 1))), 0.0)},
+    return _check("autgroup.origin_fixed", lambda params: _siegel_gap(
+        apply(params, np.zeros((len(params), d + 1))), 0.0),
         (d + 2) ** 2, random_params(d, rng, count=min(config.samples, 200)))
 
 
-def _pair_check(config: RunConfig, rng, sample, residual, accept=None):
-    """Residuals of the accepted pairs of one fresh random automorphism and one point.
-
-    Pairs are drawn in blocks of :func:`_block` members, one (d + 2)^2 matrix
-    each, until ``config.samples`` pass ``accept(params, points)`` (a mask over
-    the rows; without it every pair passes) or ``10 * config.samples`` were
-    tried: 1 / 1 / 3 blocks of the default 1000 pairs at n = 2 / 4 / 8.  The
-    draw sizes set the generator's stream, so this loop is not
-    :func:`_by_blocks`.  ``residual(params, points)`` runs on each block's
-    accepted pairs, one residual per pair.
-    """
-    d, want = config.dim - 1, config.samples
+def _pair_check(config: RunConfig, rng, name, sample, residual, accept=None):
+    """``{name: residuals}`` of pairs of a fresh random automorphism and a point
+    ``sample(config.dim, rng, count)``, one ``residual(params, points)`` per pair
+    that the mask ``accept(params, points)`` passes (all without it).  Pairs are
+    drawn in blocks of :func:`_block` members (1 / 1 / 3 of the default 1000 at
+    n = 2 / 4 / 8) until ``config.samples`` pass or ten times that were tried.  The
+    draw sizes set the generator's stream, so each block goes to :func:`_check` as
+    it is drawn, unbound here: its rejected pairs are freed before the residual."""
+    d, want, entries = config.dim - 1, config.samples, (config.dim + 1) ** 2
     blocks, used, tried = [], 0, 0
     while used < want and tried < 10 * want:
-        batch = min(want - used, 10 * want - tried, _block((d + 2) ** 2))
-        params = random_params(d, rng, count=batch)
-        points = sample(batch)
-        if accept is not None:
-            keep = accept(params, points)
-            params, points = params[keep], points[keep]
-        blocks.append(residual(params, points))
-        used += len(points)
+        batch = min(want - used, 10 * want - tried, _block(entries))
+        blocks.append(_check(name, residual, entries, random_params(d, rng, count=batch),
+                             sample(d + 1, rng, batch), keep=accept)[name])
+        used += len(blocks[-1])
         tried += batch
-    return np.concatenate(blocks)
+    return {name: np.concatenate(blocks)}
 
 
 def _a_boundary_invariance(config: RunConfig, rng):
@@ -293,12 +303,9 @@ def _a_boundary_invariance(config: RunConfig, rng):
         scale = 1.0 + np.abs(p[:, -1]) ** 2
         return np.abs(siegel_defect(apply(params, p))) / scale
 
-    return {"autgroup.boundary_invariance": _pair_check(
-        config, rng,
-        lambda count: sample_siegel_boundary(config.dim, rng, count),
-        residual,
-        lambda params, p: np.abs(denominator(params, p)) > 0.1,
-    )}
+    return _pair_check(
+        config, rng, "autgroup.boundary_invariance", sample_siegel_boundary, residual,
+        lambda params, p: np.abs(denominator(params, p)) > 0.1)
 
 
 def _a_factorization(config: RunConfig, rng):
@@ -306,26 +313,23 @@ def _a_factorization(config: RunConfig, rng):
         return (np.abs(denominator(params, p)) > 0.1) & (
             np.abs(1.0 + params.R * p[:, -1]) > 0.1)
 
-    return {"autgroup.factorization": _pair_check(
-        config, rng,
-        lambda count: sample_siegel_boundary(config.dim, rng, count),
-        lambda params, p: _siegel_gap(apply(params, p), factor_apply(params, p)),
-        accept,
-    )}
+    return _pair_check(
+        config, rng, "autgroup.factorization", sample_siegel_boundary,
+        lambda params, p: _siegel_gap(apply(params, p), factor_apply(params, p)), accept)
 
 
 def _a_h_r_defect(config: RunConfig, rng):
     d = config.dim - 1
     points = _small_rows(rng, config.samples, d, 1.0)
     R = rng.uniform(-2.0, 2.0, config.samples)
-    keep = np.abs(1.0 + R * points[:, -1]) > 0.3
 
-    def residual(rows, r):  # h_R = (I, 1, 0, R), one member per row
-        lhs = siegel_defect(apply(replace(identity_params(d, len(r)), R=r), rows))
+    def residual(rows, r):  # one member of h_R per row
+        lhs = siegel_defect(apply(_h_r(d, r), rows))
         rhs = siegel_defect(rows) / np.abs(1.0 + r * rows[:, -1]) ** 2
-        return {"autgroup.h_r_defect_scaling": np.abs(lhs - rhs)}
+        return np.abs(lhs - rhs)
 
-    return _by_blocks(residual, (d + 2) ** 2, points[keep], R[keep])
+    return _check("autgroup.h_r_defect_scaling", residual, (d + 2) ** 2, points, R,
+                  keep=lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3)
 
 
 def _a_compose_pointwise(config: RunConfig, rng):
@@ -369,11 +373,9 @@ def _a_invert_two_sided(config: RunConfig, rng):
 
 def _a_ball_sphere(config: RunConfig, rng):
     # C^-1 M C has no pole on the closed ball: every sphere point is used.
-    return {"autgroup.ball_sphere_preserved": _pair_check(
-        config, rng,
-        lambda count: sample_sphere(config.dim, rng, count),
-        lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z))),
-    )}
+    return _pair_check(
+        config, rng, "autgroup.ball_sphere_preserved", sample_sphere,
+        lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +409,8 @@ def _j_finite_difference(config: RunConfig, rng):
     base = random_params(config.dim - 1, rng, count=1)
     members = (*factors(base), base)  # omega, phi_a, h_R and their product: one stack
     stack = AutParams(*map(np.concatenate, zip(*map(astuple, members))))
-    return _by_blocks(lambda block: {"jets.closed_form_jet": _closed_form_gaps(block)},
-                      jets._member_entries(stack.dim), stack)
+    return _check("jets.closed_form_jet", _closed_form_gaps,
+                  jets._member_entries(stack.dim), stack)
 
 
 def _j_recovery(config: RunConfig, rng):
@@ -416,21 +418,20 @@ def _j_recovery(config: RunConfig, rng):
     def residuals(block):
         jet = extract_jet2(as_holo_map(block))
         _, U, R = recovery_terms(jet)
-        return {"jets.recovery_params": param_distance(recover_params(jet), block),
-                "jets.recovery_im_r": np.abs(R.imag),
-                "jets.recovery_unitarity": _gram_defects(U)}
+        return (param_distance(recover_params(jet), block), np.abs(R.imag),
+                _gram_defects(U))
 
     stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
-    return _by_blocks(residuals, jets._member_entries(stack.dim), stack)
+    names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
+    return _check(names, residuals, jets._member_entries(stack.dim), stack)
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
     """The jets of 10 draws of h_R against their closed form, as in
     :func:`_j_finite_difference`."""
-    R = rng.uniform(-2, 2, 10)
-    h_R = replace(identity_params(config.dim - 1, len(R)), R=R)
-    return _by_blocks(lambda block: {"jets.normalized_f_w2": _closed_form_gaps(block)},
-                      jets._member_entries(h_R.dim), h_R)
+    d = config.dim - 1
+    return _check("jets.normalized_f_w2", _closed_form_gaps, jets._member_entries(d),
+                  _h_r(d, rng.uniform(-2, 2, 10)))
 
 
 def _j_levi(config: RunConfig, rng):
@@ -440,7 +441,9 @@ def _j_levi(config: RunConfig, rng):
     stack = random_params(d, rng, count=autos)
     zs = _radial_rows(rng, autos * per_auto, d, 0.05).reshape(autos, per_auto, d)
     us = _unit_rows(rng, autos * per_auto, d).reshape(autos, per_auto, d)
-    return {"jets.levi_identity": check_levi(as_holo_map(stack), zs, us)}
+    return _check("jets.levi_identity", lambda params, *rows: check_levi(
+        as_holo_map(params), *rows),  # a germ holds its jet, then its per_auto images
+        max(jets._member_entries(d), per_auto * (d + 2)), stack, zs, us)
 
 
 def _j_polarization(config: RunConfig, rng):
@@ -451,8 +454,9 @@ def _j_polarization(config: RunConfig, rng):
     zs = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
     chis = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
     taus = _cscalars(rng, autos * per_auto, 0.04).reshape(autos, per_auto)
-    return {"jets.polarization_identity":
-            check_polarization(as_holo_map(stack), zs, chis, taus)}
+    return _check("jets.polarization_identity", lambda params, *rows: check_polarization(
+        as_holo_map(params), *rows),  # a germ holds its images of (z, w) and (chi, tau)
+        2 * per_auto * (d + 2), stack, zs, chis, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +472,9 @@ def _e_homog_norm_law(config: RunConfig, rng):
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam, n)
     points = sample_ball(n, rng, config.samples, radius=0.95)
-    return _by_blocks(lambda Z: {"examples.homog_norm_law": np.abs(
-        sq_norm(H.evaluate(Z)) - maps.homog_sum_norm_squared(lam, Z))}, H.output_dim,
-        points)
+    return _check("examples.homog_norm_law", lambda Z: np.abs(
+        sq_norm(H.evaluate(Z)) - maps.homog_sum_norm_squared(lam, Z)),
+        H.output_dim, points)
 
 
 def _e_homog_sphere(config: RunConfig, rng):
@@ -478,8 +482,8 @@ def _e_homog_sphere(config: RunConfig, rng):
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam / np.linalg.norm(lam), n)
     points = sample_sphere(n, rng, config.samples)
-    return _by_blocks(lambda Z: {"examples.homog_sphere_norm": np.abs(
-        sq_norm(H.evaluate(Z)) - 1.0)}, H.output_dim, points)
+    return _check("examples.homog_sphere_norm",
+                  lambda Z: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim, points)
 
 
 def _e_whitney_norm_law(config: RunConfig, rng):
@@ -487,22 +491,19 @@ def _e_whitney_norm_law(config: RunConfig, rng):
     specs = [maps.WhitneySpec(p, n) for p in (1, 2, 3, 5)]
     specs.append(maps.WhitneySpec(maps.INFINITY, n, truncation=40))
     per_spec = max(1, config.samples // len(specs))
-    gaps = []
-    for spec in specs:
-        Z = sample_ball(n, rng, per_spec, radius=0.9)
-        lhs, rhs = maps.whitney_norm_identity(spec, Z)
-        gaps.append(np.abs(lhs - rhs))
-    return {"examples.whitney_norm_law": np.concatenate(gaps)}
+    name = "examples.whitney_norm_law"
+    # A point holds power_count * n entries: its image and z_1-power array.
+    gaps = [_check(name, lambda Z, spec=spec: np.abs(np.subtract(
+        *maps.whitney_norm_identity(spec, Z))), spec.power_count * n,
+        sample_ball(n, rng, per_spec, radius=0.9))[name] for spec in specs]
+    return {name: np.concatenate(gaps)}
 
 
 def _e_whitney_sphere(config: RunConfig, rng):
     n = min(config.dim, 6)
     per_degree = max(1, config.samples // 4)
-    gaps = []
-    for p in (1, 2, 3, 5):
-        H = maps.whitney_map(maps.WhitneySpec(p, n))
-        out = H.evaluate(sample_sphere(n, rng, per_degree))
-        gaps.append(np.abs(sq_norm(out) - 1.0))
+    gaps = [np.abs(sq_norm(maps.whitney_map(maps.WhitneySpec(p, n)).evaluate(
+        sample_sphere(n, rng, per_degree))) - 1.0) for p in (1, 2, 3, 5)]
     return {"examples.whitney_sphere": np.concatenate(gaps)}
 
 

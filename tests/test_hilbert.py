@@ -130,8 +130,8 @@ def test_unitarity_defect_of_a_stack_is_its_worst_member():
 
 def test_unitarity_defect_matches_explicit_gram_difference():
     """Subtracting the cached identity gives the defect max |U^H U - I|
-    bit for bit, on one matrix, on stacks and on broadcast stacks (checked
-    once)."""
+    bit for bit, on one matrix, on stacks and on broadcast stacks (every
+    copy checked)."""
     rng = np.random.default_rng(13)
 
     def explicit(U):

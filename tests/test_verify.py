@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import siegelball
-from siegelball import JetRecoveryError, cli, jets, maps, verify
+from siegelball import JetRecoveryError, cli, hilbert, jets, maps, verify
 from siegelball.autgroup import as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
@@ -298,12 +298,13 @@ def test_jets_suite_peak_memory_at_dim_32():
 
 
 def test_every_block_fits_the_jet_layer_budget(monkeypatch):
-    """Every block a dim-8 run and a dim-32 jets suite hand to extract_jet2,
-    apply or a homogeneous-sum evaluator holds at most 2^15 complex entries:
+    """Every block a dim-8 run and dim-32 jets suites at 100 and 1000 samples
+    hand to extract_jet2 (also the call inside check_levi), apply, or a
+    homogeneous-sum or Whitney evaluator holds at most 2^15 complex entries:
     its items times what one item holds, ``jets._member_entries`` per germ,
     (d + 2)^2 per automorphism member and the output width per point."""
     blocks = []
-    extract, act, homog = verify.extract_jet2, verify.apply, maps.homog_sum_map
+    extract, act = jets.extract_jet2, verify.apply
 
     def recorded_extract(H):
         members = np.size(H.domain_radius)
@@ -314,22 +315,86 @@ def test_every_block_fits_the_jet_layer_budget(monkeypatch):
         blocks.append(("apply", np.size(params.s) * (params.dim + 2) ** 2))
         return act(params, p)
 
-    def recorded_homog(*args, **kwargs):
-        H = homog(*args, **kwargs)
+    def recorded_map(kind):
+        make = getattr(maps, kind)
 
-        def evaluate(Z):
-            blocks.append(("homog_sum_map", len(Z) * H.output_dim))
-            return H.evaluate(Z)
+        def recorded(*args, **kwargs):
+            H = make(*args, **kwargs)
 
-        return dataclasses.replace(H, evaluate=evaluate)
+            def evaluate(Z):
+                blocks.append((kind, len(Z) * H.output_dim))
+                return H.evaluate(Z)
+
+            return dataclasses.replace(H, evaluate=evaluate)
+
+        monkeypatch.setattr(maps, kind, recorded)
 
     monkeypatch.setattr(verify, "extract_jet2", recorded_extract)
+    monkeypatch.setattr(jets, "extract_jet2", recorded_extract)
     monkeypatch.setattr(verify, "apply", recorded_apply)
-    monkeypatch.setattr(maps, "homog_sum_map", recorded_homog)
+    recorded_map("homog_sum_map")
+    recorded_map("whitney_map")
     run(RunConfig(dim=8))
-    run(RunConfig(dim=32, samples=100, suites=("jets",)))
-    assert {kind for kind, _ in blocks} == {"extract_jet2", "apply", "homog_sum_map"}
+    for samples in (100, 1000):
+        run(RunConfig(dim=32, samples=samples, suites=("jets",)))
+    assert {kind for kind, _ in blocks} == {"extract_jet2", "apply", "homog_sum_map",
+                                            "whitney_map"}
     assert [block for block in blocks if block[1] > 2**15] == []
+
+
+def test_check_engine_equals_one_unblocked_call():
+    """``verify._check`` masks the rows by ``keep``, splits the kept ones evenly
+    into the fewest blocks of ``_block(entries)`` items and joins the residuals
+    in row order: the same arrays as one unblocked call on the kept rows, for
+    one name, a tuple of names, an AutParams stack and an empty selection."""
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(1000), rng.standard_normal((1000, 3))
+    keep = x > -0.5
+    sizes = []
+
+    def residual(a, b):
+        sizes.append(len(a))
+        return a * b[:, 0] - b[:, 2], np.abs(a)
+
+    names = ("first", "second")
+    entries = 2**15 // 100  # 100 rows per block
+    got = verify._check(names, residual, entries, x, y, keep=lambda *_: keep)
+    kept = int(np.count_nonzero(keep))
+    assert len(sizes) == -(-kept // 100) > 1 and sum(sizes) == kept
+    assert max(sizes) <= 100 and max(sizes) - min(sizes) <= 1
+    assert list(got) == list(names)
+    for name, expected in zip(names, residual(x[keep], y[keep]), strict=True):
+        assert np.array_equal(got[name], expected), name
+    single = verify._check("only", lambda a, b: a * b[:, 1], entries, x, y)
+    assert list(single) == ["only"] and np.array_equal(single["only"], x * y[:, 1])
+    stack = random_params(2, 7, count=250)
+    members = verify._check("R", lambda params, b: params.R + b[:, 0], 2**15 // 40,
+                            stack, y[:250], keep=lambda params, b: params.R > 0)
+    keep = stack.R > 0
+    assert np.array_equal(members["R"], stack.R[keep] + y[:250][keep, 0])
+    sizes.clear()
+    empty = verify._check(names, residual, entries, x, y,
+                          keep=lambda a, _: np.zeros(len(a), bool))
+    assert sizes == [0] and [a.shape for a in empty.values()] == [(0,), (0,)]
+
+
+def test_h_r_is_built_without_a_gram_check(monkeypatch):
+    """h_R = (I, 1, 0, R) is valid by construction: building it for
+    ``autgroup.h_r_defect_scaling`` and ``jets.normalized_f_w2`` runs no
+    Gram product, and both checks still pass."""
+    gram, shapes = hilbert._gram_defects, []
+
+    def counting(U):
+        shapes.append(np.shape(U))
+        return gram(U)
+
+    monkeypatch.setattr(hilbert, "_gram_defects", counting)
+    config = RunConfig(dim=4, samples=200)
+    for suite, group in (("autgroup", verify._a_h_r_defect),
+                         ("jets", verify._j_normalized_f_w2)):
+        for name, residuals in group(config, suite_rng(config, suite)).items():
+            assert 0 < residuals.size and residuals.max() <= DEFAULT_TOLS[name], name
+    assert shapes == []
 
 
 def test_blocks_hold_one_member_past_the_budget():
