@@ -2,20 +2,22 @@
 
 Four suites (``geometry``, ``autgroup``, ``jets``, ``examples``) re-run the
 package's defining identities on seeded random data.  Every check group in
-:data:`GROUPS` returns ``{check name: per-sample residual array}``, one
-entry per check in report order and one residual per sample it used, from
-:func:`_check`, which applies every accept mask and splits every block, and
-:func:`run` alone reduces them: each check yields a :class:`CheckResult`
-with the largest residual (0 for no samples), the tolerance it was held
-to, the array's size as its sample count and the group's wall time.
-``geometry.interior_correspondence`` records 1.0 per misclassified point,
-so a failing run reports 1.0, not the number of misses.  :func:`report`
-serialises the results as one JSON object per line plus a trailing summary
-record.
+:data:`GROUPS` returns ``{check name: per-sample residual array}``, one entry
+per check in report order and one residual per sample it used.  :func:`_check`
+is the one sampling loop: it draws in even blocks within the jet layer's
+2^15-entry budget, redraws rejected samples until a check has exactly the
+count it asks for, and evaluates block by block.  :func:`run` alone reduces
+the arrays: each check yields a :class:`CheckResult` with the largest residual
+(0 for no samples), the tolerance it was held to, the array's size as its
+sample count and the group's wall time.  ``geometry.interior_correspondence``
+records 1.0 per misclassified point, so a failing run reports 1.0, not the
+number of misses.  :func:`report` serialises the results as one JSON object
+per line plus a trailing summary record.
 
-Determinism: every suite owns a generator derived from the master seed and
-the suite name, and checks consume it in a fixed order, so rerunning the
-same configuration reproduces every residual bit for bit.
+Determinism: every suite owns a generator seeded from the master seed, the
+dimension and the suite name, and checks draw from it in a fixed order and
+in blocks the configuration sizes, so rerunning the same configuration
+reproduces every residual bit for bit.
 """
 
 from __future__ import annotations
@@ -171,23 +173,30 @@ def _small_rows(rng, count: int, d: int, scale) -> np.ndarray:
                             _cscalars(rng, count, scale)])
 
 
-def _block(entries: int) -> int:
-    """Items per block when one holds ``entries`` complex entries (a (d + 2)^2
-    matrix, an output row, ``jets._member_entries``): 2^15 over that, at least 1."""
-    return max(1, jets._EVALUATION_ENTRIES // entries)
+def _draw(sample, n: int, rng, **kwargs):
+    """The draw of rows ``sample(n, rng, count=count, **kwargs)`` alone."""
+    return lambda count: (sample(n, rng, count=count, **kwargs),)
 
 
-def _check(name, residual, entries: int, *arrays, keep=None) -> dict:
-    """``residual`` on the rows of arrays (or AutParams stacks) that the mask
-    ``keep(*arrays)`` accepts (all without it), in the fewest even blocks of
-    :func:`_block` items: ``{name: residuals}`` in row order, or one array per
-    name of a tuple of names."""
-    mask = slice(None) if keep is None else keep(*arrays)
-    arrays = [a[mask] for a in arrays]
-    total = len(arrays[0])
-    count = -(-total // _block(entries)) or 1
-    edges = [total * k // count for k in range(count + 1)]
-    blocks = [residual(*(a[i:j] for a in arrays)) for i, j in zip(edges, edges[1:])]
+def _check(name, residual, entries: int, draw, want: int, keep=None) -> dict:
+    """``{name: residuals}`` of ``want`` rows, or one array per name of a tuple of
+    names.  ``draw(count)`` returns a tuple of arrays or AutParams stacks of count
+    rows; it is called in the fewest even blocks of 2^15 // ``entries`` rows (at
+    least one), ``entries`` being what a row holds: a (d + 2)^2 matrix, an output
+    row or ``jets._member_entries``.  Each block is rebound to the rows the mask
+    ``keep(*rows)`` passes before ``residual(*rows)`` runs, and rejected rows are
+    redrawn until ``want`` pass or ten times that were drawn."""
+    blocks, used, drawn = [], 0, 0
+    while used < want and drawn < 10 * want:
+        need = min(want - used, 10 * want - drawn)
+        count = -(-need // max(1, jets._EVALUATION_ENTRIES // entries))
+        for k in range(count):
+            rows = draw(need * (k + 1) // count - need * k // count)
+            mask = slice(None) if keep is None else keep(*rows)
+            rows = [a[mask] for a in rows]
+            blocks.append(residual(*rows))
+            used += len(rows[0])
+        drawn += need
     if isinstance(name, str):
         return {name: np.concatenate(blocks)}
     return {each: np.concatenate(parts) for each, parts in zip(name, zip(*blocks))}
@@ -205,41 +214,43 @@ def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
     return np.maximum(np.linalg.norm(diff[..., :-1], axis=-1), np.abs(diff[..., -1]))
 
 
-def _relative_gap(back: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row ``||back - x|| / (1 + ||x||)``."""
-    return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
-
-
 # ---------------------------------------------------------------------------
 # geometry suite
 
 def _g_cayley_roundtrip(config: RunConfig, rng):
     n = config.dim
-    count = config.samples
-    half = count // 2
-    ball = np.concatenate([sample_sphere(n, rng, half, min_pole_dist=0.1),
-                           sample_ball(n, rng, count - half)])
-    rows = np.concatenate([sample_siegel_boundary(n, rng, half),
-                           sample_siegel_boundary(n, rng, count - half)])
-    rows[half:, -1] += 1j * rng.uniform(0.05, 1.0, count - half)
-    return {"geometry.cayley_roundtrip": np.concatenate([
-        _relative_gap(inverse_cayley(cayley(ball)), ball),
-        _relative_gap(cayley(inverse_cayley(rows)), rows)])}
+
+    def draw(count):  # a ball point and a Siegel row per item, half on the boundary
+        half = count // 2
+        ball = np.concatenate([sample_sphere(n, rng, half, min_pole_dist=0.1),
+                               sample_ball(n, rng, count - half)])
+        rows = sample_siegel_boundary(n, rng, count)
+        rows[half:, -1] += 1j * rng.uniform(0.05, 1.0, count - half)
+        return ball, rows
+
+    def residual(ball, rows):  # ||back - x|| / (1 + ||x||), ball points first
+        x = np.concatenate([ball, rows])
+        back = np.concatenate([inverse_cayley(cayley(ball)), cayley(inverse_cayley(rows))])
+        return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
+
+    return _check("geometry.cayley_roundtrip", residual, n + 1, draw, config.samples)
 
 
 def _g_boundary_correspondence(config: RunConfig, rng):
-    points = sample_sphere(config.dim, rng, config.samples, min_pole_dist=0.1)
-    return {"geometry.boundary_correspondence":
-            np.abs(siegel_defect(cayley(points)))}
+    return _check("geometry.boundary_correspondence",
+                  lambda points: np.abs(siegel_defect(cayley(points))), config.dim + 1,
+                  _draw(sample_sphere, config.dim, rng, min_pole_dist=0.1), config.samples)
 
 
 def _g_interior_correspondence(config: RunConfig, rng):
     n = config.dim
-    half = config.samples // 2
-    interior = sample_ball(n, rng, half, radius=0.95)
-    exterior = sample_sphere(n, rng, config.samples - half, min_pole_dist=0.15)
-    exterior *= rng.uniform(1.05, 1.5, size=(len(exterior), 1))
-    inside = np.repeat([1.0, -1.0], [len(interior), len(exterior)])
+
+    def draw(count):  # half inside radius 0.95, half outside radius 1.05
+        half = count // 2
+        exterior = sample_sphere(n, rng, count - half, min_pole_dist=0.15)
+        exterior *= rng.uniform(1.05, 1.5, size=(count - half, 1))
+        return (np.concatenate([sample_ball(n, rng, half, radius=0.95), exterior]),
+                np.repeat([1.0, -1.0], [half, count - half]))
 
     def residual(points, inside):
         # Right side of the boundary band: -inside * ball defect and inside *
@@ -248,25 +259,24 @@ def _g_interior_correspondence(config: RunConfig, rng):
                            inside * siegel_defect(cayley(points))) > DEFECT_TOL
         return (~right).astype(float)
 
-    return _check("geometry.interior_correspondence", residual, n,
-                  np.concatenate([interior, exterior]), inside,
-                  keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
+    return _check("geometry.interior_correspondence", residual, n + 1, draw,
+                  config.samples, keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
 
 
 def _g_slice_derivative(config: RunConfig, rng):
     n = config.dim
-    count = min(config.samples, 50)
     cfg = DiffConfig(radius=0.05)
-    step = 1e-5
-    Z0 = _radial_rows(rng, count, n, 0.3)
-    V = _unit_rows(rng, count, n)
 
-    def phi(t):  # every slice Z0 + t V at every node t: Siegel rows (len(t), count, n)
-        return cayley(Z0 + t[:, None, None] * V)
+    def residual(Z0, V):  # a slice holds its images at the M nodes
+        def phi(t):  # every slice Z0 + t V at every node t: Siegel rows (len(t), count, n)
+            return cayley(Z0 + t[:, None, None] * V)
 
-    analytic = cauchy_derivative(phi, 1, cfg)
-    fd = np.subtract(*phi(np.array([step, -step]))) / (2 * step)
-    return {"geometry.cayley_slice_derivative": np.abs(analytic - fd).max(axis=-1)}
+        fd = np.subtract(*phi(np.array([1e-5, -1e-5]))) / 2e-5
+        return np.abs(cauchy_derivative(phi, 1, cfg) - fd).max(axis=-1)
+
+    return _check("geometry.cayley_slice_derivative", residual, cfg.nodes * (n + 1),
+                  lambda count: (_radial_rows(rng, count, n, 0.3),
+                                 _unit_rows(rng, count, n)), min(config.samples, 50))
 
 
 # ---------------------------------------------------------------------------
@@ -276,60 +286,41 @@ def _a_origin_fixed(config: RunConfig, rng):
     d = config.dim - 1
     return _check("autgroup.origin_fixed", lambda params: _siegel_gap(
         apply(params, np.zeros((len(params), d + 1))), 0.0),
-        (d + 2) ** 2, random_params(d, rng, count=min(config.samples, 200)))
+        (d + 2) ** 2, _draw(random_params, d, rng), min(config.samples, 200))
 
 
-def _pair_check(config: RunConfig, rng, name, sample, residual, accept=None):
-    """``{name: residuals}`` of pairs of a fresh random automorphism and a point
-    ``sample(config.dim, rng, count)``, one ``residual(params, points)`` per pair
-    that the mask ``accept(params, points)`` passes (all without it).  Pairs are
-    drawn in blocks of :func:`_block` members (1 / 1 / 3 of the default 1000 at
-    n = 2 / 4 / 8) until ``config.samples`` pass or ten times that were tried.  The
-    draw sizes set the generator's stream, so each block goes to :func:`_check` as
-    it is drawn, unbound here: its rejected pairs are freed before the residual."""
-    d, want, entries = config.dim - 1, config.samples, (config.dim + 1) ** 2
-    blocks, used, tried = [], 0, 0
-    while used < want and tried < 10 * want:
-        batch = min(want - used, 10 * want - tried, _block(entries))
-        blocks.append(_check(name, residual, entries, random_params(d, rng, count=batch),
-                             sample(d + 1, rng, batch), keep=accept)[name])
-        used += len(blocks[-1])
-        tried += batch
-    return {name: np.concatenate(blocks)}
+def _pairs(config: RunConfig, rng, sample):
+    """The draw of a fresh random automorphism and a point ``sample(n, rng, count)``."""
+    d = config.dim - 1
+    return lambda count: (random_params(d, rng, count=count), sample(d + 1, rng, count))
 
 
 def _a_boundary_invariance(config: RunConfig, rng):
-    def residual(params, p):
-        scale = 1.0 + np.abs(p[:, -1]) ** 2
-        return np.abs(siegel_defect(apply(params, p))) / scale
-
-    return _pair_check(
-        config, rng, "autgroup.boundary_invariance", sample_siegel_boundary, residual,
-        lambda params, p: np.abs(denominator(params, p)) > 0.1)
+    return _check("autgroup.boundary_invariance", lambda params, p: np.abs(siegel_defect(
+        apply(params, p))) / (1.0 + np.abs(p[:, -1]) ** 2), (config.dim + 1) ** 2,
+        _pairs(config, rng, sample_siegel_boundary), config.samples,
+        keep=lambda params, p: np.abs(denominator(params, p)) > 0.1)
 
 
 def _a_factorization(config: RunConfig, rng):
-    def accept(params, p):
-        return (np.abs(denominator(params, p)) > 0.1) & (
-            np.abs(1.0 + params.R * p[:, -1]) > 0.1)
-
-    return _pair_check(
-        config, rng, "autgroup.factorization", sample_siegel_boundary,
-        lambda params, p: _siegel_gap(apply(params, p), factor_apply(params, p)), accept)
+    return _check("autgroup.factorization", lambda params, p: _siegel_gap(
+        apply(params, p), factor_apply(params, p)), (config.dim + 1) ** 2,
+        _pairs(config, rng, sample_siegel_boundary), config.samples,
+        keep=lambda params, p: (np.abs(denominator(params, p)) > 0.1)
+        & (np.abs(1.0 + params.R * p[:, -1]) > 0.1))
 
 
 def _a_h_r_defect(config: RunConfig, rng):
     d = config.dim - 1
-    points = _small_rows(rng, config.samples, d, 1.0)
-    R = rng.uniform(-2.0, 2.0, config.samples)
 
     def residual(rows, r):  # one member of h_R per row
         lhs = siegel_defect(apply(_h_r(d, r), rows))
         rhs = siegel_defect(rows) / np.abs(1.0 + r * rows[:, -1]) ** 2
         return np.abs(lhs - rhs)
 
-    return _check("autgroup.h_r_defect_scaling", residual, (d + 2) ** 2, points, R,
-                  keep=lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3)
+    return _check("autgroup.h_r_defect_scaling", residual, (d + 2) ** 2, lambda count: (
+        _small_rows(rng, count, d, 1.0), rng.uniform(-2.0, 2.0, count)), config.samples,
+        keep=lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3)
 
 
 def _a_compose_pointwise(config: RunConfig, rng):
@@ -373,9 +364,9 @@ def _a_invert_two_sided(config: RunConfig, rng):
 
 def _a_ball_sphere(config: RunConfig, rng):
     # C^-1 M C has no pole on the closed ball: every sphere point is used.
-    return _pair_check(
-        config, rng, "autgroup.ball_sphere_preserved", sample_sphere,
-        lambda params, Z: np.abs(ball_defect(ball_automorphism(params, Z))))
+    return _check("autgroup.ball_sphere_preserved", lambda params, Z: np.abs(
+        ball_defect(ball_automorphism(params, Z))), (config.dim + 1) ** 2,
+        _pairs(config, rng, sample_sphere), config.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -404,59 +395,68 @@ def _closed_form_gaps(params: AutParams) -> np.ndarray:
 
 
 def _j_finite_difference(config: RunConfig, rng):
-    """Closed-form gaps of the stack omega, phi_a, h_R, H; the name is kept, as
-    perfbench names its metric ``verify.jets.finite_difference.s`` after it."""
-    base = random_params(config.dim - 1, rng, count=1)
-    members = (*factors(base), base)  # omega, phi_a, h_R and their product: one stack
-    stack = AutParams(*map(np.concatenate, zip(*map(astuple, members))))
-    return _check("jets.closed_form_jet", _closed_form_gaps,
-                  jets._member_entries(stack.dim), stack)
+    """Closed-form gaps of the stack omega, phi_a, h_R, H of a base H; the name is
+    kept, as perfbench names its metric ``verify.jets.finite_difference.s`` after it."""
+    def residual(base):  # omega, phi_a, h_R and their product H: one stack
+        members = zip(*map(astuple, (*factors(base), base)))
+        return _closed_form_gaps(AutParams(*map(np.concatenate, members)))
+
+    d = config.dim - 1
+    return _check("jets.closed_form_jet", residual, 4 * jets._member_entries(d),
+                  _draw(random_params, d, rng), 1)
 
 
 def _j_recovery(config: RunConfig, rng):
-    """Recovery of 100 draws, in blocks of members: 50 + 50 at d = 7."""
+    """Recovery of 100 draws in even blocks: 50 + 50 members at d = 7, 20 x 5 at d = 31."""
     def residuals(block):
         jet = extract_jet2(as_holo_map(block))
         _, U, R = recovery_terms(jet)
         return (param_distance(recover_params(jet), block), np.abs(R.imag),
                 _gram_defects(U))
 
-    stack = random_params(config.dim - 1, rng, count=min(100, config.samples))
+    d = config.dim - 1
     names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
-    return _check(names, residuals, jets._member_entries(stack.dim), stack)
+    return _check(names, residuals, jets._member_entries(d), _draw(random_params, d, rng),
+                  min(100, config.samples))
 
 
 def _j_normalized_f_w2(config: RunConfig, rng):
-    """The jets of 10 draws of h_R against their closed form, as in
-    :func:`_j_finite_difference`."""
+    """The jets of 10 draws of h_R against their closed form, as in closed_form_jet."""
     d = config.dim - 1
     return _check("jets.normalized_f_w2", _closed_form_gaps, jets._member_entries(d),
-                  _h_r(d, rng.uniform(-2, 2, 10)))
+                  lambda count: (_h_r(d, rng.uniform(-2, 2, count)),), 10)
 
 
 def _j_levi(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-    stack = random_params(d, rng, count=autos)
-    zs = _radial_rows(rng, autos * per_auto, d, 0.05).reshape(autos, per_auto, d)
-    us = _unit_rows(rng, autos * per_auto, d).reshape(autos, per_auto, d)
+
+    def draw(count):  # a germ and its per_auto samples (z, u)
+        return (random_params(d, rng, count=count),
+                _radial_rows(rng, count * per_auto, d, 0.05).reshape(count, per_auto, d),
+                _unit_rows(rng, count * per_auto, d).reshape(count, per_auto, d))
+
     return _check("jets.levi_identity", lambda params, *rows: check_levi(
         as_holo_map(params), *rows),  # a germ holds its jet, then its per_auto images
-        max(jets._member_entries(d), per_auto * (d + 2)), stack, zs, us)
+        max(jets._member_entries(d), per_auto * (d + 2)), draw, autos)
 
 
 def _j_polarization(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-    stack = random_params(d, rng, count=autos)
-    zs = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
-    chis = _radial_rows(rng, autos * per_auto, d, 0.04).reshape(autos, per_auto, d)
-    taus = _cscalars(rng, autos * per_auto, 0.04).reshape(autos, per_auto)
+
+    def draw(count):  # a germ and its per_auto samples (z, chi, tau)
+        rows = count * per_auto
+        return (random_params(d, rng, count=count),
+                _radial_rows(rng, rows, d, 0.04).reshape(count, per_auto, d),
+                _radial_rows(rng, rows, d, 0.04).reshape(count, per_auto, d),
+                _cscalars(rng, rows, 0.04).reshape(count, per_auto))
+
     return _check("jets.polarization_identity", lambda params, *rows: check_polarization(
         as_holo_map(params), *rows),  # a germ holds its images of (z, w) and (chi, tau)
-        2 * per_auto * (d + 2), stack, zs, chis, taus)
+        2 * per_auto * (d + 2), draw, autos)
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +471,18 @@ def _e_homog_norm_law(config: RunConfig, rng):
     n = min(config.dim, 4)
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam, n)
-    points = sample_ball(n, rng, config.samples, radius=0.95)
     return _check("examples.homog_norm_law", lambda Z: np.abs(
         sq_norm(H.evaluate(Z)) - maps.homog_sum_norm_squared(lam, Z)),
-        H.output_dim, points)
+        H.output_dim, _draw(sample_ball, n, rng, radius=0.95), config.samples)
 
 
 def _e_homog_sphere(config: RunConfig, rng):
     n = min(config.dim, 4)
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam / np.linalg.norm(lam), n)
-    points = sample_sphere(n, rng, config.samples)
     return _check("examples.homog_sphere_norm",
-                  lambda Z: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim, points)
+                  lambda Z: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
+                  _draw(sample_sphere, n, rng), config.samples)
 
 
 def _e_whitney_norm_law(config: RunConfig, rng):
@@ -495,7 +494,7 @@ def _e_whitney_norm_law(config: RunConfig, rng):
     # A point holds power_count * n entries: its image and z_1-power array.
     gaps = [_check(name, lambda Z, spec=spec: np.abs(np.subtract(
         *maps.whitney_norm_identity(spec, Z))), spec.power_count * n,
-        sample_ball(n, rng, per_spec, radius=0.9))[name] for spec in specs]
+        _draw(sample_ball, n, rng, radius=0.9), per_spec)[name] for spec in specs]
     return {name: np.concatenate(gaps)}
 
 
@@ -568,8 +567,8 @@ GROUPS = {
 
 
 def suite_rng(config: RunConfig, suite: str) -> np.random.Generator:
-    """The per-suite generator: seeded from (master seed, suite name)."""
-    return np.random.default_rng([config.seed, zlib.crc32(suite.encode())])
+    """The per-suite generator: seeded from (master seed, dimension, suite name)."""
+    return np.random.default_rng([config.seed, config.dim, zlib.crc32(suite.encode())])
 
 
 def run(config: RunConfig) -> list[CheckResult]:

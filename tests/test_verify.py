@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import siegelball
-from siegelball import JetRecoveryError, cli, hilbert, jets, maps, verify
+from siegelball import JetRecoveryError, autgroup, cli, geometry, hilbert, jets, maps, verify
 from siegelball.autgroup import as_holo_map, random_params
 from siegelball.verify import (
     DEFAULT_TOLS,
@@ -182,6 +182,9 @@ def test_suite_rng_is_stable_and_suite_dependent():
     c = suite_rng(config, "jets").uniform()
     assert a == b
     assert a != c
+    # Checks that cap the dimension still draw anew at every dimension.
+    assert (suite_rng(RunConfig(dim=4, seed=5), "examples").uniform()
+            != suite_rng(RunConfig(dim=8, seed=5), "examples").uniform())
 
 
 def test_report_is_line_delimited_json():
@@ -298,13 +301,15 @@ def test_jets_suite_peak_memory_at_dim_32():
 
 
 def test_every_block_fits_the_jet_layer_budget(monkeypatch):
-    """Every block a dim-8 run and dim-32 jets suites at 100 and 1000 samples
-    hand to extract_jet2 (also the call inside check_levi), apply, or a
-    homogeneous-sum or Whitney evaluator holds at most 2^15 complex entries:
-    its items times what one item holds, ``jets._member_entries`` per germ,
-    (d + 2)^2 per automorphism member and the output width per point."""
+    """Every block that a dim-8 run, a dim-32 run, a dim-32 jets suite at 100
+    samples and a dim-64 geometry suite hand to extract_jet2 (also the call
+    inside check_levi), apply, or a homogeneous-sum or Whitney evaluator holds
+    at most 2^15 complex entries: its items times what one item holds,
+    ``jets._member_entries`` per germ, (d + 2)^2 per automorphism member and the
+    output width per point.  So does every product array of the projective
+    kernel, through the geometry (Cayley) and the autgroup bindings."""
     blocks = []
-    extract, act = jets.extract_jet2, verify.apply
+    extract, act, project = jets.extract_jet2, verify.apply, geometry._projective
 
     def recorded_extract(H):
         members = np.size(H.domain_radius)
@@ -329,28 +334,66 @@ def test_every_block_fits_the_jet_layer_budget(monkeypatch):
 
         monkeypatch.setattr(maps, kind, recorded)
 
+    def recorded_projective(M, x, **kwargs):
+        images = project(M, x, **kwargs)  # a view into the one product array
+        blocks.append(("_projective", images.base.size))
+        return images
+
     monkeypatch.setattr(verify, "extract_jet2", recorded_extract)
     monkeypatch.setattr(jets, "extract_jet2", recorded_extract)
     monkeypatch.setattr(verify, "apply", recorded_apply)
+    monkeypatch.setattr(geometry, "_projective", recorded_projective)
+    monkeypatch.setattr(autgroup, "_projective", recorded_projective)
     recorded_map("homog_sum_map")
     recorded_map("whitney_map")
     run(RunConfig(dim=8))
-    for samples in (100, 1000):
-        run(RunConfig(dim=32, samples=samples, suites=("jets",)))
+    run(RunConfig(dim=32))
+    run(RunConfig(dim=32, samples=100, suites=("jets",)))
+    run(RunConfig(dim=64, suites=("geometry",)))
     assert {kind for kind, _ in blocks} == {"extract_jet2", "apply", "homog_sum_map",
-                                            "whitney_map"}
+                                            "whitney_map", "_projective"}
     assert [block for block in blocks if block[1] > 2**15] == []
 
 
+def test_draws_stay_within_the_budget_at_dim_64():
+    """``autgroup.origin_fixed`` draws its 200 automorphisms in blocks of the
+    check budget, not as one stack: at dim 64 its traced peak stays at most
+    4 MB (38.3 MB with the whole stack drawn at once)."""
+    config = RunConfig(dim=64, samples=200)
+    verify._a_origin_fixed(RunConfig(dim=64, samples=2), 0)  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        residuals = verify._a_origin_fixed(config, suite_rng(config, "autgroup"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residuals["autgroup.origin_fixed"].size == 200
+    assert peak <= 4e6
+
+
+def test_masked_checks_report_exactly_the_samples_they_ask_for():
+    """Rejected samples are redrawn, so at dim 4 and 1000 samples every check
+    with an accept mask reports exactly 1000 (h_r_defect_scaling read 985 when
+    its rejected rows were dropped)."""
+    counts = {r.name: r.samples for r in run(RunConfig(dim=4, samples=1000))}
+    for name in ("geometry.interior_correspondence", "autgroup.boundary_invariance",
+                 "autgroup.factorization", "autgroup.h_r_defect_scaling"):
+        assert counts[name] == 1000, name
+
+
 def test_check_engine_equals_one_unblocked_call():
-    """``verify._check`` masks the rows by ``keep``, splits the kept ones evenly
-    into the fewest blocks of ``_block(entries)`` items and joins the residuals
-    in row order: the same arrays as one unblocked call on the kept rows, for
-    one name, a tuple of names, an AutParams stack and an empty selection."""
+    """``verify._check`` calls ``draw`` in the fewest even blocks of
+    ``2^15 // entries`` rows, redraws the rows ``keep`` rejects, again in even
+    blocks, until ``want`` pass, and joins the residuals in draw order: the same
+    arrays as one call on the kept rows of everything drawn, for a tuple of
+    names, one name and an AutParams draw.  A ``keep`` that rejects every row
+    stops after 10 x ``want`` rows with empty arrays."""
     rng = np.random.default_rng(5)
-    x, y = rng.standard_normal(1000), rng.standard_normal((1000, 3))
-    keep = x > -0.5
-    sizes = []
+    drawn, sizes = [], []
+
+    def draw(count):
+        drawn.append((rng.standard_normal(count), rng.standard_normal((count, 3))))
+        return drawn[-1]
 
     def residual(a, b):
         sizes.append(len(a))
@@ -358,24 +401,48 @@ def test_check_engine_equals_one_unblocked_call():
 
     names = ("first", "second")
     entries = 2**15 // 100  # 100 rows per block
-    got = verify._check(names, residual, entries, x, y, keep=lambda *_: keep)
-    kept = int(np.count_nonzero(keep))
-    assert len(sizes) == -(-kept // 100) > 1 and sum(sizes) == kept
-    assert max(sizes) <= 100 and max(sizes) - min(sizes) <= 1
+    got = verify._check(names, residual, entries, draw, 1000, keep=lambda a, _: a > -0.5)
+    kept = [np.count_nonzero(x > -0.5) for x, _ in drawn]
+    assert sizes == kept and sum(kept) == 1000
+    start, need, rounds = 0, 1000, 0
+    while need:  # each round redraws the shortfall in the fewest even blocks
+        count = -(-need // 100)
+        even = [need * (k + 1) // count - need * k // count for k in range(count)]
+        assert [len(x) for x, _ in drawn[start:start + count]] == even
+        need -= sum(kept[start:start + count])
+        start, rounds = start + count, rounds + 1
+    assert start == len(drawn) and rounds > 1 and len(drawn) > 10
+    x, y = (np.concatenate(parts) for parts in zip(*drawn))
     assert list(got) == list(names)
-    for name, expected in zip(names, residual(x[keep], y[keep]), strict=True):
+    for name, expected in zip(names, residual(x[x > -0.5], y[x > -0.5]), strict=True):
         assert np.array_equal(got[name], expected), name
-    single = verify._check("only", lambda a, b: a * b[:, 1], entries, x, y)
+
+    drawn.clear()
+    single = verify._check("only", lambda a, b: a * b[:, 1], entries, draw, 250)
+    assert [len(x) for x, _ in drawn] == [83, 83, 84]
+    x, y = (np.concatenate(parts) for parts in zip(*drawn))
     assert list(single) == ["only"] and np.array_equal(single["only"], x * y[:, 1])
-    stack = random_params(2, 7, count=250)
-    members = verify._check("R", lambda params, b: params.R + b[:, 0], 2**15 // 40,
-                            stack, y[:250], keep=lambda params, b: params.R > 0)
-    keep = stack.R > 0
-    assert np.array_equal(members["R"], stack.R[keep] + y[:250][keep, 0])
+
+    pool, numbers, offset = random_params(2, 7, count=1000), rng.standard_normal(1000), []
+
+    def members(count):  # the pool's next members, and one number per member
+        start = sum(offset)
+        offset.append(count)
+        return pool[start:start + count], numbers[start:start + count]
+
+    got = verify._check("R", lambda params, b: params.R + b, 2**15 // 40, members, 250,
+                        keep=lambda params, b: params.R > 0)
+    used = sum(offset)
+    keep = pool.R[:used] > 0
+    assert len(offset) > 1 and got["R"].size == 250
+    assert np.array_equal(got["R"], pool.R[:used][keep] + numbers[:used][keep])
+
+    drawn.clear()
     sizes.clear()
-    empty = verify._check(names, residual, entries, x, y,
+    empty = verify._check(names, residual, entries, draw, 7,
                           keep=lambda a, _: np.zeros(len(a), bool))
-    assert sizes == [0] and [a.shape for a in empty.values()] == [(0,), (0,)]
+    assert sum(len(x) for x, _ in drawn) == 70 and set(sizes) == {0}
+    assert [a.shape for a in empty.values()] == [(0,), (0,)]
 
 
 def test_h_r_is_built_without_a_gram_check(monkeypatch):
