@@ -234,7 +234,13 @@ def ball_automorphism(params: AutParams, Z) -> np.ndarray:
     outside the closed ball, so -P, the Cayley pole, is fine."""
     n = params.dim + 1
     C, C_inv = _cayley_matrices(n)
-    return _projective(C_inv @ matrix(params) @ C, as_points(Z, n),
+    M = matrix(params)
+    # C and C^-1 / 2i are the identity outside their last 2 x 2 block, so
+    # (C^-1 M) C changes M's last two rows, then its last two columns.
+    M[..., :n - 1, :] *= 2j
+    M[..., n - 1:, :] = C_inv[n - 1:, n - 1:] @ M[..., n - 1:, :]
+    M[..., n - 1:] = M[..., n - 1:] @ C[n - 1:, n - 1:]
+    return _projective(M, as_points(Z, n),
                        error=AutomorphismPoleError, what="pole of ball automorphism")
 
 

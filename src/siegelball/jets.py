@@ -334,8 +334,11 @@ def check_levi(H: HoloMap, zs, us) -> np.ndarray:
     images = H.evaluate(np.concatenate([zs, 0 * zs[..., :1]], axis=-1))[..., :-1]
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
     lhs = np.conj(jet.g_w)[..., None] * np.sum(zs * us.conj(), axis=-1)
-    partner = (us @ jet.f_z.swapaxes(-1, -2)
-               + 2j * u_dot_z[..., None] * jet.f_w[..., None, :])
+    # f_z u in even row blocks of at most 2^16 multiply-adds: one OpenBLAS thread.
+    blocks = max(1, -(-us.shape[-2] // max(1, 2**16 // us.shape[-1] ** 2)))
+    partner = np.concatenate([part @ jet.f_z.swapaxes(-1, -2)
+                              for part in np.array_split(us, blocks, axis=-2)], axis=-2)
+    partner += 2j * u_dot_z[..., None] * jet.f_w[..., None, :]
     rhs = np.sum(images * partner.conj(), axis=-1)
     return np.abs(lhs - rhs)
 

@@ -6,18 +6,21 @@ package's defining identities on seeded random data.  Every check group in
 per check in report order and one residual per sample it used.  :func:`_check`
 is the one sampling loop: it draws in even blocks within the jet layer's
 2^15-entry budget, redraws rejected samples until a check has exactly the
-count it asks for, and evaluates block by block.  :func:`run` alone reduces
-the arrays: each check yields a :class:`CheckResult` with the largest residual
-(0 for no samples), the tolerance it was held to, the array's size as its
-sample count and the group's wall time.  ``geometry.interior_correspondence``
-records 1.0 per misclassified point, so a failing run reports 1.0, not the
-number of misses.  :func:`report` serialises the results as one JSON object
-per line plus a trailing summary record.
+count it asks for, and evaluates block by block.  The pair checks (boundary
+invariance, factorization, the ball map on the sphere) draw one automorphism
+per :data:`PER_MEMBER` rows (:func:`_pairs`), not one per row.  :func:`run`
+alone reduces the arrays: each check yields a :class:`CheckResult` with the
+largest residual (0 for no samples), the tolerance it was held to, the array's
+size as its sample count and the group's wall time.
+``geometry.interior_correspondence`` records 1.0 per misclassified point, so a
+failing run reports 1.0, not the number of misses.  :func:`report` serialises
+the results as one JSON object per line plus a trailing summary record.
 
 Determinism: every suite owns a generator seeded from the master seed, the
 dimension and the suite name, and checks draw from it in a fixed order and
-in blocks the configuration sizes, so rerunning the same configuration
-reproduces every residual bit for bit.
+in blocks the configuration sizes (a pooled member serves rows fixed by the
+row count alone), so rerunning the same configuration reproduces every
+residual bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ from .jets import (
 )
 
 SUITE_NAMES = ("geometry", "autgroup", "jets", "examples")
+
+#: Points each drawn automorphism serves in the pair checks (``_pairs``),
+#: ``compose_pointwise`` and ``invert_roundtrip``.
+PER_MEMBER = 25
 
 DEFAULT_TOLS = {
     "geometry.cayley_roundtrip": 1e-12,
@@ -290,9 +297,31 @@ def _a_origin_fixed(config: RunConfig, rng):
 
 
 def _pairs(config: RunConfig, rng, sample):
-    """The draw of a fresh random automorphism and a point ``sample(n, rng, count)``."""
+    """The draw of (automorphism, point) pairs, the point ``sample(n, rng, count)``.
+
+    Drawn member k serves rows ``PER_MEMBER * k`` to ``PER_MEMBER * (k + 1) - 1``
+    of the check's draw stream, redraw rounds included.  A block draws the
+    members whose first row falls in it, in one ``random_params`` call before
+    its points, and carries its last member into the next block, so it stays
+    within the budget, one-row blocks included, and the rows a member serves
+    depend on the row count alone."""
     d = config.dim - 1
-    return lambda count: (random_params(d, rng, count=count), sample(d + 1, rng, count))
+    drawn, members = 0, None  # rows drawn so far; the last block's members
+
+    def draw(count):
+        nonlocal drawn, members
+        index = np.arange(drawn, drawn + count) // PER_MEMBER  # each row's member
+        carried = drawn % PER_MEMBER > 0  # member index[0] came with the last block
+        fresh = int(index[-1] - index[0]) + 1 - carried
+        parts = [members[-1:]] if carried else []
+        if fresh:
+            parts.append(random_params(d, rng, count=fresh))
+        members = parts[0] if len(parts) == 1 else _unchecked(
+            *map(np.concatenate, zip(*((p.U, p.s, p.a, p.R) for p in parts))))
+        drawn += count
+        return members[index - index[0]], sample(d + 1, rng, count)
+
+    return draw
 
 
 def _a_boundary_invariance(config: RunConfig, rng):
@@ -328,8 +357,8 @@ def _a_compose_pointwise(config: RunConfig, rng):
     npairs = max(2, min(10, config.samples // 100))
     outer = random_params(d, rng, count=npairs)
     inner = random_params(d, rng, count=npairs)
-    scale = np.repeat(0.3 * composition_radius(outer, inner), 25)  # 25 points per pair
-    points = _small_rows(rng, len(scale), d, scale).reshape(npairs, 25, d + 1)
+    scale = np.repeat(0.3 * composition_radius(outer, inner), PER_MEMBER)
+    points = _small_rows(rng, len(scale), d, scale).reshape(npairs, PER_MEMBER, d + 1)
     direct = apply(compose(outer, inner), points)  # member-major rows
     chained = apply(outer, apply(inner, points))
     return {"autgroup.compose_pointwise": _siegel_gap(direct, chained)}
@@ -339,8 +368,8 @@ def _a_invert_roundtrip(config: RunConfig, rng):
     d = config.dim - 1
     draws = max(2, min(10, config.samples // 100))
     params = random_params(d, rng, count=draws)
-    scale = np.repeat(0.3 * domain_radius(params), 25)  # 25 points per draw
-    points = _small_rows(rng, len(scale), d, scale).reshape(draws, 25, d + 1)
+    scale = np.repeat(0.3 * domain_radius(params), PER_MEMBER)
+    points = _small_rows(rng, len(scale), d, scale).reshape(draws, PER_MEMBER, d + 1)
     back = apply(invert(params), apply(params, points))  # member-major rows
     return {"autgroup.invert_roundtrip": _siegel_gap(back, points)}
 

@@ -30,7 +30,10 @@ from siegelball.autgroup import (
 )
 from siegelball.geometry import (
     DEFECT_TOL,
+    _cayley_matrices,
+    _projective,
     ball_defect,
+    sample_ball,
     sample_siegel_boundary,
     sample_sphere,
     siegel_defect,
@@ -843,6 +846,21 @@ def test_ball_automorphism_preserves_interior():
     params = random_params(2, seed=20)
     image = ball_automorphism(params, np.array([0.2, 0.1 + 0.3j, 0.0]))
     assert ball_defect(image) < -DEFECT_TOL
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 31])
+def test_ball_automorphism_is_the_dense_cayley_conjugate(d):
+    """``ball_automorphism`` builds C^-1 M C from the Cayley matrices' 2 x 2
+    block; its images equal, bit for bit, those of the dense product
+    (C^-1 M) C, for one member and for a stack on member-major rows."""
+    n = d + 1
+    C, C_inv = _cayley_matrices(n)
+    Z = sample_ball(n, seed=d, count=20).reshape(4, 5, n)
+    for params, points in ((random_params(d, seed=d), Z[0]),
+                           (random_params(d, seed=d, count=4), Z)):
+        dense = _projective((C_inv @ matrix(params)) @ C, points,
+                            error=AutomorphismPoleError, what="pole")
+        assert np.array_equal(ball_automorphism(params, points), dense)
 
 
 def test_composition_radius_positive():

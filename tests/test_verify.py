@@ -476,6 +476,81 @@ def test_blocks_hold_one_member_past_the_budget():
             assert residuals.max(initial=0.0) <= DEFAULT_TOLS[name], name
 
 
+def test_pair_checks_draw_one_member_per_25_rows(monkeypatch):
+    """The three pair checks draw one Haar member per ``PER_MEMBER`` rows of their
+    draw stream, redraws included: at most ceil(rows / 25) + 1 members per check,
+    and the same count at dims 8 and 64 (a fresh member per row drew 1000-1013)."""
+    haar, counts, members = autgroup.haar_unitary, {}, {}
+
+    def counted_haar(n, seed, count=None):
+        counts["members"] += 1 if count is None else count
+        return haar(n, seed, count)
+
+    def counted_rows(sample):
+        def counted(n, rng, count, **kwargs):
+            counts["rows"] += count
+            return sample(n, rng, count, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(autgroup, "haar_unitary", counted_haar)
+    for name in ("sample_siegel_boundary", "sample_sphere"):
+        monkeypatch.setattr(verify, name, counted_rows(getattr(verify, name)))
+    for dim in (8, 64):  # the autgroup suite's stream, as run draws it
+        config = RunConfig(dim=dim)
+        rng = suite_rng(config, "autgroup")
+        for group in verify.GROUPS["autgroup"]:
+            counts.update(members=0, rows=0)
+            (name, residuals), = group(config, rng).items()
+            if counts["rows"]:  # a pair check
+                assert residuals.size == 1000 and residuals.max() <= DEFAULT_TOLS[name]
+                assert counts["members"] <= -(-counts["rows"] // verify.PER_MEMBER) + 1
+                members.setdefault(name, []).append(counts["members"])
+    assert len(members) == 3
+    assert all(at_8 == at_64 for at_8, at_64 in members.values()), members
+
+
+@pytest.mark.parametrize("mutation", ["apply", "matrix"])
+def test_pair_checks_see_a_relative_error_of_1e_10(monkeypatch, mutation):
+    """Pooled members keep the pair checks sharp: with ``apply``'s images off by a
+    relative 1e-10, or ``matrix``'s entries off by a relative 1e-10 of alternating
+    sign (a common factor would not move the map), a default dim-8 autgroup suite
+    fails boundary invariance and factorization."""
+    if mutation == "apply":
+        act = verify.apply
+        monkeypatch.setattr(verify, "apply", lambda params, p: act(params, p) * (1 + 1e-10))
+    else:
+        build = autgroup.matrix
+
+        def perturbed(params):
+            M = build(params)
+            k = np.arange(M.shape[-1])
+            return M * (1 + 1e-10 * (-1.0) ** np.add.outer(k, k))
+
+        monkeypatch.setattr(autgroup, "matrix", perturbed)
+    results = run(RunConfig(dim=8, suites=("autgroup",)))
+    failed = {r.name for r in results if r.status == "fail"}
+    assert {"autgroup.boundary_invariance", "autgroup.factorization"} <= failed
+
+
+def test_levi_check_keeps_one_core_busy():
+    """``check_levi`` at d = 31 and P = 100 forms f_z u in row blocks of at most
+    2^16 multiply-adds, which OpenBLAS keeps on the calling thread (one
+    (100, 31) @ (31, 31) product read about 1.85 CPU-seconds per second)."""
+    rng = np.random.default_rng(3)
+    H = as_holo_map(random_params(31, rng))
+    zs = geometry._radial_rows(rng, 100, 31, 0.05)
+    us = geometry._unit_rows(rng, 100, 31)
+    check_levi = jets.check_levi
+    assert check_levi(H, zs, us).max() <= DEFAULT_TOLS["jets.levi_identity"]
+    time.sleep(0.5)  # BLAS threads woken before this test go idle
+    cpu, wall = time.process_time(), time.perf_counter()
+    for _ in range(50):
+        check_levi(H, zs, us)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.2 * wall, f"{cpu:.3f} CPU-s in {wall:.3f} s"
+
+
 def test_default_run_keeps_one_core_busy():
     """A dim-8 run is one thread of work, and every BLAS product in it stays
     small enough for OpenBLAS to keep on that thread: a threaded product
