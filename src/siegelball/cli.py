@@ -67,10 +67,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     overrides = _parse_tols(parser, args.tols)
 
-    if args.suites is None or "all" in args.suites:
-        suites = verify.SUITE_NAMES
-    else:
-        suites = tuple(dict.fromkeys(args.suites))
+    every = args.suites is None or "all" in args.suites
+    suites = verify.SUITE_NAMES if every else args.suites
 
     dims = [args.dim] if args.dim is not None else list(DEFAULT_DIMS)
     sweeping = len(dims) > 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_points, sq_norm
+from .hilbert import _even_blocks, as_points, sq_norm
 
 #: Guard threshold for denominators near a pole.
 EPS_DENOM = 1e-12
@@ -100,10 +100,7 @@ def _projective(M: np.ndarray, x: np.ndarray, *, error: type, what: str):
                  + x.shape[-2:], complex)
     # 2^16 multiply-adds stay on the calling thread (up to 36 x 36 matrices, the
     # cap is above the floor); the even split keeps blocks off one-row gemv.
-    count = x.shape[-2]
-    blocks = max(1, -(-count // max(48, 2**16 // M.shape[-1] ** 2)))
-    for k in range(blocks):
-        i, j = count * k // blocks, count * (k + 1) // blocks
+    for i, j in _even_blocks(x.shape[-2], max(48, 2**16 // M.shape[-1] ** 2)):
         np.matmul(x[..., i:j, :], M.swapaxes(-1, -2), out=y[..., i:j, :])
     den = y[..., -1:]
     closest = np.abs(den).min(initial=np.inf)

@@ -101,6 +101,14 @@ def unitarity_defect(U) -> float:
     return float(_gram_defects(U).max(initial=0.0))
 
 
+def _even_blocks(count: int, cap: int):
+    """Yield (start, stop) of the fewest even blocks of at most ``max(1, cap)`` of
+    ``count`` rows, sizes within one of each other (one empty block for none)."""
+    blocks = max(1, -(-count // max(1, cap)))
+    for k in range(blocks):
+        yield count * k // blocks, count * (k + 1) // blocks
+
+
 @functools.lru_cache
 def _identity(n: int) -> np.ndarray:
     """The complex n x n identity, shared and read-only."""

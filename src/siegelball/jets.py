@@ -41,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .autgroup import AutParams, _unchecked
-from .hilbert import UNITARY_TOL, _gram_defects, sq_norm, unitarity_defect
+from .hilbert import UNITARY_TOL, _even_blocks, _gram_defects, sq_norm, unitarity_defect
 from .maps import HoloMap
 
 #: Bound on Im g_w, |g_z| and Im R in :func:`recover_params`; U is held to
@@ -335,9 +335,9 @@ def check_levi(H: HoloMap, zs, us) -> np.ndarray:
     u_dot_z = np.sum(us * zs.conj(), axis=-1)
     lhs = np.conj(jet.g_w)[..., None] * np.sum(zs * us.conj(), axis=-1)
     # f_z u in even row blocks of at most 2^16 multiply-adds: one OpenBLAS thread.
-    blocks = max(1, -(-us.shape[-2] // max(1, 2**16 // us.shape[-1] ** 2)))
-    partner = np.concatenate([part @ jet.f_z.swapaxes(-1, -2)
-                              for part in np.array_split(us, blocks, axis=-2)], axis=-2)
+    cap = 2**16 // us.shape[-1] ** 2
+    partner = np.concatenate([us[..., i:j, :] @ jet.f_z.swapaxes(-1, -2)
+                              for i, j in _even_blocks(us.shape[-2], cap)], axis=-2)
     partner += 2j * u_dot_z[..., None] * jet.f_w[..., None, :]
     rhs = np.sum(images * partner.conj(), axis=-1)
     return np.abs(lhs - rhs)

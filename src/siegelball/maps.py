@@ -51,15 +51,14 @@ class HoloMap:
         return self.input_dim - 1
 
 
-def homog_sum_map(coefficients, n: int, order=None) -> HoloMap:
+def homog_sum_map(coefficients, n: int) -> HoloMap:
     """The map ``Z -> (lambda_1 Z, lambda_2 Z^(x)2, ..., lambda_K Z^(x)K)``.
 
     ``coefficients`` is the 1-D sequence lambda_1..lambda_K.  Each tensor
     power is flattened row-major, so the output slots run through the ordered
-    multi-indices of lengths 1..K in graded lexicographic order; ``order``,
-    a permutation of those ``n + n^2 + ... + n^K`` slots, enumerates them
-    differently (image ``[..., order]``).  The squared output norm is
-    ``sum_k |lambda_k|^2 ||Z||^(2k)`` for every enumeration.
+    multi-indices of lengths 1..K in graded lexicographic order.  The squared
+    output norm is ``sum_k |lambda_k|^2 ||Z||^(2k)`` for every enumeration of
+    those ``n + n^2 + ... + n^K`` slots.
     """
     coef = np.asarray(coefficients, dtype=complex)
     if coef.ndim != 1 or coef.size == 0 or not np.isfinite(coef).all():
@@ -72,12 +71,6 @@ def homog_sum_map(coefficients, n: int, order=None) -> HoloMap:
     # block (the long axis stays innermost); ``offsets[k - 1]`` starts block k.
     offsets = np.cumsum([0] + [n**k for k in range(1, coef.size + 1)])
     size = int(offsets[-1])
-    if order is not None:
-        order = np.asarray(order)
-        if (order.dtype.kind not in "iu" or order.shape != (size,)
-                or not np.array_equal(np.sort(order), np.arange(size))):
-            msg = f"order must be a permutation of the {size} output slots"
-            raise ValueError(msg)
     coef = np.repeat(coef, np.diff(offsets))
 
     def evaluate(Z) -> np.ndarray:
@@ -90,7 +83,7 @@ def homog_sum_map(coefficients, n: int, order=None) -> HoloMap:
             block = out[..., offsets[k - 1]:offsets[k]].reshape(lead + (n, n ** (k - 1)))
             np.multiply(Z[..., :, None], prev[..., None, :], out=block)
         out *= coef
-        return out if order is None else out[..., order]
+        return out
 
     return HoloMap(evaluate, n, size)
 

@@ -3,18 +3,19 @@
 Four suites (``geometry``, ``autgroup``, ``jets``, ``examples``) re-run the
 package's defining identities on seeded random data.  Every check group in
 :data:`GROUPS` returns ``{check name: per-sample residual array}``, one entry
-per check in report order and one residual per sample it used.  :func:`_check`
-is the one sampling loop: it draws in even blocks within the jet layer's
-2^15-entry budget, redraws rejected samples until a check has exactly the
-count it asks for, and evaluates block by block.  The pair checks (boundary
-invariance, factorization, the ball map on the sphere) draw one automorphism
-per :data:`PER_MEMBER` rows (:func:`_pairs`), not one per row.  :func:`run`
-alone reduces the arrays: each check yields a :class:`CheckResult` with the
-largest residual (0 for no samples), the tolerance it was held to, the array's
-size as its sample count and the group's wall time.
-``geometry.interior_correspondence`` records 1.0 per misclassified point, so a
-failing run reports 1.0, not the number of misses.  :func:`report` serialises
-the results as one JSON object per line plus a trailing summary record.
+per check in report order and one residual per sample it used.  Every group
+but ``jets.cauchy_monomials`` (no draws) samples through one loop, :func:`_check`:
+it draws in even blocks within the jet layer's 2^15-entry budget, redraws
+rejected samples until a check has the count it asks for, and evaluates block
+by block.  The pair checks draw one automorphism per :data:`PER_MEMBER` rows
+(:func:`_pairs`); members with rows of their own are drawn member-major
+(:func:`_members`).  :func:`run` alone reduces the arrays: each check yields a
+:class:`CheckResult` with the largest residual (0 for no samples), the
+tolerance it was held to, the array's size as its sample count and the group's
+wall time.  ``geometry.interior_correspondence`` records 1.0 per misclassified
+point, so a failing run reports 1.0, not the number of misses.  :func:`report`
+serialises the results as one JSON object per line plus a trailing summary
+record.
 
 Determinism: every suite owns a generator seeded from the master seed, the
 dimension and the suite name, and checks draw from it in a fixed order and
@@ -64,7 +65,7 @@ from .geometry import (
     sample_sphere,
     siegel_defect,
 )
-from .hilbert import UNITARY_TOL, _gram_defects, sq_norm
+from .hilbert import UNITARY_TOL, _even_blocks, _gram_defects, sq_norm
 from .jets import (
     DiffConfig,
     automorphism_jet2,
@@ -131,7 +132,7 @@ class RunConfig:
             if not (integer and value >= low):
                 msg = f"{what} must be an integer >= {low}, got {value!r}"
                 raise ValueError(msg)
-        self.suites = tuple(self.suites)
+        self.suites = tuple(dict.fromkeys(self.suites))  # each suite once, in order
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             msg = f"unknown suites {unknown}; valid: {list(SUITE_NAMES)}"
@@ -185,6 +186,17 @@ def _draw(sample, n: int, rng, **kwargs):
     return lambda count: (sample(n, rng, count=count, **kwargs),)
 
 
+def _members(d: int, rng, stacks: int, per: int, rows):
+    """The draw of ``stacks`` random_params stacks of count members, then of the
+    arrays ``rows(count * per, *members)`` reshaped member-major, (count, per, ...)."""
+    def draw(count):
+        members = [random_params(d, rng, count=count) for _ in range(stacks)]
+        return (*members, *(a.reshape(count, per, *a.shape[1:])
+                            for a in rows(count * per, *members)))
+
+    return draw
+
+
 def _check(name, residual, entries: int, draw, want: int, keep=None) -> dict:
     """``{name: residuals}`` of ``want`` rows, or one array per name of a tuple of
     names.  ``draw(count)`` returns a tuple of arrays or AutParams stacks of count
@@ -196,9 +208,8 @@ def _check(name, residual, entries: int, draw, want: int, keep=None) -> dict:
     blocks, used, drawn = [], 0, 0
     while used < want and drawn < 10 * want:
         need = min(want - used, 10 * want - drawn)
-        count = -(-need // max(1, jets._EVALUATION_ENTRIES // entries))
-        for k in range(count):
-            rows = draw(need * (k + 1) // count - need * k // count)
+        for i, j in _even_blocks(need, jets._EVALUATION_ENTRIES // entries):
+            rows = draw(j - i)
             mask = slice(None) if keep is None else keep(*rows)
             rows = [a[mask] for a in rows]
             blocks.append(residual(*rows))
@@ -354,41 +365,42 @@ def _a_h_r_defect(config: RunConfig, rng):
 
 def _a_compose_pointwise(config: RunConfig, rng):
     d = config.dim - 1
-    npairs = max(2, min(10, config.samples // 100))
-    outer = random_params(d, rng, count=npairs)
-    inner = random_params(d, rng, count=npairs)
-    scale = np.repeat(0.3 * composition_radius(outer, inner), PER_MEMBER)
-    points = _small_rows(rng, len(scale), d, scale).reshape(npairs, PER_MEMBER, d + 1)
-    direct = apply(compose(outer, inner), points)  # member-major rows
-    chained = apply(outer, apply(inner, points))
-    return {"autgroup.compose_pointwise": _siegel_gap(direct, chained)}
+    draw = _members(d, rng, 2, PER_MEMBER, lambda count, outer, inner: (_small_rows(
+        rng, count, d, np.repeat(0.3 * composition_radius(outer, inner), PER_MEMBER)),))
+    return _check("autgroup.compose_pointwise", lambda outer, inner, points: _siegel_gap(
+        apply(compose(outer, inner), points), apply(outer, apply(inner, points))),
+        3 * (d + 2) ** 2 + PER_MEMBER * (d + 1),  # two matrices, their product, points
+        draw, max(2, min(10, config.samples // 100)))
 
 
 def _a_invert_roundtrip(config: RunConfig, rng):
     d = config.dim - 1
-    draws = max(2, min(10, config.samples // 100))
-    params = random_params(d, rng, count=draws)
-    scale = np.repeat(0.3 * domain_radius(params), PER_MEMBER)
-    points = _small_rows(rng, len(scale), d, scale).reshape(draws, PER_MEMBER, d + 1)
-    back = apply(invert(params), apply(params, points))  # member-major rows
-    return {"autgroup.invert_roundtrip": _siegel_gap(back, points)}
+    draw = _members(d, rng, 1, PER_MEMBER, lambda count, params: (_small_rows(
+        rng, count, d, np.repeat(0.3 * domain_radius(params), PER_MEMBER)),))
+    return _check("autgroup.invert_roundtrip", lambda params, points: _siegel_gap(
+        apply(invert(params), apply(params, points)), points),
+        2 * (d + 2) ** 2 + PER_MEMBER * (d + 1),  # a matrix, its inverse's, points
+        draw, max(2, min(10, config.samples // 100)))
 
 
 def _a_compose_associative(config: RunConfig, rng):
     d = config.dim - 1
-    a, b, c = (random_params(d, rng, count=3) for _ in range(3))
-    return {"autgroup.compose_associative":
-            param_distance(compose(compose(a, b), c), compose(a, compose(b, c)))}
+    return _check("autgroup.compose_associative", lambda a, b, c: param_distance(
+        compose(compose(a, b), c), compose(a, compose(b, c))),
+        7 * (d + 2) ** 2,  # a, b, c, ab, (ab)c, bc and a(bc)
+        lambda count: tuple(random_params(d, rng, count=count) for _ in range(3)), 3)
 
 
 def _a_invert_two_sided(config: RunConfig, rng):
     d = config.dim - 1
-    params = random_params(d, rng, count=4)
-    inverse = invert(params)
-    ident = identity_params(d)
-    return {"autgroup.invert_two_sided":
-            np.maximum(param_distance(compose(params, inverse), ident),
-                       param_distance(compose(inverse, params), ident))}
+
+    def residual(params):  # a member holds its matrix, its inverse's and both products
+        inverse = invert(params)
+        return np.maximum(param_distance(compose(params, inverse), identity_params(d)),
+                          param_distance(compose(inverse, params), identity_params(d)))
+
+    return _check("autgroup.invert_two_sided", residual, 4 * (d + 2) ** 2,
+                  _draw(random_params, d, rng), 4)
 
 
 def _a_ball_sphere(config: RunConfig, rng):
@@ -460,12 +472,8 @@ def _j_levi(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-
-    def draw(count):  # a germ and its per_auto samples (z, u)
-        return (random_params(d, rng, count=count),
-                _radial_rows(rng, count * per_auto, d, 0.05).reshape(count, per_auto, d),
-                _unit_rows(rng, count * per_auto, d).reshape(count, per_auto, d))
-
+    draw = _members(d, rng, 1, per_auto, lambda count, _: (  # a germ's samples (z, u)
+        _radial_rows(rng, count, d, 0.05), _unit_rows(rng, count, d)))
     return _check("jets.levi_identity", lambda params, *rows: check_levi(
         as_holo_map(params), *rows),  # a germ holds its jet, then its per_auto images
         max(jets._member_entries(d), per_auto * (d + 2)), draw, autos)
@@ -475,14 +483,9 @@ def _j_polarization(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
-
-    def draw(count):  # a germ and its per_auto samples (z, chi, tau)
-        rows = count * per_auto
-        return (random_params(d, rng, count=count),
-                _radial_rows(rng, rows, d, 0.04).reshape(count, per_auto, d),
-                _radial_rows(rng, rows, d, 0.04).reshape(count, per_auto, d),
-                _cscalars(rng, rows, 0.04).reshape(count, per_auto))
-
+    draw = _members(d, rng, 1, per_auto, lambda count, _: (  # samples (z, chi, tau)
+        _radial_rows(rng, count, d, 0.04), _radial_rows(rng, count, d, 0.04),
+        _cscalars(rng, count, 0.04)))
     return _check("jets.polarization_identity", lambda params, *rows: check_polarization(
         as_holo_map(params), *rows),  # a germ holds its images of (z, w) and (chi, tau)
         2 * per_auto * (d + 2), draw, autos)
@@ -528,31 +531,31 @@ def _e_whitney_norm_law(config: RunConfig, rng):
 
 
 def _e_whitney_sphere(config: RunConfig, rng):
-    n = min(config.dim, 6)
-    per_degree = max(1, config.samples // 4)
-    gaps = [np.abs(sq_norm(maps.whitney_map(maps.WhitneySpec(p, n)).evaluate(
-        sample_sphere(n, rng, per_degree))) - 1.0) for p in (1, 2, 3, 5)]
-    return {"examples.whitney_sphere": np.concatenate(gaps)}
+    n, name = min(config.dim, 6), "examples.whitney_sphere"
+    gaps = [_check(name, lambda Z, H=H: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
+                   _draw(sample_sphere, n, rng), max(1, config.samples // 4))[name]
+            for H in (maps.whitney_map(maps.WhitneySpec(p, n)) for p in (1, 2, 3, 5))]
+    return {name: np.concatenate(gaps)}
 
 
 def _e_shift(config: RunConfig, rng):
     n = config.dim
-    count = min(config.samples, 200)
-    Z = _radial_rows(rng, count, n, 1.2)
-    image = maps.shift_map(n).evaluate(Z)
-    return {"examples.shift_isometry":
-            np.abs(np.linalg.norm(image, axis=1) - np.linalg.norm(Z, axis=1))}
+    S = maps.shift_map(n)
+    return _check("examples.shift_isometry", lambda Z: np.abs(np.linalg.norm(
+        S.evaluate(Z), axis=1) - np.linalg.norm(Z, axis=1)), S.output_dim,
+        lambda count: (_radial_rows(rng, count, n, 1.2),), min(config.samples, 200))
 
 
 def _e_enumeration(config: RunConfig, rng):
-    n = 3
-    lam = _random_lambda(rng, 3)
-    H1 = maps.homog_sum_map(lam, n)
-    H2 = maps.homog_sum_map(lam, n, order=rng.permutation(H1.output_dim))
-    count = min(config.samples, 200)
-    Z = sample_ball(n, rng, count, radius=0.95)
-    return {"examples.enumeration_invariance":
-            np.abs(sq_norm(H1.evaluate(Z)) - sq_norm(H2.evaluate(Z)))}
+    H = maps.homog_sum_map(_random_lambda(rng, 3), 3)
+    order = rng.permutation(H.output_dim)
+
+    def residual(Z):  # the image's squared norm against its slots' in another order
+        image = H.evaluate(Z)
+        return np.abs(sq_norm(image) - sq_norm(image[..., order]))
+
+    return _check("examples.enumeration_invariance", residual, H.output_dim,
+                  _draw(sample_ball, 3, rng, radius=0.95), min(config.samples, 200))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,15 @@ def test_run_config_validation():
         RunConfig(tol_overrides={"geometry.cayley_roundtrip": -1.0})
 
 
+def test_a_suite_named_twice_runs_once():
+    """``RunConfig`` keeps each suite once, in the order of its first mention,
+    so a repeated suite reports each of its checks once."""
+    config = RunConfig(dim=2, samples=20, suites=("examples", "geometry", "examples"))
+    assert config.suites == ("examples", "geometry")
+    names = [r.name for r in run(RunConfig(dim=2, samples=20, suites=("examples",) * 2))]
+    assert len(names) == len(set(names)) == len(verify.GROUPS["examples"])
+
+
 @pytest.mark.parametrize("field, value", [("dim", 3.0), ("samples", 10.5),
                                           ("samples", True), ("seed", 1.5)])
 def test_run_config_rejects_counts_that_are_not_integers(field, value):
@@ -302,12 +311,15 @@ def test_jets_suite_peak_memory_at_dim_32():
 
 def test_every_block_fits_the_jet_layer_budget(monkeypatch):
     """Every block that a dim-8 run, a dim-32 run, a dim-32 jets suite at 100
-    samples and a dim-64 geometry suite hand to extract_jet2 (also the call
-    inside check_levi), apply, or a homogeneous-sum or Whitney evaluator holds
-    at most 2^15 complex entries: its items times what one item holds,
-    ``jets._member_entries`` per germ, (d + 2)^2 per automorphism member and the
-    output width per point.  So does every product array of the projective
-    kernel, through the geometry (Cayley) and the autgroup bindings."""
+    samples, dim-64 geometry and autgroup suites and a dim-163 examples suite
+    hand to extract_jet2 (also the call inside check_levi), apply, or a
+    homogeneous-sum, Whitney or shift evaluator holds at most 2^15 complex
+    entries: its items times what one item holds, ``jets._member_entries`` per
+    germ, (d + 2)^2 per automorphism member and the output width per point.
+    So does every product array of the projective kernel, through the
+    geometry (Cayley) and the autgroup bindings.  (Handing ``apply`` all 10
+    compose or invert members at once is 42 250 entries at dim 64, and 200
+    shift points 32 800 at dim 163.)"""
     blocks = []
     extract, act, project = jets.extract_jet2, verify.apply, geometry._projective
 
@@ -346,13 +358,32 @@ def test_every_block_fits_the_jet_layer_budget(monkeypatch):
     monkeypatch.setattr(autgroup, "_projective", recorded_projective)
     recorded_map("homog_sum_map")
     recorded_map("whitney_map")
+    recorded_map("shift_map")
     run(RunConfig(dim=8))
     run(RunConfig(dim=32))
     run(RunConfig(dim=32, samples=100, suites=("jets",)))
-    run(RunConfig(dim=64, suites=("geometry",)))
+    run(RunConfig(dim=64, suites=("geometry", "autgroup")))
+    run(RunConfig(dim=163, suites=("examples",)))
     assert {kind for kind, _ in blocks} == {"extract_jet2", "apply", "homog_sum_map",
-                                            "whitney_map", "_projective"}
+                                            "whitney_map", "shift_map", "_projective"}
     assert [block for block in blocks if block[1] > 2**15] == []
+
+
+def test_every_sampled_check_goes_through_the_check_engine(monkeypatch):
+    """A default dim-4 run reports every check name through ``verify._check``,
+    the one sampling loop, except ``jets.cauchy_monomials``, which draws
+    nothing."""
+    checked, engine = [], verify._check
+
+    def recorded(*args, **kwargs):
+        residuals = engine(*args, **kwargs)
+        checked.extend(residuals)
+        return residuals
+
+    monkeypatch.setattr(verify, "_check", recorded)
+    results = run(RunConfig(dim=4))
+    assert all(r.status == "pass" for r in results)
+    assert set(checked) == set(DEFAULT_TOLS) - {"jets.cauchy_monomials"}
 
 
 def test_draws_stay_within_the_budget_at_dim_64():
