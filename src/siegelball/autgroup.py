@@ -194,9 +194,14 @@ def _denominator_row(params: AutParams, out: np.ndarray) -> np.ndarray:
 
 
 def denominator(params: AutParams, p):
-    """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w``."""
-    row = np.empty(params.a.shape[:-1] + (params.dim + 1,), dtype=complex)
-    return 1.0 + (siegel_rows(p, params.dim) * _denominator_row(params, row)).sum(axis=-1)
+    """The linear-fractional denominator ``1 - 2i<z,a> + (R - i||a||^2) w`` of
+    Siegel rows, with the rows of :func:`apply`: a stack acts row by row on
+    rows (B, n), member by member on member-major rows (B, R, n)."""
+    rows = siegel_rows(p, params.dim)
+    row = _denominator_row(params, np.empty(params.a.shape[:-1] + rows.shape[-1:], complex))
+    if rows.ndim > row.ndim:  # rows (..., R, n): one coefficient row per member
+        row = row[..., None, :]
+    return 1.0 + (rows * row).sum(axis=-1)
 
 
 def apply(params: AutParams, p) -> np.ndarray:

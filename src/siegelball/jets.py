@@ -60,8 +60,9 @@ class NotOriginFixingError(ValueError):
 
 
 class JetRecoveryError(ValueError):
-    """Raised when a germ's domain radius is not positive, or when its jet
-    fails a recovery validity identity (N != n is "derivative not onto")."""
+    """Raised when a germ's domain radius is not positive, its images on the
+    jet circles are not finite, or its jet fails a recovery validity identity
+    (N != n is "derivative not onto")."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def cauchy_derivative(phi, order: int, cfg: DiffConfig = DiffConfig()):
 def _require(ok, error: type, describe) -> None:
     """Raise ``error(describe(i))`` for the first member i where ``ok`` fails:
     ``i = ()`` for one member, and a stack's message starts with its index."""
-    if not ok.all():  # the method: np.all costs more than the test on a scalar
+    if not (ok.all() if ok.ndim else ok):  # a scalar's own .all() costs 1 us
         i = int(ok.argmin()) if ok.ndim else ()
         raise error(describe(i) if i == () else f"member {i}: {describe(i)}")
 
@@ -187,8 +188,9 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
     The image width N, and with it the jet's shapes, is read off the images;
     an empty stack gives jets with an empty member axis.  Raises
     :class:`JetRecoveryError` when a domain radius of ``H`` is not positive
-    (or NaN), and :class:`NotOriginFixingError` when ``H(0, 0)`` is farther
-    than 1e-12 from the origin.
+    (or NaN) or an image on the circles is not finite, and
+    :class:`NotOriginFixingError` when ``H(0, 0)`` is farther than 1e-12 from
+    the origin.
     """
     radius = np.asarray(H.domain_radius)
     _require(radius > 0, JetRecoveryError,
@@ -219,8 +221,12 @@ def extract_jet2(H: HoloMap, cfg: DiffConfig = DiffConfig()) -> Jet2:
             T = np.empty(images.shape[:-2] + (count, 2, images.shape[-1]),
                          dtype=complex)
         circles = images[..., first:, :].reshape(T.shape[:-3] + (M, k, T.shape[-1]))
-        np.matmul(C, circles.swapaxes(-3, -2), out=T[..., start:start + k, :, :])
+        with np.errstate(invalid="ignore"):  # inf images: NaN coefficients, raised below
+            np.matmul(C, circles.swapaxes(-3, -2), out=T[..., start:start + k, :, :])
         del images, circles  # before the next call evaluates
+    if np.count_nonzero(np.isfinite(T)) != T.size:  # half the cost of .all()
+        _require(np.isfinite(T).all(axis=(-3, -2, -1)), JetRecoveryError,
+                 lambda _: "germ not finite on the jet circles")
     # Order 1 on the w-circle and the z_j-axes; order 2 on the w-circle.
     order1, w2 = T[..., :d + 1, 0, :] / r, 2.0 * T[..., 0, 1, :] / r**2
     # psi_j^+- '' / 2 = f_{z_j z_j} / 2 +- f_{z_j w} + f_ww / 2.

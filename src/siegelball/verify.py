@@ -8,6 +8,8 @@ but ``jets.cauchy_monomials`` (no draws) samples through one loop, :func:`_check
 it draws in even blocks within the jet layer's 2^15-entry budget, redraws
 rejected samples until a check has the count it asks for, and evaluates block
 by block.  The pair checks draw one automorphism per :data:`PER_MEMBER` rows
+and evaluate a block member-major, its K members on its kept points laid out
+(K, W, n), W the most kept rows of one member, empty slots at the origin
 (:func:`_pairs`); members with rows of their own are drawn member-major
 (:func:`_members`).  :func:`run` alone reduces the arrays: each check yields a
 :class:`CheckResult` with the largest residual (0 for no samples), the
@@ -308,16 +310,23 @@ def _a_origin_fixed(config: RunConfig, rng):
 
 
 def _pairs(config: RunConfig, rng, sample):
-    """The draw of (automorphism, point) pairs, the point ``sample(n, rng, count)``.
+    """The draw of (automorphism, point) pairs, the point ``sample(n, rng, count)``,
+    and ``by_member``, which evaluates them member-major.
 
     Drawn member k serves rows ``PER_MEMBER * k`` to ``PER_MEMBER * (k + 1) - 1``
     of the check's draw stream, redraw rounds included.  A block draws the
     members whose first row falls in it, in one ``random_params`` call before
     its points, and carries its last member into the next block, so it stays
     within the budget, one-row blocks included, and the rows a member serves
-    depend on the row count alone."""
+    depend on the row count alone.  A drawn row is its member's index in the
+    block's stack and its point.  ``by_member(f)`` maps such rows through one
+    call ``f(members, points)`` on the block's K members and its points laid
+    out member-major, (K, W, n), W the most rows a member has, and reads each
+    row's result at its (member, slot).  Empty slots hold the origin, which no
+    member sends to a pole: D = 1 at the Siegel origin, and C^-1 M C has no
+    pole on the closed ball."""
     d = config.dim - 1
-    drawn, members = 0, None  # rows drawn so far; the last block's members
+    drawn, members = 0, None  # rows drawn so far; the block's members
 
     def draw(count):
         nonlocal drawn, members
@@ -330,24 +339,34 @@ def _pairs(config: RunConfig, rng, sample):
         members = parts[0] if len(parts) == 1 else _unchecked(
             *map(np.concatenate, zip(*((p.U, p.s, p.a, p.R) for p in parts))))
         drawn += count
-        return members[index - index[0]], sample(d + 1, rng, count)
+        return index - index[0], sample(d + 1, rng, count)
 
-    return draw
+    def by_member(f):
+        def rows(member, p):  # member indices ascend: a member's rows are one run
+            slot = np.arange(len(member)) - np.searchsorted(member, member)
+            points = np.zeros((len(members), slot.max(initial=-1) + 1, p.shape[1]), complex)
+            points[member, slot] = p
+            return f(members, points)[member, slot]
+
+        return rows
+
+    return draw, by_member
 
 
 def _a_boundary_invariance(config: RunConfig, rng):
-    return _check("autgroup.boundary_invariance", lambda params, p: np.abs(siegel_defect(
-        apply(params, p))) / (1.0 + np.abs(p[:, -1]) ** 2), (config.dim + 1) ** 2,
-        _pairs(config, rng, sample_siegel_boundary), config.samples,
-        keep=lambda params, p: np.abs(denominator(params, p)) > 0.1)
+    draw, by_member = _pairs(config, rng, sample_siegel_boundary)
+    return _check("autgroup.boundary_invariance", by_member(lambda params, p: np.abs(
+        siegel_defect(apply(params, p))) / (1.0 + np.abs(p[..., -1]) ** 2)),
+        (config.dim + 1) ** 2, draw, config.samples,
+        keep=by_member(lambda params, p: np.abs(denominator(params, p)) > 0.1))
 
 
 def _a_factorization(config: RunConfig, rng):
-    return _check("autgroup.factorization", lambda params, p: _siegel_gap(
-        apply(params, p), factor_apply(params, p)), (config.dim + 1) ** 2,
-        _pairs(config, rng, sample_siegel_boundary), config.samples,
-        keep=lambda params, p: (np.abs(denominator(params, p)) > 0.1)
-        & (np.abs(1.0 + params.R * p[:, -1]) > 0.1))
+    draw, by_member = _pairs(config, rng, sample_siegel_boundary)
+    return _check("autgroup.factorization", by_member(lambda params, p: _siegel_gap(
+        apply(params, p), factor_apply(params, p))), (config.dim + 1) ** 2,
+        draw, config.samples, keep=by_member(lambda params, p: (np.abs(denominator(
+            params, p)) > 0.1) & (np.abs(1.0 + params.R[:, None] * p[..., -1]) > 0.1)))
 
 
 def _a_h_r_defect(config: RunConfig, rng):
@@ -405,9 +424,10 @@ def _a_invert_two_sided(config: RunConfig, rng):
 
 def _a_ball_sphere(config: RunConfig, rng):
     # C^-1 M C has no pole on the closed ball: every sphere point is used.
-    return _check("autgroup.ball_sphere_preserved", lambda params, Z: np.abs(
-        ball_defect(ball_automorphism(params, Z))), (config.dim + 1) ** 2,
-        _pairs(config, rng, sample_sphere), config.samples)
+    draw, by_member = _pairs(config, rng, sample_sphere)
+    return _check("autgroup.ball_sphere_preserved", by_member(lambda params, Z: np.abs(
+        ball_defect(ball_automorphism(params, Z)))), (config.dim + 1) ** 2, draw,
+        config.samples)
 
 
 # ---------------------------------------------------------------------------

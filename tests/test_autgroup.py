@@ -324,6 +324,23 @@ def test_apply_on_member_major_rows_matches_single_members(d):
         assert_allclose(images[i], apply(stack[i], rows[i]), rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_denominator_on_member_major_rows_matches_per_row(d):
+    """``denominator`` takes the rows ``apply`` takes: on member-major rows
+    (B, R, n) member i acts on rows[i], with exactly the values of the
+    per-row call on a stack with one member per row (rows that broadcast,
+    (1, R, n), are shared by every member)."""
+    stack = random_params(d, seed=49, count=4)
+    rows = sample_siegel_boundary(d + 1, seed=50, count=4 * 6).reshape(4, 6, d + 1)
+    D = denominator(stack, rows)
+    per_row = denominator(stack[np.repeat(np.arange(4), 6)], rows.reshape(-1, d + 1))
+    assert D.shape == (4, 6) and np.array_equal(D, per_row.reshape(4, 6))
+    shared = denominator(stack, rows[:1])
+    for i in range(4):
+        assert np.array_equal(shared[i], denominator(stack[i], rows[0]))
+        assert_allclose(D[i], matrix(stack[i])[-1, :-1] @ rows[i].T + 1, rtol=1e-14)
+
+
 @pytest.mark.parametrize("ranges", [{}, WIDE])
 def test_stacked_apply_matches_single_members(ranges):
     """A stack of B members on B rows equals B single-member calls."""

@@ -843,6 +843,29 @@ def test_stacked_extraction_names_failing_member():
         extract_jet2(replace(shifted, domain_radius=np.ones(3)))
 
 
+def test_extraction_rejects_a_germ_not_finite_on_its_circles():
+    """A d = 2 germ that fixes the origin but returns inf in its last image
+    column on every other circle row raises a typed error, not a
+    ``RuntimeWarning`` from the quadrature (warnings are errors here); on a
+    stack the message names the member."""
+    def inf_on_every_other_row(H, member=None):
+        def evaluate(rows):
+            images = H.evaluate(rows)
+            spoilt = images if member is None else images[member]  # a view
+            spoilt[..., 1::2, -1] = np.inf  # row 0, the origin, stays finite
+            return images
+
+        return replace(H, evaluate=evaluate)
+
+    single = as_holo_map(random_params(2, 31))
+    with pytest.raises(JetRecoveryError, match=r"^germ not finite on the jet circles$"):
+        extract_jet2(inf_on_every_other_row(single))
+    stack = as_holo_map(random_params(2, 31, count=3))
+    with pytest.raises(JetRecoveryError,
+                       match=r"^member 1: germ not finite on the jet circles$"):
+        extract_jet2(inf_on_every_other_row(stack, member=1))
+
+
 def _siegel_germ(F) -> HoloMap:
     """The germ C o F o C^-1 at the Siegel origin of a ball map F: C^n -> C^N
     with F(e_n) a unit vector e_k, its output permuted so that F(e_n) = e_N."""

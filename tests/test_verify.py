@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -564,6 +566,109 @@ def test_pair_checks_see_a_relative_error_of_1e_10(monkeypatch, mutation):
     assert {"autgroup.boundary_invariance", "autgroup.factorization"} <= failed
 
 
+PAIR_MAPS = {"apply": (geometry.sample_siegel_boundary, autgroup.apply),
+             "factor_apply": (geometry.sample_siegel_boundary, autgroup.factor_apply),
+             "ball_automorphism": (geometry.sample_sphere, autgroup.ball_automorphism)}
+
+
+@pytest.mark.parametrize("dim", [2, 8, 33])
+@pytest.mark.parametrize("kind", PAIR_MAPS)
+def test_member_major_pairs_equal_the_per_row_images(kind, dim):
+    """``_pairs``' ``by_member`` lays a block's kept rows out member-major and
+    reads each image back at its (member, slot): the images equal those of the
+    map on a stack with one member per row, ``members[index]``, to 1e-13
+    relative.  Blocks start and end inside a member's 25 rows, and a third of
+    the rows are dropped, as an accept mask drops them; W is the most kept
+    rows of one member."""
+    sample, act = PAIR_MAPS[kind]
+    config = RunConfig(dim=dim)
+    draw, by_member = verify._pairs(config, np.random.default_rng(dim), sample)
+    handed = []
+
+    def member_major(members, points):
+        handed.append((members, points.shape))
+        return act(members, points)
+
+    for count in (60, 7, 100, 1, 40):
+        index, points = draw(count)
+        keep = np.arange(count) % 3 != 1
+        images = by_member(member_major)(index[keep], points[keep])
+        members, shape = handed[-1]
+        assert shape == (len(members), np.bincount(index[keep]).max(initial=0), dim)
+        expected = act(members[index[keep]], points[keep])
+        assert images.shape == expected.shape
+        assert np.abs(images - expected).max(initial=0.0) <= 1e-13 * (
+            1.0 + np.abs(expected).max(initial=0.0))
+
+
+def test_pair_checks_hand_on_only_kept_rows_and_origin_filler(monkeypatch):
+    """The pair checks hand ``apply``, ``factor_apply``, ``ball_automorphism``
+    and their masks' ``denominator`` member-major points (K, W, n), a block's
+    K members at a time.  Every row that reaches a map is a kept sample or
+    exactly the origin: the other rows pass the check's accept mask, member by
+    member, and there are exactly the 1000 samples the check reports."""
+    handed = {}
+
+    def recorded(name):
+        act = getattr(verify, name)
+
+        def record(params, points):
+            assert points.ndim == 3 and len(points) == len(params), name
+            handed.setdefault(name, []).append((params, points.copy()))
+            return act(params, points)
+
+        monkeypatch.setattr(verify, name, record)
+
+    for name in ("apply", "factor_apply", "ball_automorphism", "denominator"):
+        recorded(name)
+    config = RunConfig(dim=8)
+    rng = suite_rng(config, "autgroup")
+    for group, kinds in ((verify._a_boundary_invariance, {"apply"}),
+                         (verify._a_factorization, {"apply", "factor_apply"}),
+                         (verify._a_ball_sphere, {"ball_automorphism"})):
+        handed.clear()
+        (name, residuals), = group(config, rng).items()
+        assert residuals.size == 1000 and residuals.max() <= DEFAULT_TOLS[name]
+        assert set(handed) - {"denominator"} == kinds, name
+        for kind in kinds:
+            samples = 0
+            for params, points in handed[kind]:
+                real = np.any(points != 0, axis=-1)  # every other row is the origin
+                samples += np.count_nonzero(real)
+                for k in range(len(params)):
+                    rows = points[k][real[k]]
+                    if kind == "ball_automorphism":  # no mask: sphere points
+                        assert np.abs(geometry.ball_defect(rows)).max(initial=0.0) < 1e-12
+                        continue
+                    assert np.all(np.abs(autgroup.denominator(params[k], rows)) > 0.1)
+                    if name == "autgroup.factorization":
+                        assert np.all(np.abs(1.0 + params.R[k] * rows[:, -1]) > 0.1)
+            assert samples == 1000, (name, kind)
+
+
+def test_pair_checks_hand_matrix_pooled_members_not_one_per_row(monkeypatch):
+    """In a default dim-8 autgroup suite no pair check hands ``autgroup.matrix``
+    a stack with one member per row: a block holds at most 2^15 // 81 = 404
+    rows, so each stack holds at most ceil(404 / 25) + 1 = 18 members (a stack
+    per row held a block's kept rows, 332 in the first)."""
+    build, sizes = autgroup.matrix, []
+
+    def recorded(params):
+        sizes.append(len(params))
+        return build(params)
+
+    monkeypatch.setattr(autgroup, "matrix", recorded)
+    config = RunConfig(dim=8)
+    rng = suite_rng(config, "autgroup")
+    pairs = (verify._a_boundary_invariance, verify._a_factorization, verify._a_ball_sphere)
+    for group in verify.GROUPS["autgroup"]:
+        sizes.clear()
+        (name, residuals), = group(config, rng).items()
+        assert residuals.max() <= DEFAULT_TOLS[name], name
+        if group in pairs:
+            assert sizes and max(sizes) <= -(-(2**15 // 81) // verify.PER_MEMBER) + 1, name
+
+
 def test_levi_check_keeps_one_core_busy():
     """``check_levi`` at d = 31 and P = 100 forms f_z u in row blocks of at most
     2^16 multiply-adds, which OpenBLAS keeps on the calling thread (one
@@ -696,6 +801,21 @@ def test_cli_pass_run(capsys):
     assert "PASS geometry.cayley_roundtrip" in out
     assert "[n=" not in out  # no sweep suffix with an explicit --dim
     assert out.strip().splitlines()[-1].startswith("PASS: 4 checks, 0 failures")
+
+
+def test_importing_the_cli_loads_numpy_and_the_standard_library_only():
+    """A fresh interpreter running ``import siegelball, siegelball.cli`` loads
+    no third-party module except numpy, so start-up stays an import of numpy
+    and the package.  Modules the interpreter's own start-up loads (site
+    hooks) are not counted."""
+    code = ("import sys; before = set(sys.modules); import siegelball, siegelball.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert set(loaded) - set(sys.stdlib_module_names) == {"siegelball", "numpy"}
 
 
 @pytest.mark.filterwarnings("error")
