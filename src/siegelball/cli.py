@@ -1,8 +1,9 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors (unknown suite or check name, malformed tolerance), 3
-when a check raises: its traceback goes to stderr.
+configuration errors (unknown suite or check name, malformed tolerance, a
+report path that cannot be written), 3 when a check raises: its traceback goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ def main(argv=None) -> int:
                              suites=suites, tol_overrides=overrides)
             for dim in dims
         ]
-    except ValueError as exc:
+        if args.report is not None:  # an unwritable report fails before any suite runs
+            args.report.open("a").close()
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,23 +1,26 @@
 """Deterministic verification suites with line-delimited JSON reporting.
 
 Four suites (``geometry``, ``autgroup``, ``jets``, ``examples``) re-run the
-package's defining identities on seeded random data.  Every check group in
-:data:`GROUPS` returns ``{check name: per-sample residual array}``, one entry
-per check in report order and one residual per sample it used.  Every group
-but ``jets.cauchy_monomials`` (no draws) samples through one loop, :func:`_check`:
-it draws in even blocks within the jet layer's 2^15-entry budget, redraws
-rejected samples until a check has the count it asks for, and evaluates block
-by block.  The pair checks draw one automorphism per :data:`PER_MEMBER` rows
-and evaluate a block member-major, its K members on its kept points laid out
-(K, W, n), W the most kept rows of one member, empty slots at the origin
-(:func:`_pairs`); members with rows of their own are drawn member-major
-(:func:`_members`).  :func:`run` alone reduces the arrays: each check yields a
-:class:`CheckResult` with the largest residual (0 for no samples), the
-tolerance it was held to, the array's size as its sample count and the group's
-wall time.  ``geometry.interior_correspondence`` records 1.0 per misclassified
-point, so a failing run reports 1.0, not the number of misses.  :func:`report`
-serialises the results as one JSON object per line plus a trailing summary
-record.
+package's defining identities on seeded random data.  Each check is declared
+once: ``@_group(suite, check=tol, ...)`` on its group function appends the
+group to :data:`GROUPS` and each ``suite.check`` with its tolerance to
+:data:`DEFAULT_TOLS`, in report order.  A group function returns one residual
+array per check, one per sample it used (a tuple for several checks); the
+registered callable returns ``{check name: residuals}``.  Every group but
+``jets.cauchy_monomials`` (no draws) samples through one loop, :func:`_check`,
+which returns bare arrays: it draws in even blocks within the jet layer's
+2^15-entry budget, redraws rejected samples until a check has the count it
+asks for, and evaluates block by block.  The pair checks draw one automorphism
+per :data:`PER_MEMBER` rows and evaluate a block member-major, its K members on
+its kept points laid out (K, W, n), W the most kept rows of one member, empty
+slots at the origin (:func:`_pairs`); members with rows of their own are drawn
+member-major (:func:`_members`).  :func:`run` alone reduces the arrays: each
+check yields a :class:`CheckResult` with the largest residual (0 for no
+samples), the tolerance it was held to, the array's size as its sample count
+and the group's wall time.  ``geometry.interior_correspondence`` records 1.0
+per misclassified point, so a failing run reports 1.0, not the number of
+misses.  :func:`report` serialises the results as one JSON object per line
+plus a trailing summary record.
 
 Determinism: every suite owns a generator seeded from the master seed, the
 dimension and the suite name, and checks draw from it in a fixed order and
@@ -28,6 +31,7 @@ residual bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -85,35 +89,10 @@ SUITE_NAMES = ("geometry", "autgroup", "jets", "examples")
 #: ``compose_pointwise`` and ``invert_roundtrip``.
 PER_MEMBER = 25
 
-DEFAULT_TOLS = {
-    "geometry.cayley_roundtrip": 1e-12,
-    "geometry.boundary_correspondence": 1e-12,
-    "geometry.interior_correspondence": 0.0,
-    "geometry.cayley_slice_derivative": 1e-6,
-    "autgroup.origin_fixed": 0.0,
-    "autgroup.boundary_invariance": 1e-10,
-    "autgroup.factorization": 1e-12,
-    "autgroup.h_r_defect_scaling": 1e-12,
-    "autgroup.compose_pointwise": 1e-9,
-    "autgroup.invert_roundtrip": 1e-9,
-    "autgroup.compose_associative": 1e-8,
-    "autgroup.invert_two_sided": 1e-8,
-    "autgroup.ball_sphere_preserved": 1e-9,
-    "jets.cauchy_monomials": 1e-13,
-    "jets.closed_form_jet": 1e-12,
-    "jets.recovery_params": 1e-8,
-    "jets.recovery_im_r": 1e-9,
-    "jets.recovery_unitarity": UNITARY_TOL,
-    "jets.normalized_f_w2": 1e-12,
-    "jets.levi_identity": 1e-9,
-    "jets.polarization_identity": 1e-9,
-    "examples.homog_norm_law": 1e-12,
-    "examples.homog_sphere_norm": 1e-12,
-    "examples.whitney_norm_law": 1e-12,
-    "examples.whitney_sphere": 1e-12,
-    "examples.shift_isometry": 1e-13,
-    "examples.enumeration_invariance": 1e-13,
-}
+#: The check groups of each suite and every check's tolerance, in report
+#: order; ``@_group`` fills both as the suites below are defined.
+GROUPS: dict[str, list] = {suite: [] for suite in SUITE_NAMES}
+DEFAULT_TOLS: dict[str, float] = {}
 
 
 @dataclass
@@ -199,14 +178,15 @@ def _members(d: int, rng, stacks: int, per: int, rows):
     return draw
 
 
-def _check(name, residual, entries: int, draw, want: int, keep=None) -> dict:
-    """``{name: residuals}`` of ``want`` rows, or one array per name of a tuple of
-    names.  ``draw(count)`` returns a tuple of arrays or AutParams stacks of count
-    rows; it is called in the fewest even blocks of 2^15 // ``entries`` rows (at
-    least one), ``entries`` being what a row holds: a (d + 2)^2 matrix, an output
-    row or ``jets._member_entries``.  Each block is rebound to the rows the mask
-    ``keep(*rows)`` passes before ``residual(*rows)`` runs, and rejected rows are
-    redrawn until ``want`` pass or ten times that were drawn."""
+def _check(residual, entries: int, draw, want: int, keep=None):
+    """The residuals of ``want`` rows: one array, or a tuple of arrays when
+    ``residual`` returns a tuple.  ``draw(count)`` returns a tuple of arrays or
+    AutParams stacks of count rows; it is called in the fewest even blocks of
+    2^15 // ``entries`` rows (at least one), ``entries`` being what a row holds:
+    a (d + 2)^2 matrix, an output row or ``jets._member_entries``.  Each block is
+    rebound to the rows the mask ``keep(*rows)`` passes before ``residual(*rows)``
+    runs, and rejected rows are redrawn until ``want`` pass or ten times that
+    were drawn."""
     blocks, used, drawn = [], 0, 0
     while used < want and drawn < 10 * want:
         need = min(want - used, 10 * want - drawn)
@@ -217,9 +197,31 @@ def _check(name, residual, entries: int, draw, want: int, keep=None) -> dict:
             blocks.append(residual(*rows))
             used += len(rows[0])
         drawn += need
-    if isinstance(name, str):
-        return {name: np.concatenate(blocks)}
-    return {each: np.concatenate(parts) for each, parts in zip(name, zip(*blocks))}
+    if isinstance(blocks[0], tuple):
+        return tuple(map(np.concatenate, zip(*blocks)))
+    return np.concatenate(blocks)
+
+
+def _group(suite: str, **tols: float):
+    """Register a check group of ``suite`` whose checks are ``tols``' keys, in
+    report order, each held by default to its value.  The group returns one
+    residual array per check, or the one array alone; the registered callable,
+    appended to ``GROUPS[suite]``, returns ``{"suite.check": residuals}``."""
+    names = [f"{suite}.{check}" for check in tols]
+    DEFAULT_TOLS.update(zip(names, tols.values()))
+
+    def register(fn):
+        @functools.wraps(fn)
+        def group(config: RunConfig, rng) -> dict:
+            residuals = fn(config, rng)
+            if not isinstance(residuals, tuple):
+                residuals = (residuals,)
+            return dict(zip(names, residuals, strict=True))
+
+        GROUPS[suite].append(group)
+        return group
+
+    return register
 
 
 def _h_r(d: int, R) -> AutParams:
@@ -237,6 +239,7 @@ def _siegel_gap(p: np.ndarray, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # geometry suite
 
+@_group("geometry", cayley_roundtrip=1e-12)
 def _g_cayley_roundtrip(config: RunConfig, rng):
     n = config.dim
 
@@ -253,15 +256,16 @@ def _g_cayley_roundtrip(config: RunConfig, rng):
         back = np.concatenate([inverse_cayley(cayley(ball)), cayley(inverse_cayley(rows))])
         return np.linalg.norm(back - x, axis=1) / (1.0 + np.linalg.norm(x, axis=1))
 
-    return _check("geometry.cayley_roundtrip", residual, n + 1, draw, config.samples)
+    return _check(residual, n + 1, draw, config.samples)
 
 
+@_group("geometry", boundary_correspondence=1e-12)
 def _g_boundary_correspondence(config: RunConfig, rng):
-    return _check("geometry.boundary_correspondence",
-                  lambda points: np.abs(siegel_defect(cayley(points))), config.dim + 1,
+    return _check(lambda points: np.abs(siegel_defect(cayley(points))), config.dim + 1,
                   _draw(sample_sphere, config.dim, rng, min_pole_dist=0.1), config.samples)
 
 
+@_group("geometry", interior_correspondence=0.0)
 def _g_interior_correspondence(config: RunConfig, rng):
     n = config.dim
 
@@ -279,10 +283,11 @@ def _g_interior_correspondence(config: RunConfig, rng):
                            inside * siegel_defect(cayley(points))) > DEFECT_TOL
         return (~right).astype(float)
 
-    return _check("geometry.interior_correspondence", residual, n + 1, draw,
-                  config.samples, keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
+    return _check(residual, n + 1, draw, config.samples,
+                  keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
 
 
+@_group("geometry", cayley_slice_derivative=1e-6)
 def _g_slice_derivative(config: RunConfig, rng):
     n = config.dim
     cfg = DiffConfig(radius=0.05)
@@ -294,17 +299,17 @@ def _g_slice_derivative(config: RunConfig, rng):
         fd = np.subtract(*phi(np.array([1e-5, -1e-5]))) / 2e-5
         return np.abs(cauchy_derivative(phi, 1, cfg) - fd).max(axis=-1)
 
-    return _check("geometry.cayley_slice_derivative", residual, cfg.nodes * (n + 1),
-                  lambda count: (_radial_rows(rng, count, n, 0.3),
-                                 _unit_rows(rng, count, n)), min(config.samples, 50))
+    return _check(residual, cfg.nodes * (n + 1), lambda count: (_radial_rows(
+        rng, count, n, 0.3), _unit_rows(rng, count, n)), min(config.samples, 50))
 
 
 # ---------------------------------------------------------------------------
 # autgroup suite
 
+@_group("autgroup", origin_fixed=0.0)
 def _a_origin_fixed(config: RunConfig, rng):
     d = config.dim - 1
-    return _check("autgroup.origin_fixed", lambda params: _siegel_gap(
+    return _check(lambda params: _siegel_gap(
         apply(params, np.zeros((len(params), d + 1))), 0.0),
         (d + 2) ** 2, _draw(random_params, d, rng), min(config.samples, 200))
 
@@ -353,22 +358,25 @@ def _pairs(config: RunConfig, rng, sample):
     return draw, by_member
 
 
+@_group("autgroup", boundary_invariance=1e-10)
 def _a_boundary_invariance(config: RunConfig, rng):
     draw, by_member = _pairs(config, rng, sample_siegel_boundary)
-    return _check("autgroup.boundary_invariance", by_member(lambda params, p: np.abs(
+    return _check(by_member(lambda params, p: np.abs(
         siegel_defect(apply(params, p))) / (1.0 + np.abs(p[..., -1]) ** 2)),
         (config.dim + 1) ** 2, draw, config.samples,
         keep=by_member(lambda params, p: np.abs(denominator(params, p)) > 0.1))
 
 
+@_group("autgroup", factorization=1e-12)
 def _a_factorization(config: RunConfig, rng):
     draw, by_member = _pairs(config, rng, sample_siegel_boundary)
-    return _check("autgroup.factorization", by_member(lambda params, p: _siegel_gap(
+    return _check(by_member(lambda params, p: _siegel_gap(
         apply(params, p), factor_apply(params, p))), (config.dim + 1) ** 2,
         draw, config.samples, keep=by_member(lambda params, p: (np.abs(denominator(
             params, p)) > 0.1) & (np.abs(1.0 + params.R[:, None] * p[..., -1]) > 0.1)))
 
 
+@_group("autgroup", h_r_defect_scaling=1e-12)
 def _a_h_r_defect(config: RunConfig, rng):
     d = config.dim - 1
 
@@ -377,39 +385,43 @@ def _a_h_r_defect(config: RunConfig, rng):
         rhs = siegel_defect(rows) / np.abs(1.0 + r * rows[:, -1]) ** 2
         return np.abs(lhs - rhs)
 
-    return _check("autgroup.h_r_defect_scaling", residual, (d + 2) ** 2, lambda count: (
+    return _check(residual, (d + 2) ** 2, lambda count: (
         _small_rows(rng, count, d, 1.0), rng.uniform(-2.0, 2.0, count)), config.samples,
         keep=lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3)
 
 
+@_group("autgroup", compose_pointwise=1e-9)
 def _a_compose_pointwise(config: RunConfig, rng):
     d = config.dim - 1
     draw = _members(d, rng, 2, PER_MEMBER, lambda count, outer, inner: (_small_rows(
         rng, count, d, np.repeat(0.3 * composition_radius(outer, inner), PER_MEMBER)),))
-    return _check("autgroup.compose_pointwise", lambda outer, inner, points: _siegel_gap(
+    return _check(lambda outer, inner, points: _siegel_gap(
         apply(compose(outer, inner), points), apply(outer, apply(inner, points))),
         3 * (d + 2) ** 2 + PER_MEMBER * (d + 1),  # two matrices, their product, points
         draw, max(2, min(10, config.samples // 100)))
 
 
+@_group("autgroup", invert_roundtrip=1e-9)
 def _a_invert_roundtrip(config: RunConfig, rng):
     d = config.dim - 1
     draw = _members(d, rng, 1, PER_MEMBER, lambda count, params: (_small_rows(
         rng, count, d, np.repeat(0.3 * domain_radius(params), PER_MEMBER)),))
-    return _check("autgroup.invert_roundtrip", lambda params, points: _siegel_gap(
+    return _check(lambda params, points: _siegel_gap(
         apply(invert(params), apply(params, points)), points),
         2 * (d + 2) ** 2 + PER_MEMBER * (d + 1),  # a matrix, its inverse's, points
         draw, max(2, min(10, config.samples // 100)))
 
 
+@_group("autgroup", compose_associative=1e-8)
 def _a_compose_associative(config: RunConfig, rng):
     d = config.dim - 1
-    return _check("autgroup.compose_associative", lambda a, b, c: param_distance(
+    return _check(lambda a, b, c: param_distance(
         compose(compose(a, b), c), compose(a, compose(b, c))),
         7 * (d + 2) ** 2,  # a, b, c, ab, (ab)c, bc and a(bc)
         lambda count: tuple(random_params(d, rng, count=count) for _ in range(3)), 3)
 
 
+@_group("autgroup", invert_two_sided=1e-8)
 def _a_invert_two_sided(config: RunConfig, rng):
     d = config.dim - 1
 
@@ -418,14 +430,14 @@ def _a_invert_two_sided(config: RunConfig, rng):
         return np.maximum(param_distance(compose(params, inverse), identity_params(d)),
                           param_distance(compose(inverse, params), identity_params(d)))
 
-    return _check("autgroup.invert_two_sided", residual, 4 * (d + 2) ** 2,
-                  _draw(random_params, d, rng), 4)
+    return _check(residual, 4 * (d + 2) ** 2, _draw(random_params, d, rng), 4)
 
 
+@_group("autgroup", ball_sphere_preserved=1e-9)
 def _a_ball_sphere(config: RunConfig, rng):
     # C^-1 M C has no pole on the closed ball: every sphere point is used.
     draw, by_member = _pairs(config, rng, sample_sphere)
-    return _check("autgroup.ball_sphere_preserved", by_member(lambda params, Z: np.abs(
+    return _check(by_member(lambda params, Z: np.abs(
         ball_defect(ball_automorphism(params, Z)))), (config.dim + 1) ** 2, draw,
         config.samples)
 
@@ -433,6 +445,7 @@ def _a_ball_sphere(config: RunConfig, rng):
 # ---------------------------------------------------------------------------
 # jets suite
 
+@_group("jets", cauchy_monomials=1e-13)
 def _j_cauchy_monomials(config: RunConfig, rng):
     cfg = DiffConfig()
     degrees = np.arange(cfg.nodes // 2 + 1)
@@ -443,7 +456,7 @@ def _j_cauchy_monomials(config: RunConfig, rng):
         scale = float(math.factorial(order))
         expected = np.where(degrees[order:] == order, scale, 0.0)
         gaps.append(np.abs(values - expected) / scale)
-    return {"jets.cauchy_monomials": np.concatenate(gaps)}
+    return np.concatenate(gaps)
 
 
 def _closed_form_gaps(params: AutParams) -> np.ndarray:
@@ -455,6 +468,7 @@ def _closed_form_gaps(params: AutParams) -> np.ndarray:
                    for e, c in pairs], axis=0)
 
 
+@_group("jets", closed_form_jet=1e-12)
 def _j_finite_difference(config: RunConfig, rng):
     """Closed-form gaps of the stack omega, phi_a, h_R, H of a base H; the name is
     kept, as perfbench names its metric ``verify.jets.finite_difference.s`` after it."""
@@ -463,10 +477,10 @@ def _j_finite_difference(config: RunConfig, rng):
         return _closed_form_gaps(AutParams(*map(np.concatenate, members)))
 
     d = config.dim - 1
-    return _check("jets.closed_form_jet", residual, 4 * jets._member_entries(d),
-                  _draw(random_params, d, rng), 1)
+    return _check(residual, 4 * jets._member_entries(d), _draw(random_params, d, rng), 1)
 
 
+@_group("jets", recovery_params=1e-8, recovery_im_r=1e-9, recovery_unitarity=UNITARY_TOL)
 def _j_recovery(config: RunConfig, rng):
     """Recovery of 100 draws in even blocks: 50 + 50 members at d = 7, 20 x 5 at d = 31."""
     def residuals(block):
@@ -476,29 +490,31 @@ def _j_recovery(config: RunConfig, rng):
                 _gram_defects(U))
 
     d = config.dim - 1
-    names = ("jets.recovery_params", "jets.recovery_im_r", "jets.recovery_unitarity")
-    return _check(names, residuals, jets._member_entries(d), _draw(random_params, d, rng),
+    return _check(residuals, jets._member_entries(d), _draw(random_params, d, rng),
                   min(100, config.samples))
 
 
+@_group("jets", normalized_f_w2=1e-12)
 def _j_normalized_f_w2(config: RunConfig, rng):
     """The jets of 10 draws of h_R against their closed form, as in closed_form_jet."""
     d = config.dim - 1
-    return _check("jets.normalized_f_w2", _closed_form_gaps, jets._member_entries(d),
+    return _check(_closed_form_gaps, jets._member_entries(d),
                   lambda count: (_h_r(d, rng.uniform(-2, 2, count)),), 10)
 
 
+@_group("jets", levi_identity=1e-9)
 def _j_levi(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
     per_auto = max(1, config.samples // autos)
     draw = _members(d, rng, 1, per_auto, lambda count, _: (  # a germ's samples (z, u)
         _radial_rows(rng, count, d, 0.05), _unit_rows(rng, count, d)))
-    return _check("jets.levi_identity", lambda params, *rows: check_levi(
+    return _check(lambda params, *rows: check_levi(
         as_holo_map(params), *rows),  # a germ holds its jet, then its per_auto images
         max(jets._member_entries(d), per_auto * (d + 2)), draw, autos)
 
 
+@_group("jets", polarization_identity=1e-9)
 def _j_polarization(config: RunConfig, rng):
     d = config.dim - 1
     autos = max(1, min(10, config.samples // 100))
@@ -506,7 +522,7 @@ def _j_polarization(config: RunConfig, rng):
     draw = _members(d, rng, 1, per_auto, lambda count, _: (  # samples (z, chi, tau)
         _radial_rows(rng, count, d, 0.04), _radial_rows(rng, count, d, 0.04),
         _cscalars(rng, count, 0.04)))
-    return _check("jets.polarization_identity", lambda params, *rows: check_polarization(
+    return _check(lambda params, *rows: check_polarization(
         as_holo_map(params), *rows),  # a germ holds its images of (z, w) and (chi, tau)
         2 * per_auto * (d + 2), draw, autos)
 
@@ -519,53 +535,56 @@ def _random_lambda(rng, cap: int) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
+@_group("examples", homog_norm_law=1e-12)
 def _e_homog_norm_law(config: RunConfig, rng):
     n = min(config.dim, 4)
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam, n)
-    return _check("examples.homog_norm_law", lambda Z: np.abs(
+    return _check(lambda Z: np.abs(
         sq_norm(H.evaluate(Z)) - maps.homog_sum_norm_squared(lam, Z)),
         H.output_dim, _draw(sample_ball, n, rng, radius=0.95), config.samples)
 
 
+@_group("examples", homog_sphere_norm=1e-12)
 def _e_homog_sphere(config: RunConfig, rng):
     n = min(config.dim, 4)
     lam = _random_lambda(rng, 4)
     H = maps.homog_sum_map(lam / np.linalg.norm(lam), n)
-    return _check("examples.homog_sphere_norm",
-                  lambda Z: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
+    return _check(lambda Z: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
                   _draw(sample_sphere, n, rng), config.samples)
 
 
+@_group("examples", whitney_norm_law=1e-12)
 def _e_whitney_norm_law(config: RunConfig, rng):
     n = min(config.dim, 6)
     specs = [maps.WhitneySpec(p, n) for p in (1, 2, 3, 5)]
     specs.append(maps.WhitneySpec(maps.INFINITY, n, truncation=40))
     per_spec = max(1, config.samples // len(specs))
-    name = "examples.whitney_norm_law"
     # A point holds power_count * n entries: its image and z_1-power array.
-    gaps = [_check(name, lambda Z, spec=spec: np.abs(np.subtract(
+    return np.concatenate([_check(lambda Z, spec=spec: np.abs(np.subtract(
         *maps.whitney_norm_identity(spec, Z))), spec.power_count * n,
-        _draw(sample_ball, n, rng, radius=0.9), per_spec)[name] for spec in specs]
-    return {name: np.concatenate(gaps)}
+        _draw(sample_ball, n, rng, radius=0.9), per_spec) for spec in specs])
 
 
+@_group("examples", whitney_sphere=1e-12)
 def _e_whitney_sphere(config: RunConfig, rng):
-    n, name = min(config.dim, 6), "examples.whitney_sphere"
-    gaps = [_check(name, lambda Z, H=H: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
-                   _draw(sample_sphere, n, rng), max(1, config.samples // 4))[name]
-            for H in (maps.whitney_map(maps.WhitneySpec(p, n)) for p in (1, 2, 3, 5))]
-    return {name: np.concatenate(gaps)}
+    n = min(config.dim, 6)
+    return np.concatenate([
+        _check(lambda Z, H=H: np.abs(sq_norm(H.evaluate(Z)) - 1.0), H.output_dim,
+               _draw(sample_sphere, n, rng), max(1, config.samples // 4))
+        for H in (maps.whitney_map(maps.WhitneySpec(p, n)) for p in (1, 2, 3, 5))])
 
 
+@_group("examples", shift_isometry=1e-13)
 def _e_shift(config: RunConfig, rng):
     n = config.dim
     S = maps.shift_map(n)
-    return _check("examples.shift_isometry", lambda Z: np.abs(np.linalg.norm(
+    return _check(lambda Z: np.abs(np.linalg.norm(
         S.evaluate(Z), axis=1) - np.linalg.norm(Z, axis=1)), S.output_dim,
         lambda count: (_radial_rows(rng, count, n, 1.2),), min(config.samples, 200))
 
 
+@_group("examples", enumeration_invariance=1e-13)
 def _e_enumeration(config: RunConfig, rng):
     H = maps.homog_sum_map(_random_lambda(rng, 3), 3)
     order = rng.permutation(H.output_dim)
@@ -574,49 +593,12 @@ def _e_enumeration(config: RunConfig, rng):
         image = H.evaluate(Z)
         return np.abs(sq_norm(image) - sq_norm(image[..., order]))
 
-    return _check("examples.enumeration_invariance", residual, H.output_dim,
-                  _draw(sample_ball, 3, rng, radius=0.95), min(config.samples, 200))
+    return _check(residual, H.output_dim, _draw(sample_ball, 3, rng, radius=0.95),
+                  min(config.samples, 200))
 
 
 # ---------------------------------------------------------------------------
 # runner
-
-GROUPS = {
-    "geometry": [
-        _g_cayley_roundtrip,
-        _g_boundary_correspondence,
-        _g_interior_correspondence,
-        _g_slice_derivative,
-    ],
-    "autgroup": [
-        _a_origin_fixed,
-        _a_boundary_invariance,
-        _a_factorization,
-        _a_h_r_defect,
-        _a_compose_pointwise,
-        _a_invert_roundtrip,
-        _a_compose_associative,
-        _a_invert_two_sided,
-        _a_ball_sphere,
-    ],
-    "jets": [
-        _j_cauchy_monomials,
-        _j_finite_difference,
-        _j_recovery,
-        _j_normalized_f_w2,
-        _j_levi,
-        _j_polarization,
-    ],
-    "examples": [
-        _e_homog_norm_law,
-        _e_homog_sphere,
-        _e_whitney_norm_law,
-        _e_whitney_sphere,
-        _e_shift,
-        _e_enumeration,
-    ],
-}
-
 
 def suite_rng(config: RunConfig, suite: str) -> np.random.Generator:
     """The per-suite generator: seeded from (master seed, dimension, suite name)."""

@@ -35,6 +35,72 @@ def test_default_tolerances_cover_all_suites():
     assert prefixes == set(SUITE_NAMES)
 
 
+def test_default_tolerances_are_pinned_in_report_order():
+    """Every check's default tolerance, by value, in report order: the
+    registrations on the group functions may move, but no tolerance may
+    loosen, vanish or reorder unseen."""
+    assert list(DEFAULT_TOLS.items()) == [
+        ("geometry.cayley_roundtrip", 1e-12),
+        ("geometry.boundary_correspondence", 1e-12),
+        ("geometry.interior_correspondence", 0.0),
+        ("geometry.cayley_slice_derivative", 1e-6),
+        ("autgroup.origin_fixed", 0.0),
+        ("autgroup.boundary_invariance", 1e-10),
+        ("autgroup.factorization", 1e-12),
+        ("autgroup.h_r_defect_scaling", 1e-12),
+        ("autgroup.compose_pointwise", 1e-9),
+        ("autgroup.invert_roundtrip", 1e-9),
+        ("autgroup.compose_associative", 1e-8),
+        ("autgroup.invert_two_sided", 1e-8),
+        ("autgroup.ball_sphere_preserved", 1e-9),
+        ("jets.cauchy_monomials", 1e-13),
+        ("jets.closed_form_jet", 1e-12),
+        ("jets.recovery_params", 1e-8),
+        ("jets.recovery_im_r", 1e-9),
+        ("jets.recovery_unitarity", 1e-12),
+        ("jets.normalized_f_w2", 1e-12),
+        ("jets.levi_identity", 1e-9),
+        ("jets.polarization_identity", 1e-9),
+        ("examples.homog_norm_law", 1e-12),
+        ("examples.homog_sphere_norm", 1e-12),
+        ("examples.whitney_norm_law", 1e-12),
+        ("examples.whitney_sphere", 1e-12),
+        ("examples.shift_isometry", 1e-13),
+        ("examples.enumeration_invariance", 1e-13),
+    ]
+
+
+def test_group_registration_declares_each_check_once(monkeypatch):
+    """``@_group(suite, **tols)`` appends the group to ``GROUPS[suite]`` and its
+    ``suite.check`` tolerances to ``DEFAULT_TOLS`` in order, keeps the function's
+    name, and returns ``{name: array}`` from an array or a tuple of arrays; a
+    group returning the wrong number of arrays raises."""
+    monkeypatch.setattr(verify, "GROUPS", {"jets": []})
+    monkeypatch.setattr(verify, "DEFAULT_TOLS", {})
+
+    @verify._group("jets", first=1e-3, second=0.0)
+    def _j_pair(config, rng):
+        return np.zeros(2), np.ones(3)
+
+    @verify._group("jets", only=1.0)
+    def _j_one(config, rng):
+        return np.zeros(4)
+
+    @verify._group("jets", a=1.0, b=1.0)
+    def _j_short(config, rng):
+        return np.zeros(1)
+
+    assert verify.GROUPS == {"jets": [_j_pair, _j_one, _j_short]}
+    assert [fn.__name__ for fn in verify.GROUPS["jets"]] == ["_j_pair", "_j_one", "_j_short"]
+    assert verify.DEFAULT_TOLS == {"jets.first": 1e-3, "jets.second": 0.0,
+                                   "jets.only": 1.0, "jets.a": 1.0, "jets.b": 1.0}
+    pair = _j_pair(None, None)
+    assert list(pair) == ["jets.first", "jets.second"] and pair["jets.second"].size == 3
+    assert list(_j_one(None, None)) == ["jets.only"]
+    with pytest.raises(ValueError):
+        _j_short(None, None)
+
+
 def test_run_geometry_suite_passes():
     config = RunConfig(dim=2, seed=3, samples=50, suites=("geometry",))
     results = run(config)
@@ -372,20 +438,29 @@ def test_every_block_fits_the_jet_layer_budget(monkeypatch):
 
 
 def test_every_sampled_check_goes_through_the_check_engine(monkeypatch):
-    """A default dim-4 run reports every check name through ``verify._check``,
+    """In a default dim-4 run every registered group calls ``verify._check``,
     the one sampling loop, except ``jets.cauchy_monomials``, which draws
     nothing."""
-    checked, engine = [], verify._check
+    checked, calling, engine = set(), [], verify._check
 
     def recorded(*args, **kwargs):
-        residuals = engine(*args, **kwargs)
-        checked.extend(residuals)
-        return residuals
+        checked.add(calling[-1])
+        return engine(*args, **kwargs)
+
+    def tracked(group):
+        def call(config, rng):
+            calling.append(group)
+            return group(config, rng)
+        return call
 
     monkeypatch.setattr(verify, "_check", recorded)
+    groups = [group for fns in verify.GROUPS.values() for group in fns]
+    for suite, fns in verify.GROUPS.items():
+        monkeypatch.setitem(verify.GROUPS, suite, [tracked(group) for group in fns])
     results = run(RunConfig(dim=4))
     assert all(r.status == "pass" for r in results)
-    assert set(checked) == set(DEFAULT_TOLS) - {"jets.cauchy_monomials"}
+    assert calling == groups
+    assert checked == set(groups) - {verify._j_cauchy_monomials}
 
 
 def test_draws_stay_within_the_budget_at_dim_64():
@@ -418,9 +493,10 @@ def test_check_engine_equals_one_unblocked_call():
     """``verify._check`` calls ``draw`` in the fewest even blocks of
     ``2^15 // entries`` rows, redraws the rows ``keep`` rejects, again in even
     blocks, until ``want`` pass, and joins the residuals in draw order: the same
-    arrays as one call on the kept rows of everything drawn, for a tuple of
-    names, one name and an AutParams draw.  A ``keep`` that rejects every row
-    stops after 10 x ``want`` rows with empty arrays."""
+    arrays as one call on the kept rows of everything drawn, for a residual
+    returning a tuple, one returning an array and an AutParams draw.  A
+    ``keep`` that rejects every row stops after 10 x ``want`` rows with empty
+    arrays."""
     rng = np.random.default_rng(5)
     drawn, sizes = [], []
 
@@ -432,9 +508,8 @@ def test_check_engine_equals_one_unblocked_call():
         sizes.append(len(a))
         return a * b[:, 0] - b[:, 2], np.abs(a)
 
-    names = ("first", "second")
     entries = 2**15 // 100  # 100 rows per block
-    got = verify._check(names, residual, entries, draw, 1000, keep=lambda a, _: a > -0.5)
+    got = verify._check(residual, entries, draw, 1000, keep=lambda a, _: a > -0.5)
     kept = [np.count_nonzero(x > -0.5) for x, _ in drawn]
     assert sizes == kept and sum(kept) == 1000
     start, need, rounds = 0, 1000, 0
@@ -446,15 +521,16 @@ def test_check_engine_equals_one_unblocked_call():
         start, rounds = start + count, rounds + 1
     assert start == len(drawn) and rounds > 1 and len(drawn) > 10
     x, y = (np.concatenate(parts) for parts in zip(*drawn))
-    assert list(got) == list(names)
-    for name, expected in zip(names, residual(x[x > -0.5], y[x > -0.5]), strict=True):
-        assert np.array_equal(got[name], expected), name
+    assert isinstance(got, tuple)
+    for k, expected in enumerate(residual(x[x > -0.5], y[x > -0.5])):
+        assert np.array_equal(got[k], expected), k
+    assert len(got) == 2
 
     drawn.clear()
-    single = verify._check("only", lambda a, b: a * b[:, 1], entries, draw, 250)
+    single = verify._check(lambda a, b: a * b[:, 1], entries, draw, 250)
     assert [len(x) for x, _ in drawn] == [83, 83, 84]
     x, y = (np.concatenate(parts) for parts in zip(*drawn))
-    assert list(single) == ["only"] and np.array_equal(single["only"], x * y[:, 1])
+    assert isinstance(single, np.ndarray) and np.array_equal(single, x * y[:, 1])
 
     pool, numbers, offset = random_params(2, 7, count=1000), rng.standard_normal(1000), []
 
@@ -463,19 +539,19 @@ def test_check_engine_equals_one_unblocked_call():
         offset.append(count)
         return pool[start:start + count], numbers[start:start + count]
 
-    got = verify._check("R", lambda params, b: params.R + b, 2**15 // 40, members, 250,
+    got = verify._check(lambda params, b: params.R + b, 2**15 // 40, members, 250,
                         keep=lambda params, b: params.R > 0)
     used = sum(offset)
     keep = pool.R[:used] > 0
-    assert len(offset) > 1 and got["R"].size == 250
-    assert np.array_equal(got["R"], pool.R[:used][keep] + numbers[:used][keep])
+    assert len(offset) > 1 and got.size == 250
+    assert np.array_equal(got, pool.R[:used][keep] + numbers[:used][keep])
 
     drawn.clear()
     sizes.clear()
-    empty = verify._check(names, residual, entries, draw, 7,
+    empty = verify._check(residual, entries, draw, 7,
                           keep=lambda a, _: np.zeros(len(a), bool))
     assert sum(len(x) for x, _ in drawn) == 70 and set(sizes) == {0}
-    assert [a.shape for a in empty.values()] == [(0,), (0,)]
+    assert [a.shape for a in empty] == [(0,), (0,)]
 
 
 def test_h_r_is_built_without_a_gram_check(monkeypatch):
@@ -870,6 +946,22 @@ def test_cli_bad_dimension_returns_2(capsys):
     code = cli.main(["--dim", "1", "--samples", "5", "--suite", "examples"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_report_exits_2_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    """A report path that cannot be written, in a missing directory or a
+    directory itself, is a configuration error: one line on stderr and exit 2
+    before any suite runs (not a traceback and exit 1 after the whole sweep)."""
+    ran = []
+    monkeypatch.setattr(verify, "run", lambda config: ran.append(config) or [])
+    for path in (tmp_path / "missing" / "report.jsonl", tmp_path):
+        code = cli.main(["--report", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, path
+        assert captured.err.startswith("configuration error: "), captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert ran == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_check_error_propagates(monkeypatch, capsys):
