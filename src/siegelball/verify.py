@@ -6,15 +6,17 @@ once: ``@_group(suite, check=tol, ...)`` on its group function appends the
 group to :data:`GROUPS` and each ``suite.check`` with its tolerance to
 :data:`DEFAULT_TOLS`, in report order.  A group function returns one residual
 array per check, one per sample it used (a tuple for several checks); the
-registered callable returns ``{check name: residuals}``.  Every group but
-``jets.cauchy_monomials`` (no draws) samples through one loop, :func:`_check`,
-which returns bare arrays: it draws in even blocks within the jet layer's
-2^15-entry budget, redraws rejected samples until a check has the count it
-asks for, and evaluates block by block.  The pair checks draw one automorphism
-per :data:`PER_MEMBER` rows and evaluate a block member-major, its K members on
-its kept points laid out (K, W, n), W the most kept rows of one member, empty
-slots at the origin (:func:`_pairs`); members with rows of their own are drawn
-member-major (:func:`_members`).  :func:`run` alone reduces the arrays: each
+registered callable returns ``{check name: residuals}``.  A check is draw ->
+accept -> check.  The draw returns rows: arrays, or automorphism stacks from
+:func:`_members`, the one member-major draw (a member with rows of its own,
+(count, per, ...)).  A check with an accept rule wraps its draw in
+:func:`_accepted`, which redraws every rejected row in place until all pass,
+so no rejected row reaches a residual.  :func:`_check`, the one loop, calls
+draw and residual in even blocks within the jet layer's 2^15-entry budget
+and returns bare arrays.  The pair checks (:func:`_pairs`) draw one
+automorphism per :data:`PER_MEMBER` points, a member's rejected points
+redrawn for that member.  Every group but ``jets.cauchy_monomials`` (no
+draws) goes through :func:`_check`.  :func:`run` alone reduces the arrays: each
 check yields a :class:`CheckResult` with the largest residual (0 for no
 samples), the tolerance it was held to, the array's size as its sample count
 and the group's wall time.  ``geometry.interior_correspondence`` records 1.0
@@ -24,9 +26,8 @@ plus a trailing summary record.
 
 Determinism: every suite owns a generator seeded from the master seed, the
 dimension and the suite name, and checks draw from it in a fixed order and
-in blocks the configuration sizes (a pooled member serves rows fixed by the
-row count alone), so rerunning the same configuration reproduces every
-residual bit for bit.
+in blocks the configuration sizes, so rerunning the same configuration
+reproduces every residual bit for bit.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .jets import (
 
 SUITE_NAMES = ("geometry", "autgroup", "jets", "examples")
 
-#: Points each drawn automorphism serves in the pair checks (``_pairs``),
+#: Points each drawn automorphism serves in the pair checks,
 #: ``compose_pointwise`` and ``invert_roundtrip``.
 PER_MEMBER = 25
 
@@ -178,25 +179,34 @@ def _members(d: int, rng, stacks: int, per: int, rows):
     return draw
 
 
-def _check(residual, entries: int, draw, want: int, keep=None):
-    """The residuals of ``want`` rows: one array, or a tuple of arrays when
-    ``residual`` returns a tuple.  ``draw(count)`` returns a tuple of arrays or
-    AutParams stacks of count rows; it is called in the fewest even blocks of
-    2^15 // ``entries`` rows (at least one), ``entries`` being what a row holds:
-    a (d + 2)^2 matrix, an output row or ``jets._member_entries``.  Each block is
-    rebound to the rows the mask ``keep(*rows)`` passes before ``residual(*rows)``
-    runs, and rejected rows are redrawn until ``want`` pass or ten times that
-    were drawn."""
-    blocks, used, drawn = [], 0, 0
-    while used < want and drawn < 10 * want:
-        need = min(want - used, 10 * want - drawn)
-        for i, j in _even_blocks(need, jets._EVALUATION_ENTRIES // entries):
-            rows = draw(j - i)
-            mask = slice(None) if keep is None else keep(*rows)
-            rows = [a[mask] for a in rows]
-            blocks.append(residual(*rows))
-            used += len(rows[0])
-        drawn += need
+def _accepted(draw, keep):
+    """The draw ``draw`` with every row that the mask ``keep(*rows)`` rejects
+    replaced in place by a fresh row of ``draw``, round by round, until every
+    row passes.  Raises ``ValueError`` when rows are still rejected after ten
+    rounds of redraws."""
+    def accepted(count):
+        rows, rounds = draw(count), 0
+        while rejected := np.count_nonzero(bad := ~keep(*rows)):
+            if rounds == 10:
+                msg = f"{rejected} of {count} drawn rows still rejected after 10 redraws"
+                raise ValueError(msg)
+            for a, fresh in zip(rows, draw(rejected)):
+                a[bad] = fresh
+            rounds += 1
+        return rows
+
+    return accepted
+
+
+def _check(residual, entries: int, draw, want: int):
+    """The residuals ``residual(*draw(count))`` of ``want`` rows: one array, or a
+    tuple of arrays when ``residual`` returns a tuple, in draw order.  ``draw``
+    returns a tuple of arrays or AutParams stacks of count rows; it is called in
+    the fewest even blocks of 2^15 // ``entries`` rows (at least one),
+    ``entries`` being what a row holds: a (d + 2)^2 matrix, an output row or
+    ``jets._member_entries``."""
+    blocks = [residual(*draw(j - i))
+              for i, j in _even_blocks(want, jets._EVALUATION_ENTRIES // entries)]
     if isinstance(blocks[0], tuple):
         return tuple(map(np.concatenate, zip(*blocks)))
     return np.concatenate(blocks)
@@ -283,8 +293,8 @@ def _g_interior_correspondence(config: RunConfig, rng):
                            inside * siegel_defect(cayley(points))) > DEFECT_TOL
         return (~right).astype(float)
 
-    return _check(residual, n + 1, draw, config.samples,
-                  keep=lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05)
+    return _check(residual, n + 1, _accepted(
+        draw, lambda points, _: np.abs(1.0 + points[:, -1]) > 0.05), config.samples)
 
 
 @_group("geometry", cayley_slice_derivative=1e-6)
@@ -314,66 +324,38 @@ def _a_origin_fixed(config: RunConfig, rng):
         (d + 2) ** 2, _draw(random_params, d, rng), min(config.samples, 200))
 
 
-def _pairs(config: RunConfig, rng, sample):
-    """The draw of (automorphism, point) pairs, the point ``sample(n, rng, count)``,
-    and ``by_member``, which evaluates them member-major.
-
-    Drawn member k serves rows ``PER_MEMBER * k`` to ``PER_MEMBER * (k + 1) - 1``
-    of the check's draw stream, redraw rounds included.  A block draws the
-    members whose first row falls in it, in one ``random_params`` call before
-    its points, and carries its last member into the next block, so it stays
-    within the budget, one-row blocks included, and the rows a member serves
-    depend on the row count alone.  A drawn row is its member's index in the
-    block's stack and its point.  ``by_member(f)`` maps such rows through one
-    call ``f(members, points)`` on the block's K members and its points laid
-    out member-major, (K, W, n), W the most rows a member has, and reads each
-    row's result at its (member, slot).  Empty slots hold the origin, which no
-    member sends to a pole: D = 1 at the Siegel origin, and C^-1 M C has no
-    pole on the closed ball."""
+def _pairs(config: RunConfig, rng, sample, residual, keep=None):
+    """The residuals ``residual(members, points)`` of ``config.samples``
+    (automorphism, point) pairs.  Each member drawn through :func:`_members`
+    serves ``PER_MEMBER`` points ``sample(n, rng, count)``, laid out
+    member-major (K, PER_MEMBER, n), and a block holds its members' matrices
+    and points.  With ``keep(members, points)``, every point it rejects is
+    redrawn for its own member."""
     d = config.dim - 1
-    drawn, members = 0, None  # rows drawn so far; the block's members
 
-    def draw(count):
-        nonlocal drawn, members
-        index = np.arange(drawn, drawn + count) // PER_MEMBER  # each row's member
-        carried = drawn % PER_MEMBER > 0  # member index[0] came with the last block
-        fresh = int(index[-1] - index[0]) + 1 - carried
-        parts = [members[-1:]] if carried else []
-        if fresh:
-            parts.append(random_params(d, rng, count=fresh))
-        members = parts[0] if len(parts) == 1 else _unchecked(
-            *map(np.concatenate, zip(*((p.U, p.s, p.a, p.R) for p in parts))))
-        drawn += count
-        return index - index[0], sample(d + 1, rng, count)
+    def points(count, members):
+        draw = _draw(sample, d + 1, rng)
+        return draw(count) if keep is None else _accepted(draw, lambda p: keep(
+            members, p.reshape(len(members), PER_MEMBER, -1)).ravel())(count)
 
-    def by_member(f):
-        def rows(member, p):  # member indices ascend: a member's rows are one run
-            slot = np.arange(len(member)) - np.searchsorted(member, member)
-            points = np.zeros((len(members), slot.max(initial=-1) + 1, p.shape[1]), complex)
-            points[member, slot] = p
-            return f(members, points)[member, slot]
-
-        return rows
-
-    return draw, by_member
+    return _check(residual, (d + 2) * (d + 2 + PER_MEMBER),
+                  _members(d, rng, 1, PER_MEMBER, points),
+                  -(-config.samples // PER_MEMBER)).ravel()[:config.samples]
 
 
 @_group("autgroup", boundary_invariance=1e-10)
 def _a_boundary_invariance(config: RunConfig, rng):
-    draw, by_member = _pairs(config, rng, sample_siegel_boundary)
-    return _check(by_member(lambda params, p: np.abs(
-        siegel_defect(apply(params, p))) / (1.0 + np.abs(p[..., -1]) ** 2)),
-        (config.dim + 1) ** 2, draw, config.samples,
-        keep=by_member(lambda params, p: np.abs(denominator(params, p)) > 0.1))
+    return _pairs(config, rng, sample_siegel_boundary, lambda params, p: np.abs(
+        siegel_defect(apply(params, p))) / (1.0 + np.abs(p[..., -1]) ** 2),
+        lambda params, p: np.abs(denominator(params, p)) > 0.1)
 
 
 @_group("autgroup", factorization=1e-12)
 def _a_factorization(config: RunConfig, rng):
-    draw, by_member = _pairs(config, rng, sample_siegel_boundary)
-    return _check(by_member(lambda params, p: _siegel_gap(
-        apply(params, p), factor_apply(params, p))), (config.dim + 1) ** 2,
-        draw, config.samples, keep=by_member(lambda params, p: (np.abs(denominator(
-            params, p)) > 0.1) & (np.abs(1.0 + params.R[:, None] * p[..., -1]) > 0.1)))
+    return _pairs(config, rng, sample_siegel_boundary, lambda params, p: _siegel_gap(
+        apply(params, p), factor_apply(params, p)), lambda params, p: (
+            np.abs(denominator(params, p)) > 0.1)
+        & (np.abs(1.0 + params.R[:, None] * p[..., -1]) > 0.1))
 
 
 @_group("autgroup", h_r_defect_scaling=1e-12)
@@ -385,9 +367,9 @@ def _a_h_r_defect(config: RunConfig, rng):
         rhs = siegel_defect(rows) / np.abs(1.0 + r * rows[:, -1]) ** 2
         return np.abs(lhs - rhs)
 
-    return _check(residual, (d + 2) ** 2, lambda count: (
-        _small_rows(rng, count, d, 1.0), rng.uniform(-2.0, 2.0, count)), config.samples,
-        keep=lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3)
+    return _check(residual, (d + 2) ** 2, _accepted(lambda count: (
+        _small_rows(rng, count, d, 1.0), rng.uniform(-2.0, 2.0, count)),
+        lambda rows, r: np.abs(1.0 + r * rows[:, -1]) > 0.3), config.samples)
 
 
 @_group("autgroup", compose_pointwise=1e-9)
@@ -436,10 +418,8 @@ def _a_invert_two_sided(config: RunConfig, rng):
 @_group("autgroup", ball_sphere_preserved=1e-9)
 def _a_ball_sphere(config: RunConfig, rng):
     # C^-1 M C has no pole on the closed ball: every sphere point is used.
-    draw, by_member = _pairs(config, rng, sample_sphere)
-    return _check(by_member(lambda params, Z: np.abs(
-        ball_defect(ball_automorphism(params, Z)))), (config.dim + 1) ** 2, draw,
-        config.samples)
+    return _pairs(config, rng, sample_sphere, lambda params, Z: np.abs(
+        ball_defect(ball_automorphism(params, Z))))
 
 
 # ---------------------------------------------------------------------------

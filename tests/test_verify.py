@@ -491,12 +491,9 @@ def test_masked_checks_report_exactly_the_samples_they_ask_for():
 
 def test_check_engine_equals_one_unblocked_call():
     """``verify._check`` calls ``draw`` in the fewest even blocks of
-    ``2^15 // entries`` rows, redraws the rows ``keep`` rejects, again in even
-    blocks, until ``want`` pass, and joins the residuals in draw order: the same
-    arrays as one call on the kept rows of everything drawn, for a residual
-    returning a tuple, one returning an array and an AutParams draw.  A
-    ``keep`` that rejects every row stops after 10 x ``want`` rows with empty
-    arrays."""
+    ``2^15 // entries`` rows and joins the residuals in draw order: the same
+    arrays as one call on everything drawn, for a residual returning a tuple,
+    one returning an array and an AutParams draw."""
     rng = np.random.default_rng(5)
     drawn, sizes = [], []
 
@@ -509,22 +506,12 @@ def test_check_engine_equals_one_unblocked_call():
         return a * b[:, 0] - b[:, 2], np.abs(a)
 
     entries = 2**15 // 100  # 100 rows per block
-    got = verify._check(residual, entries, draw, 1000, keep=lambda a, _: a > -0.5)
-    kept = [np.count_nonzero(x > -0.5) for x, _ in drawn]
-    assert sizes == kept and sum(kept) == 1000
-    start, need, rounds = 0, 1000, 0
-    while need:  # each round redraws the shortfall in the fewest even blocks
-        count = -(-need // 100)
-        even = [need * (k + 1) // count - need * k // count for k in range(count)]
-        assert [len(x) for x, _ in drawn[start:start + count]] == even
-        need -= sum(kept[start:start + count])
-        start, rounds = start + count, rounds + 1
-    assert start == len(drawn) and rounds > 1 and len(drawn) > 10
+    got = verify._check(residual, entries, draw, 1000)
+    assert [len(x) for x, _ in drawn] == sizes == [100] * 10
     x, y = (np.concatenate(parts) for parts in zip(*drawn))
-    assert isinstance(got, tuple)
-    for k, expected in enumerate(residual(x[x > -0.5], y[x > -0.5])):
+    assert isinstance(got, tuple) and len(got) == 2
+    for k, expected in enumerate(residual(x, y)):
         assert np.array_equal(got[k], expected), k
-    assert len(got) == 2
 
     drawn.clear()
     single = verify._check(lambda a, b: a * b[:, 1], entries, draw, 250)
@@ -539,19 +526,52 @@ def test_check_engine_equals_one_unblocked_call():
         offset.append(count)
         return pool[start:start + count], numbers[start:start + count]
 
-    got = verify._check(lambda params, b: params.R + b, 2**15 // 40, members, 250,
-                        keep=lambda params, b: params.R > 0)
-    used = sum(offset)
-    keep = pool.R[:used] > 0
-    assert len(offset) > 1 and got.size == 250
-    assert np.array_equal(got, pool.R[:used][keep] + numbers[:used][keep])
+    got = verify._check(lambda params, b: params.R + b, entries, members, 250)
+    assert offset == [83, 83, 84]
+    assert np.array_equal(got, pool.R[:250] + numbers[:250])
 
-    drawn.clear()
-    sizes.clear()
-    empty = verify._check(residual, entries, draw, 7,
-                          keep=lambda a, _: np.zeros(len(a), bool))
-    assert sum(len(x) for x, _ in drawn) == 70 and set(sizes) == {0}
-    assert [a.shape for a in empty] == [(0,), (0,)]
+
+def test_accepted_draw_redraws_rejected_rows_in_place():
+    """``verify._accepted(draw, keep)`` keeps the rows of the first draw that
+    ``keep`` passes where they are and fills each rejected slot from a fresh
+    draw of exactly the rejected count, round by round, until every row
+    passes; a row's arrays stay together."""
+    rng = np.random.default_rng(11)
+    drawn = []
+
+    def draw(count):
+        drawn.append((rng.standard_normal(count), rng.standard_normal((count, 2))))
+        return tuple(a.copy() for a in drawn[-1])
+
+    def keep(a, b):
+        return a > -0.5
+
+    a, b = verify._accepted(draw, keep)(500)
+    assert a.shape == (500,) and b.shape == (500, 2) and keep(a, b).all()
+    first = drawn[0][0] > -0.5
+    assert np.array_equal(a[first], drawn[0][0][first])
+    assert np.array_equal(b[first], drawn[0][1][first])
+    rejected = [np.count_nonzero(x <= -0.5) for x, _ in drawn]
+    assert [len(x) for x, _ in drawn[1:]] == rejected[:-1] and rejected[-1] == 0
+    assert len(drawn) > 2
+    rows = {(x, *y) for parts in drawn for x, y in zip(*parts)}
+    assert all((x, *y) in rows for x, y in zip(a, b))
+
+
+def test_accepted_draw_raises_after_ten_redraw_rounds():
+    """A ``keep`` that rejects every row stops after the first draw and ten
+    rounds of redraws with a ``ValueError`` that counts the rejected rows,
+    and ``_check`` lets it propagate."""
+    sizes = []
+
+    def draw(count):
+        sizes.append(count)
+        return (np.zeros(count),)
+
+    accepted = verify._accepted(draw, lambda a: np.zeros(len(a), bool))
+    with pytest.raises(ValueError, match="7 of 7 drawn rows still rejected"):
+        verify._check(lambda a: a, 1, accepted, 7)
+    assert sizes == [7] * 11
 
 
 def test_h_r_is_built_without_a_gram_check(monkeypatch):
@@ -650,99 +670,110 @@ PAIR_MAPS = {"apply": (geometry.sample_siegel_boundary, autgroup.apply),
 @pytest.mark.parametrize("dim", [2, 8, 33])
 @pytest.mark.parametrize("kind", PAIR_MAPS)
 def test_member_major_pairs_equal_the_per_row_images(kind, dim):
-    """``_pairs``' ``by_member`` lays a block's kept rows out member-major and
-    reads each image back at its (member, slot): the images equal those of the
+    """The pair checks draw through ``_members``: each member's 25 points laid
+    out member-major, (K, 25, n).  The map's images of them equal those of the
     map on a stack with one member per row, ``members[index]``, to 1e-13
-    relative.  Blocks start and end inside a member's 25 rows, and a third of
-    the rows are dropped, as an accept mask drops them; W is the most kept
-    rows of one member."""
+    relative."""
     sample, act = PAIR_MAPS[kind]
-    config = RunConfig(dim=dim)
-    draw, by_member = verify._pairs(config, np.random.default_rng(dim), sample)
-    handed = []
-
-    def member_major(members, points):
-        handed.append((members, points.shape))
-        return act(members, points)
-
-    for count in (60, 7, 100, 1, 40):
-        index, points = draw(count)
-        keep = np.arange(count) % 3 != 1
-        images = by_member(member_major)(index[keep], points[keep])
-        members, shape = handed[-1]
-        assert shape == (len(members), np.bincount(index[keep]).max(initial=0), dim)
-        expected = act(members[index[keep]], points[keep])
-        assert images.shape == expected.shape
-        assert np.abs(images - expected).max(initial=0.0) <= 1e-13 * (
-            1.0 + np.abs(expected).max(initial=0.0))
+    rng = np.random.default_rng(dim)
+    draw = verify._members(dim - 1, rng, 1, verify.PER_MEMBER,
+                           lambda count, _: (sample(dim, rng, count),))
+    for count in (3, 1, 5):
+        members, points = draw(count)
+        assert len(members) == count and points.shape == (count, verify.PER_MEMBER, dim)
+        images = act(members, points)
+        index = np.repeat(np.arange(count), verify.PER_MEMBER)
+        expected = act(members[index], points.reshape(-1, dim))
+        assert images.shape == (count, verify.PER_MEMBER, expected.shape[-1])
+        assert np.abs(images.reshape(expected.shape) - expected).max() <= 1e-13 * (
+            1.0 + np.abs(expected).max())
 
 
-def test_pair_checks_hand_on_only_kept_rows_and_origin_filler(monkeypatch):
-    """The pair checks hand ``apply``, ``factor_apply``, ``ball_automorphism``
-    and their masks' ``denominator`` member-major points (K, W, n), a block's
-    K members at a time.  Every row that reaches a map is a kept sample or
-    exactly the origin: the other rows pass the check's accept mask, member by
-    member, and there are exactly the 1000 samples the check reports."""
-    handed = {}
+def test_masked_checks_hand_their_residuals_only_accepted_rows(monkeypatch):
+    """In a default dim-4 run every row that reaches the residual of a masked
+    check passes that check's accept rule, and each of these checks reports
+    exactly 1000 samples.  The pair checks' rows arrive member-major, (K, 25,
+    n), and pass for their own member, one member at a time."""
+    def pair_rule(both):
+        def rule(params, points):
+            assert isinstance(params, autgroup.AutParams)
+            assert points.shape == (len(params), verify.PER_MEMBER, 4)
+            for k in range(len(params)):
+                member = params[k]
+                ok = np.abs(autgroup.denominator(member, points[k])) > 0.1
+                if both:
+                    ok &= np.abs(1.0 + member.R * points[k][:, -1]) > 0.1
+                assert ok.all()
+            return True
 
-    def recorded(name):
-        act = getattr(verify, name)
+        return rule
 
-        def record(params, points):
-            assert points.ndim == 3 and len(points) == len(params), name
-            handed.setdefault(name, []).append((params, points.copy()))
-            return act(params, points)
+    rules = {
+        verify._g_interior_correspondence:
+            lambda points, _: np.all(np.abs(1.0 + points[:, -1]) > 0.05),
+        verify._a_boundary_invariance: pair_rule(both=False),
+        verify._a_factorization: pair_rule(both=True),
+        verify._a_h_r_defect: lambda rows, r: np.all(np.abs(1.0 + r * rows[:, -1]) > 0.3),
+    }
+    calling, checked, engine = [], {}, verify._check
 
-        monkeypatch.setattr(verify, name, record)
+    def recorded(residual, *args, **kwargs):
+        group = calling[-1]
 
-    for name in ("apply", "factor_apply", "ball_automorphism", "denominator"):
-        recorded(name)
-    config = RunConfig(dim=8)
-    rng = suite_rng(config, "autgroup")
-    for group, kinds in ((verify._a_boundary_invariance, {"apply"}),
-                         (verify._a_factorization, {"apply", "factor_apply"}),
-                         (verify._a_ball_sphere, {"ball_automorphism"})):
-        handed.clear()
-        (name, residuals), = group(config, rng).items()
-        assert residuals.size == 1000 and residuals.max() <= DEFAULT_TOLS[name]
-        assert set(handed) - {"denominator"} == kinds, name
-        for kind in kinds:
-            samples = 0
-            for params, points in handed[kind]:
-                real = np.any(points != 0, axis=-1)  # every other row is the origin
-                samples += np.count_nonzero(real)
-                for k in range(len(params)):
-                    rows = points[k][real[k]]
-                    if kind == "ball_automorphism":  # no mask: sphere points
-                        assert np.abs(geometry.ball_defect(rows)).max(initial=0.0) < 1e-12
-                        continue
-                    assert np.all(np.abs(autgroup.denominator(params[k], rows)) > 0.1)
-                    if name == "autgroup.factorization":
-                        assert np.all(np.abs(1.0 + params.R[k] * rows[:, -1]) > 0.1)
-            assert samples == 1000, (name, kind)
+        def check(*rows):
+            if group in rules:
+                assert rules[group](*rows), group.__name__
+                checked[group] = checked.get(group, 0) + 1
+            return residual(*rows)
+
+        return engine(check, *args, **kwargs)
+
+    def tracked(group):
+        def call(config, rng):
+            calling.append(group)
+            return group(config, rng)
+        return call
+
+    monkeypatch.setattr(verify, "_check", recorded)
+    for suite, fns in verify.GROUPS.items():
+        monkeypatch.setitem(verify.GROUPS, suite, [tracked(group) for group in fns])
+    results = {r.name: r for r in run(RunConfig(dim=4))}
+    assert set(checked) == set(rules)
+    for name in ("geometry.interior_correspondence", "autgroup.boundary_invariance",
+                 "autgroup.factorization", "autgroup.h_r_defect_scaling"):
+        assert results[name].status == "pass" and results[name].samples == 1000, name
 
 
 def test_pair_checks_hand_matrix_pooled_members_not_one_per_row(monkeypatch):
-    """In a default dim-8 autgroup suite no pair check hands ``autgroup.matrix``
-    a stack with one member per row: a block holds at most 2^15 // 81 = 404
-    rows, so each stack holds at most ceil(404 / 25) + 1 = 18 members (a stack
-    per row held a block's kept rows, 332 in the first)."""
-    build, sizes = autgroup.matrix, []
+    """Each pair check builds one projective matrix per drawn member per map:
+    1000 samples draw 40 members, so 40 matrices, or 160 for factorization
+    (``apply`` and the three of ``factor_apply``).  It draws its members in
+    one ``random_params`` call at dim 8 and in eight at dim 64, where a block
+    of (d + 2)^2 + 25 (d + 2) entries per member holds five.  (Blocks sized by
+    one matrix per row built 178 / 720 / 177 matrices in 41 calls at dim 64.)"""
+    build, draw, counts = autgroup.matrix, verify.random_params, {}
 
-    def recorded(params):
-        sizes.append(len(params))
+    def counted_matrix(params):
+        counts["matrices"] += np.size(params.s)
         return build(params)
 
-    monkeypatch.setattr(autgroup, "matrix", recorded)
-    config = RunConfig(dim=8)
-    rng = suite_rng(config, "autgroup")
-    pairs = (verify._a_boundary_invariance, verify._a_factorization, verify._a_ball_sphere)
-    for group in verify.GROUPS["autgroup"]:
-        sizes.clear()
-        (name, residuals), = group(config, rng).items()
-        assert residuals.max() <= DEFAULT_TOLS[name], name
-        if group in pairs:
-            assert sizes and max(sizes) <= -(-(2**15 // 81) // verify.PER_MEMBER) + 1, name
+    def counted_draw(*args, **kwargs):
+        counts["calls"] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(autgroup, "matrix", counted_matrix)
+    monkeypatch.setattr(verify, "random_params", counted_draw)
+    matrices = {verify._a_boundary_invariance: 40, verify._a_factorization: 160,
+                verify._a_ball_sphere: 40}
+    for dim, calls in ((8, 1), (64, 8)):
+        config = RunConfig(dim=dim)
+        rng = suite_rng(config, "autgroup")
+        for group in verify.GROUPS["autgroup"]:
+            counts.update(matrices=0, calls=0)
+            (name, residuals), = group(config, rng).items()
+            assert residuals.max() <= DEFAULT_TOLS[name], name
+            if group in matrices:
+                assert counts == {"matrices": matrices[group], "calls": calls}, (dim, name)
 
 
 def test_levi_check_keeps_one_core_busy():
